@@ -464,42 +464,9 @@ impl BatchEngine {
         request_indices: &[usize],
         k: usize,
     ) -> Vec<Result<AdparSolution, StratRecError>> {
-        let solve_chunk =
-            |indices: &[usize], out: &mut [Option<Result<AdparSolution, StratRecError>>]| {
-                let mut scratch = SolveScratch::new();
-                let mut relaxations: Vec<stratrec_geometry::Point3> = Vec::new();
-                for (slot, &idx) in out.iter_mut().zip(indices) {
-                    let problem = AdparProblem::with_catalog_reusing(
-                        &requests[idx],
-                        catalog,
-                        k,
-                        std::mem::take(&mut relaxations),
-                    );
-                    *slot = Some(AdparExact.solve_with_scratch(&problem, &mut scratch));
-                    relaxations = problem.into_relaxations();
-                }
-            };
-
-        let mut results: Vec<Option<Result<AdparSolution, StratRecError>>> =
-            vec![None; request_indices.len()];
-        let threads = self.effective_threads(request_indices.len());
-        if threads < 2 {
-            solve_chunk(request_indices, &mut results);
-        } else {
-            let chunk_size = request_indices.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (indices, slots) in request_indices
-                    .chunks(chunk_size)
-                    .zip(results.chunks_mut(chunk_size))
-                {
-                    scope.spawn(move || solve_chunk(indices, slots));
-                }
-            });
-        }
-        results
-            .into_iter()
-            .map(|slot| slot.expect("every chunk slot is filled by its thread"))
-            .collect()
+        self.fan_out_adpar(requests, catalog, request_indices, k, |problem, scratch| {
+            AdparExact.solve_with_scratch(problem, scratch)
+        })
     }
 
     /// The **degraded** counterpart of [`Self::solve_adpar_batch`]: the same
@@ -518,8 +485,30 @@ impl BatchEngine {
         request_indices: &[usize],
         k: usize,
     ) -> Vec<Result<AdparSolution, StratRecError>> {
+        self.fan_out_adpar(requests, catalog, request_indices, k, |problem, _| {
+            AdparBaseline2.solve(problem)
+        })
+    }
+
+    /// The chunked ADPaR fan-out behind both solvers: contiguous chunks of
+    /// `request_indices` go to scoped threads, each owning one
+    /// [`SolveScratch`] and one relaxation buffer reused across its
+    /// problems ([`AdparProblem::with_catalog_reusing`]), and every result
+    /// lands in its input slot.
+    fn fan_out_adpar<S>(
+        &self,
+        requests: &[DeploymentRequest],
+        catalog: &StrategyCatalog,
+        request_indices: &[usize],
+        k: usize,
+        solve: S,
+    ) -> Vec<Result<AdparSolution, StratRecError>>
+    where
+        S: Fn(&AdparProblem<'_>, &mut SolveScratch) -> Result<AdparSolution, StratRecError> + Sync,
+    {
         let solve_chunk =
             |indices: &[usize], out: &mut [Option<Result<AdparSolution, StratRecError>>]| {
+                let mut scratch = SolveScratch::new();
                 let mut relaxations: Vec<stratrec_geometry::Point3> = Vec::new();
                 for (slot, &idx) in out.iter_mut().zip(indices) {
                     let problem = AdparProblem::with_catalog_reusing(
@@ -528,7 +517,7 @@ impl BatchEngine {
                         k,
                         std::mem::take(&mut relaxations),
                     );
-                    *slot = Some(AdparBaseline2.solve(&problem));
+                    *slot = Some(solve(&problem, &mut scratch));
                     relaxations = problem.into_relaxations();
                 }
             };

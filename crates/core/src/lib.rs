@@ -90,8 +90,8 @@ pub mod prelude {
     };
     pub use crate::modeling::{LinearModel, ModelLibrary, ParameterKind, StrategyModel};
     pub use crate::stratrec::{
-        AlternativeRecommendation, ServiceQuality, SnapshotSession, StratRec, StratRecConfig,
-        StratRecReport, StratRecSession, TenantOutcome,
+        AlternativeRecommendation, ServiceQuality, StratRec, StratRecConfig, StratRecReport,
+        StratRecSession, TenantOutcome,
     };
     pub use crate::workforce::{
         AggregationCache, AggregationMode, EligibilityRule, Precision, RequestRequirement,

@@ -181,6 +181,11 @@ impl StratRec {
         }
     }
 
+    /// The Aggregator configured by this layer.
+    fn aggregator(&self) -> BatchStrat {
+        BatchStrat::new(self.config.objective, self.config.aggregation)
+    }
+
     /// Processes a batch of deployment requests: estimates availability from
     /// the pdf, runs the Aggregator, and sends every unsatisfied request to
     /// ADPaR.
@@ -237,9 +242,9 @@ impl StratRec {
     /// answers every unsatisfied request with the cheap `Baseline2` solver
     /// instead of exact ADPaR. The Aggregator stage is identical at both
     /// levels, and the degraded alternatives are bit-identical to standalone
-    /// [`crate::adpar::AdparBaseline2`] solves over the same catalog — this
-    /// is the reference a streaming front-end's degraded answers are pinned
-    /// against.
+    /// [`crate::adpar::AdparBaseline2`] solves over the same catalog. This
+    /// is the call a streaming front-end serves each admission window with,
+    /// and the reference every served answer is pinned against.
     ///
     /// # Errors
     ///
@@ -253,61 +258,62 @@ impl StratRec {
         availability: &AvailabilityPdf,
         quality: ServiceQuality,
     ) -> Result<StratRecReport, StratRecError> {
-        let expected = availability.expectation();
-        let aggregator = BatchStrat::new(self.config.objective, self.config.aggregation);
-        let matrix =
-            self.engine
-                .workforce_matrix(requests, catalog, models, aggregator.eligibility)?;
+        let matrix = self.engine.workforce_matrix(
+            requests,
+            catalog,
+            models,
+            self.aggregator().eligibility,
+        )?;
         let requirements = self.aggregate_matrix(&matrix);
-        let batch = aggregator.select(requests, &requirements, expected);
-        let alternatives = self.alternatives_at(requests, catalog, &batch, quality);
-        Ok(StratRecReport {
-            availability: expected,
-            batch,
-            alternatives,
-        })
+        Ok(self.plan(requests, catalog, &requirements, availability, quality))
     }
 
-    /// The ADPaR fan-out at the given quality level: exact solves at
+    /// The stages after aggregation, shared by every entry point: the
+    /// Aggregator's selection over `requirements`, then the ADPaR fan-out
+    /// for each unsatisfied request — exact solves at
     /// [`ServiceQuality::Full`], `Baseline2` solves at
     /// [`ServiceQuality::Degraded`]. Everything upstream (matrix,
-    /// aggregation, selection) is quality-independent, which is what lets a
-    /// serving session flip quality between calls without touching its
-    /// cached state.
-    fn alternatives_at(
+    /// aggregation) is quality-independent.
+    fn plan(
         &self,
         requests: &[DeploymentRequest],
         catalog: &StrategyCatalog,
-        batch: &BatchOutcome,
+        requirements: &[Option<RequestRequirement>],
+        availability: &AvailabilityPdf,
         quality: ServiceQuality,
-    ) -> Vec<AlternativeRecommendation> {
+    ) -> StratRecReport {
+        let expected = availability.expectation();
+        let batch = self.aggregator().select(requests, requirements, expected);
+        let (unsatisfied, k) = (&batch.unsatisfied, self.config.k);
         let solutions = match quality {
             ServiceQuality::Full => {
                 self.engine
-                    .solve_adpar_batch(requests, catalog, &batch.unsatisfied, self.config.k)
+                    .solve_adpar_batch(requests, catalog, unsatisfied, k)
             }
-            ServiceQuality::Degraded => self.engine.solve_adpar_batch_degraded(
-                requests,
-                catalog,
-                &batch.unsatisfied,
-                self.config.k,
-            ),
+            ServiceQuality::Degraded => {
+                self.engine
+                    .solve_adpar_batch_degraded(requests, catalog, unsatisfied, k)
+            }
         };
-        batch
-            .unsatisfied
+        let alternatives = unsatisfied
             .iter()
             .zip(solutions)
             .map(|(&request_index, solution)| AlternativeRecommendation {
                 request_index,
                 solution,
             })
-            .collect()
+            .collect();
+        StratRecReport {
+            availability: expected,
+            batch,
+            alternatives,
+        }
     }
 
-    /// Processes the same **standing** batch of deployment requests across
-    /// catalog churn epochs, maintaining the workforce matrix and its
-    /// aggregation **incrementally** through `session` instead of
-    /// recomputing them per call.
+    /// Processes a **standing** batch of deployment requests across catalog
+    /// churn epochs, maintaining the workforce matrix and its aggregation
+    /// **incrementally** through `session` instead of recomputing them per
+    /// call.
     ///
     /// The first call computes everything from scratch and registers a
     /// [`DeltaSubscription`] with the catalog; every later call drains the
@@ -319,22 +325,20 @@ impl StratRec {
     /// ([`AggregationCache::repair`]) — epoch maintenance proportional to
     /// the churn rather than to `n · |S|`. The report is **identical** to
     /// [`Self::process_batch_with_catalog`] over the same catalog state
-    /// (pinned by tests here and by the workload churn suite); the
-    /// steady-state epoch allocates nothing for model collection (the
-    /// session reuses one model buffer).
+    /// (pinned by tests here and by the workload churn suite); the steady-state epoch allocates nothing for model
+    /// collection (the session reuses one model buffer).
     ///
-    /// Contract: one session follows one `(catalog, standing batch)` pair.
-    /// The batch may change length (the session re-primes), but callers
-    /// changing the *content* of an equally-sized batch, or switching
-    /// catalogs, must call [`StratRecSession::reset`] (or
-    /// [`StratRecSession::detach`]) first. A changed `k` or aggregation
-    /// mode re-primes automatically.
+    /// Reuse is keyed on content: the session remembers the requests it was
+    /// primed for and re-primes with a full compute whenever `requests`
+    /// differ from them, or `k`, the aggregation mode, the precision or the
+    /// shard count changed. One session follows one catalog; call
+    /// [`StratRecSession::detach`] before moving it to another.
     ///
     /// # Errors
     ///
     /// Returns [`StratRecError::MissingModel`] when a live catalog strategy
     /// (full compute) or an inserted live slot (incremental path) has no
-    /// fitted model. On any error the session resets itself, so the next
+    /// fitted model. On any error the session detaches itself, so the next
     /// call recovers with a full recompute.
     pub fn process_batch_with_session(
         &self,
@@ -344,130 +348,147 @@ impl StratRec {
         availability: &AvailabilityPdf,
         session: &mut StratRecSession,
     ) -> Result<StratRecReport, StratRecError> {
-        self.process_batch_with_session_at(
-            requests,
-            catalog,
-            models,
-            availability,
-            session,
-            ServiceQuality::Full,
-        )
-    }
-
-    /// [`Self::process_batch_with_session`] at an explicit
-    /// [`ServiceQuality`]. The session's matrix, aggregation cache and delta
-    /// subscription are quality-independent — only the ADPaR fan-out
-    /// differs — so a front-end flipping between `Full` and `Degraded`
-    /// between calls reuses the standing incremental state as if the
-    /// quality never changed: no re-prime, no extra subscriptions.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::process_batch_with_session`].
-    pub fn process_batch_with_session_at(
-        &self,
-        requests: &[DeploymentRequest],
-        catalog: &mut StrategyCatalog,
-        models: &ModelLibrary,
-        availability: &AvailabilityPdf,
-        session: &mut StratRecSession,
-        quality: ServiceQuality,
-    ) -> Result<StratRecReport, StratRecError> {
-        let expected = availability.expectation();
-        let aggregator = BatchStrat::new(self.config.objective, self.config.aggregation);
-        if let Err(error) = self.sync_session(requests, catalog, models, &aggregator, session) {
+        // A stale handle (the session's tracker was evicted after lapsing,
+        // or the session was moved across catalogs without a detach) fails
+        // typed: release it and re-prime under a fresh subscription instead
+        // of mis-applying another subscriber's window.
+        let delta = session.subscription.and_then(|subscription| {
+            let delta = catalog.take_delta(&subscription).ok();
+            if delta.is_none() {
+                catalog.unsubscribe_delta(subscription);
+                session.subscription = None;
+            }
+            delta
+        });
+        if let Err(error) = self.sync_session(requests, catalog, delta, models, session) {
             session.detach(catalog);
             return Err(error);
         }
-        let cache = session
-            .cache
-            .as_ref()
-            .expect("sync_session leaves the session primed");
-        let batch = aggregator.select(requests, cache.requirements(), expected);
-        let alternatives = self.alternatives_at(requests, catalog, &batch, quality);
-        Ok(StratRecReport {
-            availability: expected,
-            batch,
-            alternatives,
-        })
+        if session.subscription.is_none() {
+            // Subscribe *after* the compute: both observe the same epoch
+            // (the caller holds the catalog exclusively throughout).
+            session.subscription = Some(catalog.subscribe_delta());
+        }
+        Ok(self.plan(
+            requests,
+            catalog,
+            session.requirements(),
+            availability,
+            ServiceQuality::Full,
+        ))
     }
 
-    /// Brings `session` to the catalog's current epoch: a full compute +
-    /// prime + subscribe on the first call (or after a reset / shape /
-    /// config change), the delta path afterwards.
+    /// The **concurrent** counterpart of [`Self::process_batch_with_session`]:
+    /// serves a standing batch from the [`EpochSnapshot`]s a
+    /// [`ConcurrentCatalog`](crate::catalog::ConcurrentCatalog) publishes,
+    /// while a writer thread keeps churning. Each call first migrates
+    /// `reader` to the latest published snapshot
+    /// ([`SnapshotReader::migrate`] — the only moment any lock is touched),
+    /// folds the drained [`CatalogDelta`] into the session exactly like the
+    /// sequential delta path, then plans the batch **entirely lock-free**
+    /// against the pinned snapshot. The report is identical to
+    /// [`Self::process_batch_with_catalog`] over the snapshot's catalog
+    /// (pinned by `tests/snapshot_isolation.rs` with readers racing a
+    /// churning writer), and the snapshot the report was
+    /// planned against is returned alongside it so callers can attribute
+    /// the answer to its epoch.
+    ///
+    /// The reader owns the subscription (and releases it on drop); the
+    /// session holds only derived state. A reader evicted for lapsing past
+    /// the catalog's delta-lapse limit re-pins and recomputes from scratch
+    /// instead of failing, and any error resets the session so the next
+    /// call re-primes. A session still holding a catalog-side subscription
+    /// was primed through [`Self::process_batch_with_session`] on another
+    /// catalog, so it re-primes too and drops that handle; the abandoned
+    /// tracker lapses out of its catalog unless the session was
+    /// [detached](StratRecSession::detach) first.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StratRecError::MissingModel`] when a live strategy of the
+    /// pinned snapshot (full compute) or an inserted live slot (delta path)
+    /// has no fitted model in `models`.
+    pub fn process_batch_with_reader(
+        &self,
+        requests: &[DeploymentRequest],
+        reader: &mut SnapshotReader,
+        models: &ModelLibrary,
+        availability: &AvailabilityPdf,
+        session: &mut StratRecSession,
+    ) -> Result<(StratRecReport, Arc<EpochSnapshot>), StratRecError> {
+        // An evicted reader fails the migration typed (StaleSubscription):
+        // re-pin and re-prime instead of serving from a torn delta window.
+        let migrated = reader.migrate().ok();
+        let snapshot = match migrated {
+            Some(_) => Arc::clone(reader.pinned()),
+            None => reader.re_pin(),
+        };
+        // The reader's delta continues this reader's window, not the one
+        // a catalog-side subscription tracked.
+        let primed_on_a_catalog = session.subscription.take().is_some();
+        let delta = migrated.filter(|_| !primed_on_a_catalog);
+        if let Err(error) = self.sync_session(requests, snapshot.catalog(), delta, models, session)
+        {
+            session.reset();
+            return Err(error);
+        }
+        let report = self.plan(
+            requests,
+            snapshot.catalog(),
+            session.requirements(),
+            availability,
+            ServiceQuality::Full,
+        );
+        Ok((report, snapshot))
+    }
+
+    /// Brings `session` to `catalog`'s state. `delta` is the churn since the
+    /// session's previous call, drawn by the caller from its delta source,
+    /// or `None` when the source had none to give (first call, stale or
+    /// evicted subscription). The delta is applied only when the session
+    /// was primed for exactly these requests under the current
+    /// configuration; anything else re-primes with a full compute, which
+    /// supersedes the delta.
     fn sync_session(
         &self,
         requests: &[DeploymentRequest],
-        catalog: &mut StrategyCatalog,
+        catalog: &StrategyCatalog,
+        delta: Option<CatalogDelta>,
         models: &ModelLibrary,
-        aggregator: &BatchStrat,
         session: &mut StratRecSession,
     ) -> Result<(), StratRecError> {
-        let reusable = matches!(
-            (&session.matrix, &session.cache, &session.subscription),
-            (Some(matrix), Some(cache), Some(_))
-                if matrix.rows() == requests.len()
-                    && matrix.precision() == self.engine.precision()
-                    && cache.k() == self.config.k
-                    && cache.mode() == self.config.aggregation
-                    && cache.matches_sharding(self.shards)
-        );
-        if reusable {
-            let subscription = session
-                .subscription
-                .as_ref()
-                .expect("reusable sessions hold a subscription");
-            // A stale handle (the session's tracker was evicted after
-            // lapsing, or the session was moved across catalogs without a
-            // detach) fails typed; fall through to the full re-prime below
-            // instead of mis-applying another subscriber's window.
-            if let Ok(delta) = catalog.take_delta(subscription) {
-                if delta.is_empty() {
-                    session.last_repaired_rows = 0;
-                    return Ok(());
-                }
-                let matrix = session
-                    .matrix
-                    .as_mut()
-                    .expect("reusable sessions hold a matrix");
-                let cache = session
-                    .cache
-                    .as_mut()
-                    .expect("reusable sessions hold a cache");
-                self.engine.apply_matrix_delta(
-                    matrix,
-                    &delta,
-                    requests,
-                    catalog,
-                    models,
-                    aggregator.eligibility,
-                    &mut session.model_buf,
-                )?;
-                session.last_repaired_rows = cache.repair(matrix, &delta);
+        let eligibility = self.aggregator().eligibility;
+        if let (Some(delta), Some(matrix), Some(cache)) =
+            (delta, session.matrix.as_mut(), session.cache.as_mut())
+        {
+            if session.primed == requests
+                && matrix.precision() == self.engine.precision()
+                && cache.k() == self.config.k
+                && cache.mode() == self.config.aggregation
+                && cache.matches_sharding(self.shards)
+            {
+                session.last_repaired_rows = if delta.is_empty() {
+                    0
+                } else {
+                    self.engine.apply_matrix_delta(
+                        matrix,
+                        &delta,
+                        requests,
+                        catalog,
+                        models,
+                        eligibility,
+                        &mut session.model_buf,
+                    )?;
+                    cache.repair(matrix, &delta)
+                };
                 return Ok(());
             }
         }
-        // A live subscription survives the re-prime: drain and discard its
-        // pending window (the full recompute below supersedes it, and the
-        // drain re-bases the tracker at the current epoch — the caller
-        // holds the catalog exclusively, so nothing can slip in between).
-        // A shape or config change, or a shed/degraded batch that never
-        // touched the cache, therefore publishes **zero** extra
-        // subscriptions; only a stale handle (evicted, or moved across
-        // catalogs) is released and replaced.
-        let keep_subscription = session
-            .subscription
-            .as_ref()
-            .is_some_and(|subscription| catalog.take_delta(subscription).is_ok());
-        if !keep_subscription {
-            if let Some(subscription) = session.subscription.take() {
-                catalog.unsubscribe_delta(subscription);
-            }
-        }
         session.cache = None;
+        session.primed.clear();
         // Refill into the stale matrix when the session still holds one:
         // a full recompute either way, but the tens-of-megabytes cell
-        // allocation survives rebuild triggers.
+        // allocation survives re-primes.
         let mut matrix = session
             .matrix
             .take()
@@ -476,19 +497,14 @@ impl StratRec {
             requests,
             catalog,
             models,
-            aggregator.eligibility,
+            eligibility,
             &mut matrix,
             &mut session.model_buf,
         )?;
-        let cache = self.primed_cache(&matrix);
+        session.cache = Some(self.primed_cache(&matrix));
         session.last_repaired_rows = matrix.rows();
-        if !keep_subscription {
-            // Subscribe *after* the compute: both observe the same epoch
-            // (the caller holds the catalog exclusively throughout).
-            session.subscription = Some(catalog.subscribe_delta());
-        }
         session.matrix = Some(matrix);
-        session.cache = Some(cache);
+        session.primed.extend_from_slice(requests);
         Ok(())
     }
 
@@ -509,183 +525,6 @@ impl StratRec {
                 SessionCache::Flat(cache)
             }
         }
-    }
-
-    /// The **concurrent** counterpart of [`Self::process_batch_with_session`]:
-    /// serves the standing batch from the [`EpochSnapshot`]s a
-    /// [`ConcurrentCatalog`](crate::catalog::ConcurrentCatalog) publishes,
-    /// while a writer thread keeps churning. Each call first migrates
-    /// `reader` to the latest published snapshot
-    /// ([`SnapshotReader::migrate`] — the only moment any lock is touched),
-    /// folds the drained [`crate::catalog::CatalogDelta`] into the
-    /// session's workforce matrix and aggregation cache exactly like the
-    /// sequential delta path, then plans the batch **entirely lock-free**
-    /// against the pinned snapshot. The report is identical to
-    /// [`Self::process_batch_with_catalog`] over the snapshot's catalog
-    /// (pinned by `tests/snapshot_isolation.rs` with readers racing a
-    /// churning writer), and the snapshot the report was planned against is
-    /// returned alongside it so callers can attribute the answer to its
-    /// epoch.
-    ///
-    /// Recovery is built in: a reader evicted for lapsing past the
-    /// catalog's delta-lapse limit re-pins and recomputes from scratch
-    /// instead of failing, and any error resets the session so the next
-    /// call re-primes (the reader's subscription itself is RAII-released on
-    /// drop).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StratRecError::MissingModel`] when a live strategy of the
-    /// pinned snapshot (full compute) or an inserted live slot (delta path)
-    /// has no fitted model in `models`.
-    pub fn process_batch_with_reader(
-        &self,
-        requests: &[DeploymentRequest],
-        reader: &mut SnapshotReader,
-        models: &ModelLibrary,
-        availability: &AvailabilityPdf,
-        session: &mut SnapshotSession,
-    ) -> Result<(StratRecReport, Arc<EpochSnapshot>), StratRecError> {
-        self.process_batch_with_reader_at(
-            requests,
-            reader,
-            models,
-            availability,
-            session,
-            ServiceQuality::Full,
-        )
-    }
-
-    /// [`Self::process_batch_with_reader`] at an explicit
-    /// [`ServiceQuality`] — the entry point of a streaming front-end whose
-    /// backpressure controller degrades under load. The session's matrix,
-    /// aggregation cache and the reader's subscription are
-    /// quality-independent; only the ADPaR fan-out switches solvers, so a
-    /// degrade → recover cycle reuses the standing incremental state and
-    /// publishes zero extra subscriptions. A `Degraded` report's
-    /// alternatives are bit-identical to
-    /// [`Self::process_batch_with_catalog_at`] at `Degraded` over the
-    /// returned snapshot's catalog (which is in turn standalone
-    /// `Baseline2`).
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::process_batch_with_reader`].
-    pub fn process_batch_with_reader_at(
-        &self,
-        requests: &[DeploymentRequest],
-        reader: &mut SnapshotReader,
-        models: &ModelLibrary,
-        availability: &AvailabilityPdf,
-        session: &mut SnapshotSession,
-        quality: ServiceQuality,
-    ) -> Result<(StratRecReport, Arc<EpochSnapshot>), StratRecError> {
-        let expected = availability.expectation();
-        let aggregator = BatchStrat::new(self.config.objective, self.config.aggregation);
-        let snapshot =
-            match self.sync_snapshot_session(requests, reader, models, &aggregator, session) {
-                Ok(snapshot) => snapshot,
-                Err(error) => {
-                    session.reset();
-                    return Err(error);
-                }
-            };
-        let cache = session
-            .cache
-            .as_ref()
-            .expect("sync_snapshot_session leaves the session primed");
-        let batch = aggregator.select(requests, cache.requirements(), expected);
-        let alternatives = self.alternatives_at(requests, snapshot.catalog(), &batch, quality);
-        let report = StratRecReport {
-            availability: expected,
-            batch,
-            alternatives,
-        };
-        Ok((report, snapshot))
-    }
-
-    /// Brings a snapshot-serving session to the latest published epoch: the
-    /// delta path when the session is primed and the reader's subscription
-    /// is live, a full recompute otherwise (first call, shape or config
-    /// change, or the reader was evicted for lapsing). The full recompute
-    /// keeps a live subscription — it only re-subscribes after an eviction
-    /// — so re-primes never churn the catalog's subscriber table.
-    fn sync_snapshot_session(
-        &self,
-        requests: &[DeploymentRequest],
-        reader: &mut SnapshotReader,
-        models: &ModelLibrary,
-        aggregator: &BatchStrat,
-        session: &mut SnapshotSession,
-    ) -> Result<Arc<EpochSnapshot>, StratRecError> {
-        let reusable = matches!(
-            (&session.matrix, &session.cache),
-            (Some(matrix), Some(cache))
-                if matrix.rows() == requests.len()
-                    && matrix.precision() == self.engine.precision()
-                    && cache.k() == self.config.k
-                    && cache.mode() == self.config.aggregation
-                    && cache.matches_sharding(self.shards)
-        );
-        if reusable {
-            // An evicted reader fails the migration typed
-            // (StaleSubscription); fall through to the re-pin + full
-            // recompute below instead of serving from a torn delta window.
-            if let Ok(delta) = reader.migrate() {
-                let snapshot = Arc::clone(reader.pinned());
-                if delta.is_empty() {
-                    session.last_repaired_rows = 0;
-                    return Ok(snapshot);
-                }
-                let matrix = session
-                    .matrix
-                    .as_mut()
-                    .expect("reusable sessions hold a matrix");
-                let cache = session
-                    .cache
-                    .as_mut()
-                    .expect("reusable sessions hold a cache");
-                self.engine.apply_matrix_delta(
-                    matrix,
-                    &delta,
-                    requests,
-                    snapshot.catalog(),
-                    models,
-                    aggregator.eligibility,
-                    &mut session.model_buf,
-                )?;
-                session.last_repaired_rows = cache.repair(matrix, &delta);
-                return Ok(snapshot);
-            }
-        }
-        // Full path: keep the reader's standing subscription when it is
-        // still live — migrate drains (and discards) the pending window and
-        // pins the latest snapshot, so a shape or config re-prime, or a
-        // shed/degraded batch that never touched the cache, publishes
-        // **zero** extra subscriptions. Only an evicted reader falls back
-        // to `re_pin`'s unsubscribe + re-subscribe.
-        let snapshot = match reader.migrate() {
-            Ok(_) => Arc::clone(reader.pinned()),
-            Err(_) => reader.re_pin(),
-        };
-        session.cache = None;
-        let mut matrix = session
-            .matrix
-            .take()
-            .unwrap_or_else(|| WorkforceMatrix::from_cells(0, 0, Vec::new()));
-        self.engine.refill_workforce_matrix_with_scratch(
-            requests,
-            snapshot.catalog(),
-            models,
-            aggregator.eligibility,
-            &mut matrix,
-            &mut session.model_buf,
-        )?;
-        let cache = self.primed_cache(&matrix);
-        session.last_repaired_rows = matrix.rows();
-        session.matrix = Some(matrix);
-        session.cache = Some(cache);
-        Ok(snapshot)
     }
 
     /// Serves one batch **per tenant** over a shared catalog and one shared
@@ -721,7 +560,7 @@ impl StratRec {
             )));
         }
         let budget = availability.expectation().value();
-        let aggregator = BatchStrat::new(self.config.objective, self.config.aggregation);
+        let aggregator = self.aggregator();
         let mut requirements: Vec<Vec<Option<RequestRequirement>>> =
             Vec::with_capacity(batches.len());
         for batch in batches {
@@ -827,73 +666,33 @@ impl SessionCache {
     }
 }
 
-/// Reusable cross-epoch state for [`StratRec::process_batch_with_reader`]:
-/// the delta-maintained workforce matrix, the lazily repaired
-/// [`AggregationCache`] and the model collection buffer. Unlike
-/// [`StratRecSession`] it holds **no** subscription — the
-/// [`SnapshotReader`] owns that (and releases it on drop), so the session
-/// is pure derived state: resettable at any time, recomputed from whatever
-/// snapshot the reader pins next.
-#[derive(Debug, Default)]
-pub struct SnapshotSession {
-    matrix: Option<WorkforceMatrix>,
-    cache: Option<SessionCache>,
-    model_buf: Vec<Option<StrategyModel>>,
-    last_repaired_rows: usize,
-}
-
-impl SnapshotSession {
-    /// An empty session; the first [`StratRec::process_batch_with_reader`]
-    /// call initializes it.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The delta-maintained workforce matrix, once initialized.
-    #[must_use]
-    pub fn matrix(&self) -> Option<&WorkforceMatrix> {
-        self.matrix.as_ref()
-    }
-
-    /// How many aggregation rows the most recent call re-aggregated: the
-    /// full row count on (re-)initialization or recovery, then only the
-    /// churn-affected rows.
-    #[must_use]
-    pub fn last_repaired_rows(&self) -> usize {
-        self.last_repaired_rows
-    }
-
-    /// Drops the derived state so the next call recomputes from scratch
-    /// (the reader's subscription is untouched — it re-pins on that call).
-    pub fn reset(&mut self) {
-        self.matrix = None;
-        self.cache = None;
-    }
-}
-
-/// Reusable cross-epoch state for [`StratRec::process_batch_with_session`]:
-/// the delta-maintained workforce matrix, the lazily repaired
-/// [`AggregationCache`], the catalog [`DeltaSubscription`] and the model
-/// collection buffer — everything the incremental serving loop holds
-/// between catalog churn epochs.
+/// Reusable cross-epoch state for [`StratRec::process_batch_with_session`]
+/// and [`StratRec::process_batch_with_reader`]: the delta-maintained
+/// workforce matrix, the lazily repaired aggregation cache, the requests
+/// they were computed for, and the model collection buffer — everything
+/// an incremental serving loop holds between catalog churn epochs. On the
+/// catalog path the session also owns its [`DeltaSubscription`]; on the
+/// reader path the [`SnapshotReader`] owns it instead.
+///
+/// Cached state is reused only for the exact requests it was primed for,
+/// so any batch may be passed on any call: a changed batch re-primes.
 ///
 /// Deliberately **not** `Clone`: a clone would share the original's
 /// subscription id, and whichever copy drained the catalog first would
-/// silently corrupt the other's delta window. One session per
-/// `(catalog, standing batch)`; create a fresh one instead of cloning.
+/// silently corrupt the other's delta window. One session per delta
+/// source; create a fresh one instead of cloning.
 #[derive(Debug, Default)]
 pub struct StratRecSession {
     matrix: Option<WorkforceMatrix>,
     cache: Option<SessionCache>,
+    primed: Vec<DeploymentRequest>,
     subscription: Option<DeltaSubscription>,
     model_buf: Vec<Option<StrategyModel>>,
     last_repaired_rows: usize,
 }
 
 impl StratRecSession {
-    /// An empty session; the first
-    /// [`StratRec::process_batch_with_session`] call initializes it.
+    /// An empty session; the first call through it initializes it.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -914,7 +713,7 @@ impl StratRecSession {
     }
 
     /// Drops the derived state so the next call recomputes from scratch.
-    /// The catalog-side subscription is kept (and drained on re-init); use
+    /// A catalog-side subscription is kept (and drained on re-init); use
     /// [`Self::detach`] when the catalog is available to release it too.
     pub fn reset(&mut self) {
         self.matrix = None;
@@ -923,12 +722,20 @@ impl StratRecSession {
 
     /// [`Self::reset`] plus releasing the session's subscription from
     /// `catalog` — the clean way to retire a session or to move it to a
-    /// different catalog / standing batch.
+    /// different catalog.
     pub fn detach(&mut self, catalog: &mut StrategyCatalog) {
         if let Some(subscription) = self.subscription.take() {
             catalog.unsubscribe_delta(subscription);
         }
         self.reset();
+    }
+
+    /// The primed requirements; only called after a successful sync.
+    fn requirements(&self) -> &[Option<RequestRequirement>] {
+        self.cache
+            .as_ref()
+            .expect("a synced session holds a cache")
+            .requirements()
     }
 }
 
@@ -1055,158 +862,6 @@ mod tests {
     use crate::catalog::StrategyCatalog;
     use crate::model::Strategy;
 
-    #[test]
-    fn session_reports_match_the_per_epoch_full_pipeline() {
-        let (mut catalog, mut models, requests, availability) = session_fixture();
-        let layer = StratRec::default().with_engine(BatchEngine::with_threads(2));
-        let mut session = StratRecSession::new();
-        let mut next_id = 18_u64;
-        for epoch in 0..6 {
-            if epoch > 0 {
-                // Churn between batches: two inserts, two retirements, and a
-                // mid-stream compaction at epoch 3.
-                for _ in 0..2 {
-                    let strategy = Strategy::from_params(
-                        next_id,
-                        crate::model::DeploymentParameters::clamped(
-                            0.4 + (next_id as f64 * 0.13) % 0.5,
-                            0.25 + (next_id as f64 * 0.17) % 0.6,
-                            0.2 + (next_id as f64 * 0.23) % 0.6,
-                        ),
-                    );
-                    let alpha = 0.45 + (next_id % 35) as f64 / 100.0;
-                    models.insert(
-                        strategy.id,
-                        crate::modeling::StrategyModel::uniform(alpha, 1.0 - alpha),
-                    );
-                    catalog.insert(strategy);
-                    next_id += 1;
-                }
-                let live = catalog.live_indices();
-                assert!(catalog.retire(live[epoch % live.len()]));
-                assert!(catalog.retire(live[(epoch * 3 + 1) % live.len()]));
-                if epoch == 3 {
-                    catalog.compact();
-                }
-            }
-            let incremental = layer
-                .process_batch_with_session(
-                    &requests,
-                    &mut catalog,
-                    &models,
-                    &availability,
-                    &mut session,
-                )
-                .unwrap();
-            let full = layer
-                .process_batch_with_catalog(&requests, &catalog, &models, &availability)
-                .unwrap();
-            assert_eq!(incremental, full, "epoch {epoch}");
-            if epoch == 0 {
-                assert_eq!(session.last_repaired_rows(), requests.len());
-            } else {
-                assert!(session.last_repaired_rows() <= requests.len());
-            }
-            assert_eq!(
-                session.matrix().unwrap().cols(),
-                catalog.slot_count(),
-                "epoch {epoch}"
-            );
-        }
-        assert_eq!(catalog.delta_subscriber_count(), 1);
-        session.detach(&mut catalog);
-        assert_eq!(catalog.delta_subscriber_count(), 0);
-    }
-
-    #[test]
-    fn session_reprimes_on_batch_shape_or_config_changes() {
-        let (mut catalog, models, requests, availability) = session_fixture();
-        let layer = StratRec::default();
-        let mut session = StratRecSession::new();
-        layer
-            .process_batch_with_session(
-                &requests,
-                &mut catalog,
-                &models,
-                &availability,
-                &mut session,
-            )
-            .unwrap();
-        // A shorter standing batch re-primes instead of mis-applying deltas.
-        let shorter = &requests[..3];
-        let report = layer
-            .process_batch_with_session(shorter, &mut catalog, &models, &availability, &mut session)
-            .unwrap();
-        assert_eq!(session.last_repaired_rows(), shorter.len());
-        let full = layer
-            .process_batch_with_catalog(shorter, &catalog, &models, &availability)
-            .unwrap();
-        assert_eq!(report, full);
-        // A changed k re-primes too, and never leaks subscriptions.
-        let stricter = StratRec::new(StratRecConfig {
-            k: 5,
-            ..StratRecConfig::default()
-        });
-        let report = stricter
-            .process_batch_with_session(shorter, &mut catalog, &models, &availability, &mut session)
-            .unwrap();
-        let full = stricter
-            .process_batch_with_catalog(shorter, &catalog, &models, &availability)
-            .unwrap();
-        assert_eq!(report, full);
-        assert_eq!(catalog.delta_subscriber_count(), 1);
-    }
-
-    #[test]
-    fn session_recovers_with_a_full_recompute_after_an_error() {
-        let (mut catalog, mut models, requests, availability) = session_fixture();
-        let layer = StratRec::default();
-        let mut session = StratRecSession::new();
-        layer
-            .process_batch_with_session(
-                &requests,
-                &mut catalog,
-                &models,
-                &availability,
-                &mut session,
-            )
-            .unwrap();
-        // An insert without a model fails the incremental epoch...
-        let orphan = Strategy::from_params(
-            900,
-            crate::model::DeploymentParameters::clamped(0.8, 0.3, 0.3),
-        );
-        catalog.insert(orphan.clone());
-        assert!(matches!(
-            layer.process_batch_with_session(
-                &requests,
-                &mut catalog,
-                &models,
-                &availability,
-                &mut session,
-            ),
-            Err(StratRecError::MissingModel { strategy: 900 })
-        ));
-        assert_eq!(catalog.delta_subscriber_count(), 0, "errors detach");
-        // ...and once the model arrives, the session rebuilds from scratch
-        // and agrees with the full pipeline again.
-        models.insert(orphan.id, crate::modeling::StrategyModel::uniform(0.7, 0.3));
-        let report = layer
-            .process_batch_with_session(
-                &requests,
-                &mut catalog,
-                &models,
-                &availability,
-                &mut session,
-            )
-            .unwrap();
-        let full = layer
-            .process_batch_with_catalog(&requests, &catalog, &models, &availability)
-            .unwrap();
-        assert_eq!(report, full);
-        assert_eq!(session.last_repaired_rows(), requests.len());
-    }
-
     fn fixture_strategy(id: u64) -> Strategy {
         Strategy::from_params(
             id,
@@ -1223,124 +878,404 @@ mod tests {
         crate::modeling::StrategyModel::uniform(alpha, 1.0 - alpha)
     }
 
+    /// The two delta sources a session can be served from, behind one test
+    /// harness: the catalog's own subscription
+    /// ([`StratRec::process_batch_with_session`]) and a reader of a
+    /// concurrent catalog ([`StratRec::process_batch_with_reader`]).
+    enum Source {
+        Catalog(Box<StrategyCatalog>),
+        Reader(crate::catalog::ConcurrentCatalog, Option<SnapshotReader>),
+    }
+
+    impl Source {
+        /// Both sources over the session fixture's catalog, with the given
+        /// delta-lapse limit.
+        fn both(lapse_limit: u64) -> [Self; 2] {
+            let catalog = || {
+                let mut catalog = session_fixture().0;
+                catalog.set_delta_lapse_limit(lapse_limit);
+                catalog
+            };
+            let concurrent = crate::catalog::ConcurrentCatalog::new(catalog());
+            let reader = concurrent.reader();
+            [
+                Self::Catalog(Box::new(catalog())),
+                Self::Reader(concurrent, Some(reader)),
+            ]
+        }
+
+        fn name(&self) -> &'static str {
+            match self {
+                Self::Catalog(_) => "catalog",
+                Self::Reader(..) => "reader",
+            }
+        }
+
+        /// Runs one churn epoch on the source's catalog.
+        fn churn(&mut self, f: impl FnOnce(&mut StrategyCatalog)) {
+            match self {
+                Self::Catalog(catalog) => f(catalog),
+                Self::Reader(concurrent, _) => {
+                    concurrent.update(f);
+                }
+            }
+        }
+
+        fn serve(
+            &mut self,
+            layer: &StratRec,
+            requests: &[DeploymentRequest],
+            models: &ModelLibrary,
+            availability: &AvailabilityPdf,
+            session: &mut StratRecSession,
+        ) -> Result<StratRecReport, StratRecError> {
+            match self {
+                Self::Catalog(catalog) => layer.process_batch_with_session(
+                    requests,
+                    catalog,
+                    models,
+                    availability,
+                    session,
+                ),
+                Self::Reader(concurrent, reader) => {
+                    let reader = reader.as_mut().expect("the reader is live");
+                    let (report, snapshot) = layer.process_batch_with_reader(
+                        requests,
+                        reader,
+                        models,
+                        availability,
+                        session,
+                    )?;
+                    assert_eq!(snapshot.epoch(), concurrent.epoch(), "no writer races");
+                    Ok(report)
+                }
+            }
+        }
+
+        /// The catalog state the last serve was planned against.
+        fn catalog(&self) -> &StrategyCatalog {
+            match self {
+                Self::Catalog(catalog) => catalog,
+                Self::Reader(_, reader) => reader.as_ref().expect("the reader is live").pinned(),
+            }
+        }
+
+        /// A fresh sequential pipeline over [`Self::catalog`].
+        fn reference(
+            &self,
+            layer: &StratRec,
+            requests: &[DeploymentRequest],
+            models: &ModelLibrary,
+            availability: &AvailabilityPdf,
+        ) -> StratRecReport {
+            layer
+                .process_batch_with_catalog(requests, self.catalog(), models, availability)
+                .unwrap()
+        }
+
+        /// Live delta subscriptions and lapse evictions on the writer side.
+        fn subscriptions(&self) -> (usize, u64) {
+            match self {
+                Self::Catalog(catalog) => {
+                    (catalog.delta_subscriber_count(), catalog.delta_evictions())
+                }
+                Self::Reader(concurrent, _) => {
+                    let stats = concurrent.stats();
+                    (stats.subscribers, stats.delta_evictions)
+                }
+            }
+        }
+
+        /// Retires the session's subscription: detach, or drop the reader.
+        fn release(&mut self, session: &mut StratRecSession) {
+            match self {
+                Self::Catalog(catalog) => session.detach(catalog),
+                Self::Reader(_, reader) => *reader = None,
+            }
+        }
+    }
+
     #[test]
-    fn reader_sessions_match_the_full_pipeline_across_published_epochs() {
-        let (catalog, mut models, requests, availability) = session_fixture();
-        let concurrent = crate::catalog::ConcurrentCatalog::new(catalog);
+    fn sessions_match_the_per_epoch_full_pipeline_from_both_delta_sources() {
+        let (_, mut models, requests, availability) = session_fixture();
         let layer = StratRec::default().with_engine(BatchEngine::with_threads(2));
-        let mut reader = concurrent.reader();
-        let mut session = SnapshotSession::new();
         let mut next_id = 18_u64;
-        for epoch in 0..6 {
-            if epoch > 0 {
-                for _ in 0..2 {
-                    let strategy = fixture_strategy(next_id);
-                    models.insert(strategy.id, fixture_model(next_id));
-                    next_id += 1;
-                    concurrent.update(|catalog| {
-                        catalog.insert(strategy.clone());
+        for mut source in Source::both(4096) {
+            let name = source.name();
+            let mut session = StratRecSession::new();
+            for epoch in 0..6 {
+                if epoch > 0 {
+                    // Churn between batches: two inserts, two retirements,
+                    // and a mid-stream compaction at epoch 3.
+                    let inserted: Vec<Strategy> =
+                        (0..2).map(|i| fixture_strategy(next_id + i)).collect();
+                    next_id += 2;
+                    for strategy in &inserted {
+                        models.insert(strategy.id, fixture_model(strategy.id.0));
+                    }
+                    source.churn(|catalog| {
+                        for strategy in inserted {
+                            catalog.insert(strategy);
+                        }
                         let live = catalog.live_indices();
                         assert!(catalog.retire(live[epoch % live.len()]));
+                        assert!(catalog.retire(live[(epoch * 3 + 1) % live.len()]));
+                        if epoch == 3 {
+                            catalog.compact();
+                        }
                     });
                 }
-                if epoch == 3 {
-                    concurrent.update(|catalog| {
-                        catalog.compact();
-                    });
+                let report = source
+                    .serve(&layer, &requests, &models, &availability, &mut session)
+                    .unwrap();
+                let full = source.reference(&layer, &requests, &models, &availability);
+                assert_eq!(report, full, "{name}, epoch {epoch}");
+                if epoch == 0 {
+                    assert_eq!(session.last_repaired_rows(), requests.len());
+                } else {
+                    assert!(session.last_repaired_rows() <= requests.len());
                 }
+                assert_eq!(
+                    session.matrix().unwrap().cols(),
+                    source.catalog().slot_count(),
+                    "{name}, epoch {epoch}"
+                );
             }
-            let (report, snapshot) = layer
-                .process_batch_with_reader(
-                    &requests,
-                    &mut reader,
-                    &models,
-                    &availability,
-                    &mut session,
-                )
-                .unwrap();
-            assert_eq!(snapshot.epoch(), concurrent.epoch(), "epoch {epoch}");
-            let full = layer
-                .process_batch_with_catalog(&requests, snapshot.catalog(), &models, &availability)
-                .unwrap();
-            assert_eq!(report, full, "epoch {epoch}");
-            if epoch == 0 {
-                assert_eq!(session.last_repaired_rows(), requests.len());
-            } else {
-                assert!(session.last_repaired_rows() <= requests.len());
-            }
-            assert_eq!(session.matrix().unwrap().cols(), snapshot.slot_count());
+            assert_eq!(source.subscriptions(), (1, 0), "{name}");
+            source.release(&mut session);
+            assert_eq!(source.subscriptions().0, 0, "{name}");
         }
-        assert_eq!(concurrent.subscriber_count(), 1);
-        drop(reader);
-        assert_eq!(concurrent.subscriber_count(), 0);
+    }
+
+    /// Reuse is keyed on content: a batch of the same length as the primed
+    /// one but with other requests (here reordered, or one request swapped
+    /// for another) re-primes, and only the exact primed batch takes the
+    /// delta path.
+    #[test]
+    fn sessions_reuse_state_only_for_the_requests_they_were_primed_for() {
+        let (_, mut models, requests, availability) = session_fixture();
+        let reversed: Vec<DeploymentRequest> = requests.iter().rev().cloned().collect();
+        let mut swapped = requests.clone();
+        swapped[2] = DeploymentRequest::new(
+            7,
+            crate::model::TaskType::SentenceTranslation,
+            crate::model::DeploymentParameters::clamped(0.95, 0.1, 0.1),
+        );
+        let layer = StratRec::default();
+        for mut source in Source::both(4096) {
+            let name = source.name();
+            let mut session = StratRecSession::new();
+            let mut primed: Option<&Vec<DeploymentRequest>> = None;
+            for (step, (batch, churn)) in [
+                (&requests, false),
+                (&reversed, false),
+                (&reversed, false),
+                (&swapped, true),
+                (&swapped, true),
+                (&requests, false),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                if churn {
+                    let strategy = fixture_strategy(200 + step as u64);
+                    models.insert(strategy.id, fixture_model(strategy.id.0));
+                    source.churn(|catalog| {
+                        catalog.insert(strategy);
+                    });
+                }
+                let report = source
+                    .serve(&layer, batch, &models, &availability, &mut session)
+                    .unwrap();
+                let reference = source.reference(&layer, batch, &models, &availability);
+                assert_eq!(report, reference, "{name}, step {step}");
+                let expected_rows = match (primed == Some(batch), churn) {
+                    (false, _) => Some(batch.len()),
+                    (true, false) => Some(0),
+                    (true, true) => None,
+                };
+                if let Some(rows) = expected_rows {
+                    assert_eq!(session.last_repaired_rows(), rows, "{name}, step {step}");
+                }
+                primed = Some(batch);
+            }
+            assert_eq!(source.subscriptions(), (1, 0), "{name}");
+        }
     }
 
     #[test]
-    fn evicted_readers_recover_with_a_full_recompute() {
-        let (mut catalog, mut models, requests, availability) = session_fixture();
-        catalog.set_delta_lapse_limit(8);
-        let concurrent = crate::catalog::ConcurrentCatalog::new(catalog);
+    fn sessions_reprime_on_batch_shape_or_config_changes() {
+        let (_, models, requests, availability) = session_fixture();
         let layer = StratRec::default();
-        let mut reader = concurrent.reader();
-        let mut session = SnapshotSession::new();
-        layer
-            .process_batch_with_reader(&requests, &mut reader, &models, &availability, &mut session)
-            .unwrap();
-        // Stall the reader far past the lapse limit: its tracker is evicted.
-        for i in 0..20_u64 {
-            let strategy = fixture_strategy(100 + i);
-            models.insert(strategy.id, fixture_model(100 + i));
-            concurrent.update(|catalog| catalog.insert(strategy.clone()));
+        let stricter = StratRec::new(StratRecConfig {
+            k: 5,
+            ..StratRecConfig::default()
+        });
+        let shorter = &requests[..3];
+        for mut source in Source::both(4096) {
+            let name = source.name();
+            let mut session = StratRecSession::new();
+            source
+                .serve(&layer, &requests, &models, &availability, &mut session)
+                .unwrap();
+            // A shorter standing batch re-primes instead of mis-applying
+            // deltas; a changed k re-primes too. Neither publishes a
+            // subscription: the standing one is drained and kept.
+            for (layer, batch) in [(&layer, shorter), (&stricter, shorter)] {
+                let report = source
+                    .serve(layer, batch, &models, &availability, &mut session)
+                    .unwrap();
+                assert_eq!(session.last_repaired_rows(), batch.len(), "{name}");
+                let reference = source.reference(layer, batch, &models, &availability);
+                assert_eq!(report, reference, "{name}");
+                assert_eq!(source.subscriptions(), (1, 0), "{name}");
+            }
         }
-        // The next call transparently re-pins and recomputes from scratch.
-        let (report, snapshot) = layer
-            .process_batch_with_reader(&requests, &mut reader, &models, &availability, &mut session)
+    }
+
+    #[test]
+    fn sessions_recover_with_a_full_recompute_after_an_error() {
+        let layer = StratRec::default();
+        for mut source in Source::both(4096) {
+            let (_, mut models, requests, availability) = session_fixture();
+            let name = source.name();
+            let mut session = StratRecSession::new();
+            source
+                .serve(&layer, &requests, &models, &availability, &mut session)
+                .unwrap();
+            // An insert without a model fails the incremental epoch...
+            let orphan = fixture_strategy(900);
+            let inserted = orphan.clone();
+            source.churn(|catalog| {
+                catalog.insert(inserted);
+            });
+            assert!(matches!(
+                source.serve(&layer, &requests, &models, &availability, &mut session),
+                Err(StratRecError::MissingModel { strategy: 900 })
+            ));
+            assert!(
+                session.matrix().is_none(),
+                "{name}: errors reset the session"
+            );
+            if let Source::Catalog(_) = source {
+                assert_eq!(source.subscriptions().0, 0, "errors detach");
+            }
+            // ...and once the model arrives, the session rebuilds from
+            // scratch and agrees with the full pipeline again.
+            models.insert(orphan.id, fixture_model(900));
+            let report = source
+                .serve(&layer, &requests, &models, &availability, &mut session)
+                .unwrap();
+            let reference = source.reference(&layer, &requests, &models, &availability);
+            assert_eq!(report, reference, "{name}");
+            assert_eq!(session.last_repaired_rows(), requests.len(), "{name}");
+            assert_eq!(source.subscriptions().0, 1, "{name}");
+        }
+    }
+
+    /// A session whose tracker was evicted for lapsing keeps working: the
+    /// stale handle (or the evicted reader's migration) fails typed inside
+    /// the entry point, which falls back to a full recompute under one
+    /// fresh subscription.
+    #[test]
+    fn sessions_survive_delta_tracker_eviction() {
+        let (_, mut models, requests, availability) = session_fixture();
+        let layer = StratRec::default();
+        for mut source in Source::both(8) {
+            let name = source.name();
+            let mut session = StratRecSession::new();
+            source
+                .serve(&layer, &requests, &models, &availability, &mut session)
+                .unwrap();
+            // Stall the session far past the lapse limit.
+            for i in 0..20_u64 {
+                let strategy = fixture_strategy(300 + i);
+                models.insert(strategy.id, fixture_model(300 + i));
+                source.churn(|catalog| {
+                    catalog.insert(strategy);
+                });
+            }
+            assert_eq!(source.subscriptions(), (0, 1), "{name}: the tracker lapsed");
+            let report = source
+                .serve(&layer, &requests, &models, &availability, &mut session)
+                .unwrap();
+            assert_eq!(
+                session.last_repaired_rows(),
+                requests.len(),
+                "{name}: full re-prime"
+            );
+            let reference = source.reference(&layer, &requests, &models, &availability);
+            assert_eq!(report, reference, "{name}");
+            assert_eq!(
+                source.subscriptions(),
+                (1, 1),
+                "{name}: one live re-subscription"
+            );
+        }
+    }
+
+    /// A session primed on a catalog and then handed to a reader of another
+    /// catalog re-primes instead of applying the reader's delta to a matrix
+    /// built from the first catalog. It drops the catalog-side handle, whose
+    /// tracker lapses out of that catalog, and follows the reader from then
+    /// on.
+    #[test]
+    fn a_session_moved_from_a_catalog_to_a_reader_reprimes() {
+        let (_, mut models, requests, availability) = session_fixture();
+        let layer = StratRec::default();
+        let [mut on_catalog, mut on_reader] = Source::both(8);
+        let mut session = StratRecSession::new();
+        // The two catalogs diverge: the first gains two strategies, the
+        // second loses one after its reader pinned.
+        for id in [400, 401] {
+            let strategy = fixture_strategy(id);
+            models.insert(strategy.id, fixture_model(id));
+            on_catalog
+                .serve(&layer, &requests, &models, &availability, &mut session)
+                .unwrap();
+            on_catalog.churn(|catalog| {
+                catalog.insert(strategy);
+            });
+        }
+        on_catalog
+            .serve(&layer, &requests, &models, &availability, &mut session)
+            .unwrap();
+        on_reader.churn(|catalog| {
+            let live = catalog.live_indices();
+            assert!(catalog.retire(live[0]));
+        });
+        let report = on_reader
+            .serve(&layer, &requests, &models, &availability, &mut session)
             .unwrap();
         assert_eq!(
-            session.last_repaired_rows(),
-            requests.len(),
-            "full re-prime"
+            report,
+            on_reader.reference(&layer, &requests, &models, &availability)
         );
-        let full = layer
-            .process_batch_with_catalog(&requests, snapshot.catalog(), &models, &availability)
+        assert_eq!(session.last_repaired_rows(), requests.len(), "re-primed");
+        assert_eq!(
+            session.matrix().unwrap().cols(),
+            on_reader.catalog().slot_count()
+        );
+        // The abandoned tracker lapses out of the first catalog.
+        assert_eq!(on_catalog.subscriptions(), (1, 0));
+        for id in 410..430 {
+            let strategy = fixture_strategy(id);
+            models.insert(strategy.id, fixture_model(id));
+            on_catalog.churn(|catalog| {
+                catalog.insert(strategy);
+            });
+        }
+        assert_eq!(on_catalog.subscriptions(), (0, 1));
+        // The reader's next window continues on the delta path.
+        let report = on_reader
+            .serve(&layer, &requests, &models, &availability, &mut session)
             .unwrap();
-        assert_eq!(report, full);
-        assert_eq!(concurrent.subscriber_count(), 1, "one live re-subscription");
-    }
-
-    #[test]
-    fn reader_sessions_reset_on_error_and_recover() {
-        let (catalog, mut models, requests, availability) = session_fixture();
-        let concurrent = crate::catalog::ConcurrentCatalog::new(catalog);
-        let layer = StratRec::default();
-        let mut reader = concurrent.reader();
-        let mut session = SnapshotSession::new();
-        layer
-            .process_batch_with_reader(&requests, &mut reader, &models, &availability, &mut session)
-            .unwrap();
-        let orphan = fixture_strategy(900);
-        concurrent.update(|catalog| catalog.insert(orphan.clone()));
-        assert!(matches!(
-            layer.process_batch_with_reader(
-                &requests,
-                &mut reader,
-                &models,
-                &availability,
-                &mut session,
-            ),
-            Err(StratRecError::MissingModel { strategy: 900 })
-        ));
-        assert!(session.matrix().is_none(), "errors reset the session");
-        models.insert(orphan.id, fixture_model(900));
-        let (report, snapshot) = layer
-            .process_batch_with_reader(&requests, &mut reader, &models, &availability, &mut session)
-            .unwrap();
-        let full = layer
-            .process_batch_with_catalog(&requests, snapshot.catalog(), &models, &availability)
-            .unwrap();
-        assert_eq!(report, full);
-        assert_eq!(session.last_repaired_rows(), requests.len());
-        assert_eq!(concurrent.subscriber_count(), 1);
+        assert_eq!(
+            report,
+            on_reader.reference(&layer, &requests, &models, &availability)
+        );
+        assert_eq!(session.last_repaired_rows(), 0, "nothing to repair");
+        assert_eq!(on_reader.subscriptions(), (1, 0));
     }
 
     /// The detach-on-error audit: every error exit of
@@ -1435,51 +1370,6 @@ mod tests {
         assert_eq!(catalog.delta_subscriber_count(), 0);
     }
 
-    /// A session whose tracker was evicted for lapsing keeps working: the
-    /// stale handle fails typed inside `sync_session`, which falls back to
-    /// a full recompute and a fresh subscription.
-    #[test]
-    fn sessions_survive_delta_tracker_eviction() {
-        let (mut catalog, mut models, requests, availability) = session_fixture();
-        catalog.set_delta_lapse_limit(8);
-        let layer = StratRec::default();
-        let mut session = StratRecSession::new();
-        layer
-            .process_batch_with_session(
-                &requests,
-                &mut catalog,
-                &models,
-                &availability,
-                &mut session,
-            )
-            .unwrap();
-        for i in 0..20_u64 {
-            let strategy = fixture_strategy(300 + i);
-            models.insert(strategy.id, fixture_model(300 + i));
-            catalog.insert(strategy);
-        }
-        assert_eq!(catalog.delta_evictions(), 1, "the stalled tracker lapsed");
-        let report = layer
-            .process_batch_with_session(
-                &requests,
-                &mut catalog,
-                &models,
-                &availability,
-                &mut session,
-            )
-            .unwrap();
-        assert_eq!(
-            session.last_repaired_rows(),
-            requests.len(),
-            "full re-prime"
-        );
-        let full = layer
-            .process_batch_with_catalog(&requests, &catalog, &models, &availability)
-            .unwrap();
-        assert_eq!(report, full);
-        assert_eq!(catalog.delta_subscriber_count(), 1);
-    }
-
     #[test]
     fn degraded_reports_swap_only_the_adpar_stage() {
         use crate::adpar::{AdparBaseline2, AdparProblem, AdparSolver};
@@ -1526,132 +1416,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(explicit, full);
-    }
-
-    /// The degrade → recover regression of the streaming front-end: flipping
-    /// [`ServiceQuality`] between reader-served calls must reuse the
-    /// standing matrix, cache and subscription — zero extra subscriptions
-    /// published ([`crate::catalog::CatalogStats::subscribers`] flat) and
-    /// zero rows repaired when no churn happened in between.
-    #[test]
-    fn degrade_recover_cycles_reuse_the_standing_subscription() {
-        let (catalog, mut models, requests, availability) = session_fixture();
-        let concurrent = crate::catalog::ConcurrentCatalog::new(catalog);
-        let layer = StratRec::default();
-        let mut reader = concurrent.reader();
-        let mut session = SnapshotSession::new();
-        layer
-            .process_batch_with_reader(&requests, &mut reader, &models, &availability, &mut session)
-            .unwrap();
-        assert_eq!(concurrent.stats().subscribers, 1);
-        let mut next_id = 18_u64;
-        for cycle in 0..3 {
-            if cycle > 0 {
-                // Churn between cycles: the degraded call absorbs it on the
-                // ordinary delta path.
-                let strategy = fixture_strategy(next_id);
-                models.insert(strategy.id, fixture_model(next_id));
-                next_id += 1;
-                concurrent.update(|catalog| {
-                    catalog.insert(strategy.clone());
-                });
-            }
-            let (degraded, snapshot) = layer
-                .process_batch_with_reader_at(
-                    &requests,
-                    &mut reader,
-                    &models,
-                    &availability,
-                    &mut session,
-                    ServiceQuality::Degraded,
-                )
-                .unwrap();
-            let reference = layer
-                .process_batch_with_catalog_at(
-                    &requests,
-                    snapshot.catalog(),
-                    &models,
-                    &availability,
-                    ServiceQuality::Degraded,
-                )
-                .unwrap();
-            assert_eq!(degraded, reference, "cycle {cycle}");
-            if cycle == 0 {
-                assert_eq!(
-                    session.last_repaired_rows(),
-                    0,
-                    "a no-churn degrade touches nothing"
-                );
-            }
-            assert_eq!(
-                concurrent.stats().subscribers,
-                1,
-                "cycle {cycle}: degrade published no extra subscription"
-            );
-            let (recovered, snapshot) = layer
-                .process_batch_with_reader_at(
-                    &requests,
-                    &mut reader,
-                    &models,
-                    &availability,
-                    &mut session,
-                    ServiceQuality::Full,
-                )
-                .unwrap();
-            let reference = layer
-                .process_batch_with_catalog(&requests, snapshot.catalog(), &models, &availability)
-                .unwrap();
-            assert_eq!(recovered, reference, "cycle {cycle}");
-            assert_eq!(
-                session.last_repaired_rows(),
-                0,
-                "cycle {cycle}: recovery reused the standing cache"
-            );
-            assert_eq!(
-                concurrent.stats().subscribers,
-                1,
-                "cycle {cycle}: recover published no extra subscription"
-            );
-        }
-        assert_eq!(concurrent.stats().delta_evictions, 0);
-    }
-
-    /// A shape or config re-prime keeps the standing subscription too: the
-    /// full-recompute path migrates the live reader instead of re-pinning
-    /// through an unsubscribe + re-subscribe.
-    #[test]
-    fn shape_and_config_reprimes_keep_the_readers_subscription() {
-        let (catalog, models, requests, availability) = session_fixture();
-        let concurrent = crate::catalog::ConcurrentCatalog::new(catalog);
-        let layer = StratRec::default();
-        let mut reader = concurrent.reader();
-        let mut session = SnapshotSession::new();
-        layer
-            .process_batch_with_reader(&requests, &mut reader, &models, &availability, &mut session)
-            .unwrap();
-        let before = concurrent.stats();
-        // Shorter standing batch: full recompute, same subscription.
-        let shorter = &requests[..3];
-        let (report, snapshot) = layer
-            .process_batch_with_reader(shorter, &mut reader, &models, &availability, &mut session)
-            .unwrap();
-        assert_eq!(session.last_repaired_rows(), shorter.len(), "re-primed");
-        let reference = layer
-            .process_batch_with_catalog(shorter, snapshot.catalog(), &models, &availability)
-            .unwrap();
-        assert_eq!(report, reference);
-        // A changed k re-primes as well; the subscriber table never moves.
-        let stricter = StratRec::new(StratRecConfig {
-            k: 5,
-            ..StratRecConfig::default()
-        });
-        stricter
-            .process_batch_with_reader(shorter, &mut reader, &models, &availability, &mut session)
-            .unwrap();
-        let after = concurrent.stats();
-        assert_eq!(after.subscribers, before.subscribers);
-        assert_eq!(after.delta_evictions, before.delta_evictions);
-        assert_eq!(after.epoch, before.epoch, "no churn happened");
     }
 
     #[test]

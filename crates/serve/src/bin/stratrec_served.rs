@@ -203,7 +203,7 @@ fn main() -> std::process::ExitCode {
     let mut submit_failures = 0_u64;
     std::thread::scope(|scope| {
         // Churn writer: one published epoch every duration/(epochs+1),
-        // racing the service thread's delta migration.
+        // racing the service thread's per-window snapshot pins.
         let writer_catalog = &catalog;
         let writer_instance = &instance;
         let epoch_gap =

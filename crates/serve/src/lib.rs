@@ -4,11 +4,12 @@
 //! crate turns it into a long-running **service**. Requests arrive on an
 //! MPSC queue tagged with tenant and deadline, an **admission window**
 //! groups them into batches (closing on size or wait, whichever first), and
-//! a single service thread serves each window through a
-//! [`SnapshotReader`](stratrec_core::catalog::SnapshotReader) +
-//! [`SnapshotSession`](stratrec_core::prelude::SnapshotSession) against the
-//! live [`ConcurrentCatalog`](stratrec_core::catalog::ConcurrentCatalog)
-//! snapshot while a churn writer keeps publishing epochs.
+//! a single service thread serves each window cold — the sequential
+//! pipeline, `StratRec::process_batch_with_catalog_at` — on the latest
+//! snapshot pinned from the live
+//! [`ConcurrentCatalog`](stratrec_core::catalog::ConcurrentCatalog) while a
+//! churn writer keeps publishing epochs. Every served answer is thereby
+//! exactly the sequential answer on the epoch it is tagged with.
 //!
 //! Robustness is the headline, built on three rules:
 //!

@@ -1,8 +1,7 @@
 //! The streaming service loop: MPSC ingest, windowed serving, typed sheds.
 //!
-//! [`StreamServer::start`] spawns one **service thread** that owns a
-//! [`SnapshotReader`] + [`SnapshotSession`] against the shared
-//! [`ConcurrentCatalog`]. The loop alternates two phases:
+//! [`StreamServer::start`] spawns one **service thread** that serves from
+//! the shared [`ConcurrentCatalog`]. The loop alternates two phases:
 //!
 //! 1. **Ingest** — block on the submission channel until the admission
 //!    window closes (size or wait bound, see [`crate::admission`]),
@@ -12,8 +11,15 @@
 //! 2. **Serve** — observe the queue depth through the
 //!    [`BackpressureController`], close the window (deadline-shedding
 //!    requests whose budget is below the running service-time estimate),
-//!    and serve the admitted batch through
-//!    `StratRec::process_batch_with_reader_at` at the controller's quality.
+//!    pin the latest published snapshot and serve the admitted batch cold
+//!    through `StratRec::process_batch_with_catalog_at` on it at the
+//!    controller's quality.
+//!
+//! Every served answer is therefore exactly the sequential pipeline's
+//! answer on the snapshot its `(window, epoch)` tag names. Windows carry
+//! different requests, so no per-request state survives a window: the
+//! server holds no delta subscription and never takes the catalog's writer
+//! lock.
 //!
 //! The service-time estimate is an exponentially weighted moving average of
 //! measured window service times (`estimate ← (3·estimate + measured) / 4`),
@@ -34,9 +40,7 @@ use stratrec_core::availability::AvailabilityPdf;
 use stratrec_core::catalog::{ConcurrentCatalog, EpochSnapshot};
 use stratrec_core::model::DeploymentRequest;
 use stratrec_core::modeling::ModelLibrary;
-use stratrec_core::prelude::{
-    ServiceQuality, SnapshotSession, StratRec, StratRecConfig, StratRecReport,
-};
+use stratrec_core::prelude::{ServiceQuality, StratRec, StratRecConfig, StratRecReport};
 
 use crate::admission::{AdmissionConfig, AdmissionWindow, QueuedRequest};
 use crate::controller::{BackpressureController, ControllerConfig};
@@ -52,9 +56,9 @@ pub struct ServeConfig {
     /// The pipeline configuration (`k`, objective, aggregation).
     pub stratrec: StratRecConfig,
     /// When true, the server records a [`WindowRecord`] per served window —
-    /// including the pinned snapshot — so degraded answers can be reenacted
-    /// against `Baseline2` after the fact. Costs one snapshot pin per
-    /// window; intended for tests, not production soak.
+    /// including the pinned snapshot — so every answer can be reenacted
+    /// after the fact. Keeps every window's snapshot and requests alive
+    /// until shutdown; intended for tests, not production soak.
     pub record_windows: bool,
 }
 
@@ -141,9 +145,9 @@ impl StreamServer {
     }
 
     /// Spawns the service thread against the shared catalog and returns its
-    /// handle. The thread subscribes a [`SnapshotReader`] immediately, so a
-    /// churn writer publishing epochs concurrently is observed through
-    /// delta migration, never a torn read.
+    /// handle. Each window pins the latest published snapshot, so a churn
+    /// writer publishing epochs concurrently is observed one whole epoch at
+    /// a time, never as a torn read.
     #[must_use]
     pub fn start(
         self,
@@ -211,8 +215,6 @@ fn serve_loop(
     respond: &Sender<StreamResponse>,
 ) -> ServerStats {
     let layer = StratRec::new(config.stratrec);
-    let mut reader = catalog.reader();
-    let mut session = SnapshotSession::new();
     let mut window = AdmissionWindow::new(config.admission);
     let mut controller = BackpressureController::new(config.controller);
     let mut estimate = config.admission.initial_estimate();
@@ -272,18 +274,18 @@ fn serve_loop(
         let requests: Vec<DeploymentRequest> =
             admitted.iter().map(|q| q.request.request.clone()).collect();
         let served_at = Instant::now();
-        let result = layer.process_batch_with_reader_at(
+        let snapshot = catalog.pin();
+        let result = layer.process_batch_with_catalog_at(
             &requests,
-            &mut reader,
+            snapshot.catalog(),
             models,
             availability,
-            &mut session,
             quality,
         );
         estimate = (estimate * 3 + served_at.elapsed()) / 4;
 
         match result {
-            Ok((report, snapshot)) => {
+            Ok(report) => {
                 let mut answers: Vec<Option<ServedAnswer>> = vec![None; requests.len()];
                 for rec in &report.batch.satisfied {
                     answers[rec.request_index] = Some(ServedAnswer::Recommended(rec.clone()));

@@ -8,7 +8,9 @@
 //! next published [`EpochSnapshot`] while **reader threads** keep serving
 //! the scenario's standing batch from whatever snapshot they have pinned,
 //! migrating forward with
-//! [`StratRec::process_batch_with_reader`]. Every serve is recorded as a
+//! [`StratRec::process_batch_with_reader`]. The batch never changes, so
+//! after its opening full compute each reader's [`StratRecSession`] folds
+//! every epoch in on the delta path. Every serve is recorded as a
 //! [`ReadRecord`] — which epoch the reader was pinned at and the exact
 //! report it produced — and the writer records every snapshot it
 //! publishes, so the resulting [`StressHistory`] can be checked for
@@ -30,7 +32,7 @@ use std::sync::{Arc, Barrier};
 use stratrec_core::availability::AvailabilityPdf;
 use stratrec_core::catalog::{CatalogStats, ConcurrentCatalog, EpochSnapshot, RebuildPolicy};
 use stratrec_core::error::StratRecError;
-use stratrec_core::stratrec::{SnapshotSession, StratRec, StratRecReport};
+use stratrec_core::stratrec::{StratRec, StratRecReport, StratRecSession};
 
 use crate::churn::ChurnInstance;
 
@@ -90,7 +92,7 @@ impl StressHistory {
 /// [`ConcurrentCatalog::update`] — one published snapshot per churn epoch —
 /// and yields between epochs so readers interleave. Each reader owns a
 /// [`SnapshotReader`](stratrec_core::catalog::SnapshotReader) and a
-/// [`SnapshotSession`] and keeps serving the standing batch until it has
+/// [`StratRecSession`] and keeps serving the standing batch until it has
 /// observed the final epoch; every reader is guaranteed at least one serve
 /// of the initial snapshot *before* the writer starts, and one of the
 /// final snapshot after it finishes, so the history always exercises the
@@ -122,7 +124,7 @@ pub fn run_churn_stress(
             let mut reader = concurrent.reader();
             let (done, final_epoch, primed, pdf) = (&done, &final_epoch, &primed, &pdf);
             handles.push(scope.spawn(move || {
-                let mut session = SnapshotSession::new();
+                let mut session = StratRecSession::new();
                 let mut records = Vec::new();
                 let mut first = true;
                 loop {

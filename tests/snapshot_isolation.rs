@@ -1,7 +1,7 @@
 //! Snapshot-isolation history checking for the concurrent serving path.
 //!
 //! `run_churn_stress` races reader threads (each owning a `SnapshotReader`
-//! plus a `SnapshotSession`) against one churn writer publishing epochs
+//! plus a `StratRecSession`) against one churn writer publishing epochs
 //! through a `ConcurrentCatalog`, and records every serve as a
 //! `(pinned epoch, report)` pair. This checker then verifies the recorded
 //! history **after the fact**, in the style of offline isolation checkers:
@@ -106,9 +106,12 @@ fn check_history(
     }
 
     // 2 + 3. Every read is byte-identical to the sequential report at its
-    // pinned epoch, and each reader's epochs are monotone.
+    // pinned epoch, and each reader's epochs are monotone. The standing
+    // batch stays on the delta path: only a reader's first read primes,
+    // and a read at the epoch of the read before it repairs nothing.
     for (reader, records) in history.reads.iter().enumerate() {
         assert!(!records.is_empty(), "reader {reader} never served");
+        assert_eq!(records[0].repaired_rows, instance.standing.len());
         let mut last_epoch = 0;
         for (i, record) in records.iter().enumerate() {
             assert!(
@@ -116,6 +119,12 @@ fn check_history(
                 "reader {reader} moved backwards: {} after {last_epoch}",
                 record.epoch
             );
+            if i > 0 && record.epoch == last_epoch {
+                assert_eq!(
+                    record.repaired_rows, 0,
+                    "reader {reader} read {i} re-primed without churn"
+                );
+            }
             last_epoch = record.epoch;
             let want = expected.get(&record.epoch).unwrap_or_else(|| {
                 panic!(
