@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use stratrec_core::catalog::{RebuildPolicy, StrategyCatalog};
 use stratrec_core::engine::BatchEngine;
 use stratrec_core::workforce::{
-    AggregationCache, AggregationMode, EligibilityRule, WorkforceMatrix,
+    AggregationCache, AggregationMode, EligibilityRule, Precision, WorkforceMatrix,
 };
 use stratrec_workload::churn::{ChurnInstance, ChurnScenario, CompactPolicy};
 
@@ -290,14 +290,17 @@ fn measure_incremental(
         for i in 0..epochs {
             instance.apply_epoch(i, &mut catalog);
             let started = Instant::now();
-            let matrix = WorkforceMatrix::compute_with_catalog_scratch(
-                &instance.standing,
-                &catalog,
-                &instance.models,
-                rule,
-                &mut model_buf,
-            )
-            .unwrap();
+            let mut matrix = WorkforceMatrix::from_cells(0, 0, Vec::new());
+            matrix
+                .refill_with_catalog(
+                    &instance.standing,
+                    &catalog,
+                    &instance.models,
+                    rule,
+                    Precision::F64,
+                    &mut model_buf,
+                )
+                .unwrap();
             let requirements = matrix.aggregate(k, mode);
             recompute += started.elapsed();
             black_box(requirements);
@@ -455,14 +458,17 @@ fn bench_incremental_vs_recompute(c: &mut Criterion) {
                     let mut served = 0usize;
                     for i in 0..instance.epochs.len() {
                         instance.apply_epoch(i, &mut catalog);
-                        let matrix = WorkforceMatrix::compute_with_catalog_scratch(
-                            &instance.standing,
-                            &catalog,
-                            &instance.models,
-                            config.rule,
-                            &mut model_buf,
-                        )
-                        .unwrap();
+                        let mut matrix = WorkforceMatrix::from_cells(0, 0, Vec::new());
+                        matrix
+                            .refill_with_catalog(
+                                &instance.standing,
+                                &catalog,
+                                &instance.models,
+                                config.rule,
+                                Precision::F64,
+                                &mut model_buf,
+                            )
+                            .unwrap();
                         served += matrix
                             .aggregate(instance.k, AggregationMode::Sum)
                             .iter()

@@ -72,13 +72,11 @@ mod axis;
 mod compact;
 mod delta;
 mod overlay;
-mod shard;
 mod snapshot;
 pub(crate) mod soa;
 
 pub use compact::SlotRemap;
 pub use delta::{CatalogDelta, DeltaSubscription, DEFAULT_DELTA_LAPSE_LIMIT};
-pub use shard::ShardPlan;
 pub use snapshot::{CatalogStats, ConcurrentCatalog, EpochSnapshot, SnapshotReader};
 
 use serde::{Deserialize, Serialize};

@@ -30,18 +30,14 @@
 
 use serde::{Deserialize, Serialize};
 
-use stratrec_optim::topk::{self, TopKScratch};
-
 use crate::adpar::{
     AdparBaseline2, AdparExact, AdparProblem, AdparSolution, AdparSolver, SolveScratch,
 };
-use crate::catalog::{CatalogDelta, ShardPlan, StrategyCatalog};
+use crate::catalog::{CatalogDelta, StrategyCatalog};
 use crate::error::StratRecError;
 use crate::model::DeploymentRequest;
 use crate::modeling::{ModelLibrary, StrategyModel};
-use crate::workforce::{
-    self, kernel, AggregationMode, EligibilityRule, Precision, RequestRequirement, WorkforceMatrix,
-};
+use crate::workforce::{self, kernel, EligibilityRule, Precision, WorkforceMatrix};
 
 /// A scoped-thread batch executor. Cheap to copy and hold inside
 /// configuration structs; threads are spawned per call and joined before
@@ -131,34 +127,15 @@ impl BatchEngine {
         models: &ModelLibrary,
         rule: EligibilityRule,
     ) -> Result<WorkforceMatrix, StratRecError> {
-        let mut model_buf = Vec::new();
-        self.workforce_matrix_with_scratch(requests, catalog, models, rule, &mut model_buf)
-    }
-
-    /// [`Self::workforce_matrix`] reusing a caller-provided model buffer
-    /// (`workforce::collect_live_models_into`), so repeated batch
-    /// computations do zero model-collection allocation in steady state.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::workforce_matrix`].
-    pub fn workforce_matrix_with_scratch(
-        &self,
-        requests: &[DeploymentRequest],
-        catalog: &StrategyCatalog,
-        models: &ModelLibrary,
-        rule: EligibilityRule,
-        model_buf: &mut Vec<Option<StrategyModel>>,
-    ) -> Result<WorkforceMatrix, StratRecError> {
         let mut matrix =
             WorkforceMatrix::from_cells_with_precision(0, 0, Vec::new(), self.precision);
-        self.refill_workforce_matrix_with_scratch(
+        self.refill_workforce_matrix(
             requests,
             catalog,
             models,
             rule,
             &mut matrix,
-            model_buf,
+            &mut Vec::new(),
         )?;
         Ok(matrix)
     }
@@ -167,36 +144,14 @@ impl BatchEngine {
     /// [`WorkforceMatrix::refill_with_catalog`] semantics (previous
     /// contents, shape, and precision discarded; cell allocation reused),
     /// sharded like [`Self::workforce_matrix`] and bit-identical to it.
+    /// `model_buf` is a reusable model-collection scratch
+    /// (`workforce::collect_live_models_into`), so repeated refills do zero
+    /// model-collection allocation in steady state.
     ///
     /// # Errors
     ///
     /// As [`Self::workforce_matrix`]; `matrix` is left empty on error.
     pub fn refill_workforce_matrix(
-        &self,
-        requests: &[DeploymentRequest],
-        catalog: &StrategyCatalog,
-        models: &ModelLibrary,
-        rule: EligibilityRule,
-        matrix: &mut WorkforceMatrix,
-    ) -> Result<(), StratRecError> {
-        let mut model_buf = Vec::new();
-        self.refill_workforce_matrix_with_scratch(
-            requests,
-            catalog,
-            models,
-            rule,
-            matrix,
-            &mut model_buf,
-        )
-    }
-
-    /// [`Self::refill_workforce_matrix`] reusing a caller-provided model
-    /// buffer.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::workforce_matrix`]; `matrix` is left empty on error.
-    pub fn refill_workforce_matrix_with_scratch(
         &self,
         requests: &[DeploymentRequest],
         catalog: &StrategyCatalog,
@@ -365,89 +320,6 @@ impl BatchEngine {
             }
         });
         Ok(())
-    }
-
-    /// The two-level sharded aggregate, fanned out across scoped threads:
-    /// each worker owns a disjoint set of shards (disjoint column
-    /// sub-ranges of the matrix) and computes their shard-local top-k
-    /// candidate lists with its own [`TopKScratch`]; the calling thread
-    /// then k-way-merges every row's lists in ascending shard order.
-    ///
-    /// Because the shard split fixes *which* candidates each worker
-    /// selects (never how they compare) and the merge runs sequentially in
-    /// a deterministic order, the output is **bit-identical** to both
-    /// [`WorkforceMatrix::aggregate_sharded`] and the flat
-    /// [`WorkforceMatrix::aggregate`], for every shard count and thread
-    /// count — the same guarantee the row-sharded matrix fill makes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the plan's width does not match the matrix's column
-    /// count.
-    #[must_use]
-    pub fn aggregate_sharded(
-        &self,
-        matrix: &WorkforceMatrix,
-        k: usize,
-        mode: AggregationMode,
-        plan: &ShardPlan,
-    ) -> Vec<Option<RequestRequirement>> {
-        assert_eq!(
-            plan.cols(),
-            matrix.cols(),
-            "shard plan width must match the matrix's column count"
-        );
-        let rows = matrix.rows();
-        let shards = plan.shard_count();
-        let threads = self.effective_threads(shards);
-        if threads < 2 || rows == 0 {
-            return matrix.aggregate_sharded(k, mode, plan);
-        }
-        // `candidates[shard][row]`: each worker fills a disjoint chunk of
-        // shards, reading shared rows and writing only its own lists.
-        let mut candidates: Vec<Vec<Vec<(f64, usize)>>> = vec![vec![Vec::new(); rows]; shards];
-        let shards_per_chunk = shards.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (chunk_idx, chunk) in candidates.chunks_mut(shards_per_chunk).enumerate() {
-                let base_shard = chunk_idx * shards_per_chunk;
-                scope.spawn(move || {
-                    let mut scratch = TopKScratch::new();
-                    for (offset, shard_rows) in chunk.iter_mut().enumerate() {
-                        let range = plan.range(base_shard + offset);
-                        for (row_idx, list) in shard_rows.iter_mut().enumerate() {
-                            topk::k_smallest_candidates_into(
-                                &matrix.row(row_idx)[range.clone()],
-                                range.start,
-                                k,
-                                &mut scratch,
-                                list,
-                            );
-                        }
-                    }
-                });
-            }
-        });
-        let mut scratch = TopKScratch::new();
-        let mut selected = Vec::new();
-        let mut refs: Vec<&[(f64, usize)]> = Vec::with_capacity(shards);
-        (0..rows)
-            .map(|row_idx| {
-                refs.clear();
-                refs.extend(
-                    candidates
-                        .iter()
-                        .map(|shard_rows| shard_rows[row_idx].as_slice()),
-                );
-                workforce::merge_row_requirement(
-                    &refs,
-                    row_idx,
-                    k,
-                    mode,
-                    &mut scratch,
-                    &mut selected,
-                )
-            })
-            .collect()
     }
 
     /// Solves one catalog-backed ADPaR problem per entry of
@@ -833,86 +705,6 @@ mod tests {
                         matrix, &fresh,
                         "{precision:?}, {rule:?}, window {window}, {threads} threads"
                     );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn engine_sharded_aggregate_matches_flat_for_every_thread_count() {
-        // The engine's parallel two-level aggregate must be bit-identical
-        // to the flat sequential aggregate across shard-count × thread-count
-        // combinations, on a fixture wide enough for real chunking.
-        let strategies: Vec<crate::model::Strategy> = (0..40)
-            .map(|i| {
-                crate::model::Strategy::from_params(
-                    i,
-                    crate::model::DeploymentParameters::clamped(
-                        0.3 + (i as f64 * 0.13) % 0.6,
-                        0.2 + (i as f64 * 0.29) % 0.7,
-                        0.1 + (i as f64 * 0.17) % 0.8,
-                    ),
-                )
-            })
-            .collect();
-        let models = ModelLibrary::from_pairs(strategies.iter().map(|s| {
-            let alpha = 0.4 + (s.id.0 % 40) as f64 / 100.0;
-            (
-                s.id,
-                crate::modeling::StrategyModel::uniform(alpha, 1.0 - alpha),
-            )
-        }));
-        let requests: Vec<DeploymentRequest> = (0..7)
-            .map(|i| {
-                crate::model::DeploymentRequest::new(
-                    i,
-                    crate::model::TaskType::SentenceTranslation,
-                    crate::model::DeploymentParameters::clamped(
-                        0.2 + (i as f64) * 0.09,
-                        0.95 - (i as f64) * 0.06,
-                        0.9 - (i as f64) * 0.05,
-                    ),
-                )
-            })
-            .collect();
-        let catalog = StrategyCatalog::from_slice(&strategies);
-        for rule in [
-            EligibilityRule::StrategyParameters,
-            EligibilityRule::ModelOnly,
-        ] {
-            let matrix =
-                WorkforceMatrix::compute_with_catalog(&requests, &catalog, &models, rule).unwrap();
-            for mode in [AggregationMode::Sum, AggregationMode::Max] {
-                for k in [1, 3, 10] {
-                    let flat = matrix.aggregate(k, mode);
-                    for shards in [1, 2, 3, 8, 40] {
-                        let plan = ShardPlan::uniform(shards, matrix.cols());
-                        for threads in [0, 1, 2, 3, 7] {
-                            let engine = BatchEngine::with_threads(threads);
-                            let sharded = engine.aggregate_sharded(&matrix, k, mode, &plan);
-                            assert_eq!(flat.len(), sharded.len());
-                            for (a, b) in flat.iter().zip(&sharded) {
-                                match (a, b) {
-                                    (None, None) => {}
-                                    (Some(a), Some(b)) => {
-                                        assert_eq!(a.request_index, b.request_index);
-                                        assert_eq!(
-                                            a.strategy_indices, b.strategy_indices,
-                                            "{rule:?}, {mode:?}, k={k}, {shards} shards, {threads} threads"
-                                        );
-                                        assert_eq!(
-                                            a.workforce.to_bits(),
-                                            b.workforce.to_bits(),
-                                            "{rule:?}, {mode:?}, k={k}, {shards} shards, {threads} threads"
-                                        );
-                                    }
-                                    _ => panic!(
-                                        "feasibility diverged: {rule:?}, k={k}, {shards} shards, {threads} threads"
-                                    ),
-                                }
-                            }
-                        }
-                    }
                 }
             }
         }

@@ -1,6 +1,6 @@
 //! Fair division of a shared availability budget across tenants.
 //!
-//! The sharded serving tier aggregates each tenant's batch independently,
+//! Multi-tenant serving aggregates each tenant's batch independently,
 //! but the worker pool they draw on is one shared resource. Without an
 //! allocation rule, a tenant issuing 10× the request volume simply claims
 //! 10× the budget and starves everyone else — the exact failure mode the
@@ -20,7 +20,7 @@
 //! floor **always receives at least `floor · budget`**, no matter how much
 //! the other tenants ask for. Grants never exceed demands, never exceed the
 //! budget in total, and depend only on `(policy, budget, demands)` — the
-//! split is a pure function, so sharded serving stays replayable.
+//! split is a pure function, so multi-tenant serving stays replayable.
 
 use serde::{Deserialize, Serialize};
 

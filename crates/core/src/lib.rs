@@ -79,7 +79,7 @@ pub mod prelude {
     };
     pub use crate::catalog::{
         CatalogDelta, CatalogMutation, CatalogStats, ConcurrentCatalog, DeltaSubscription,
-        EpochSnapshot, RebuildPolicy, ShardPlan, SlotRemap, SnapshotReader, StrategyCatalog,
+        EpochSnapshot, RebuildPolicy, SlotRemap, SnapshotReader, StrategyCatalog,
     };
     pub use crate::engine::BatchEngine;
     pub use crate::error::StratRecError;
@@ -95,6 +95,6 @@ pub mod prelude {
     };
     pub use crate::workforce::{
         AggregationCache, AggregationMode, EligibilityRule, Precision, RequestRequirement,
-        ShardedAggregationCache, WorkforceMatrix,
+        WorkforceMatrix,
     };
 }

@@ -23,16 +23,14 @@ use crate::adpar::AdparSolution;
 use crate::availability::{AvailabilityPdf, WorkerAvailability};
 use crate::batch::{BatchObjective, BatchOutcome, BatchStrat};
 use crate::catalog::{
-    CatalogDelta, DeltaSubscription, EpochSnapshot, ShardPlan, SnapshotReader, StrategyCatalog,
+    CatalogDelta, DeltaSubscription, EpochSnapshot, SnapshotReader, StrategyCatalog,
 };
 use crate::engine::BatchEngine;
 use crate::error::StratRecError;
 use crate::fairness::FairnessPolicy;
 use crate::model::{DeploymentRequest, Strategy};
 use crate::modeling::{ModelLibrary, StrategyModel};
-use crate::workforce::{
-    AggregationCache, AggregationMode, RequestRequirement, ShardedAggregationCache, WorkforceMatrix,
-};
+use crate::workforce::{AggregationCache, AggregationMode, RequestRequirement, WorkforceMatrix};
 
 /// Configuration of the middle layer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -117,11 +115,6 @@ pub struct StratRec {
     /// Batch executor sharding workforce-matrix rows and ADPaR solves
     /// across scoped threads (defaults to one worker per core).
     pub engine: BatchEngine,
-    /// Column-shard count for the two-level aggregate; `0` or `1` selects
-    /// the flat path. Kept private so the only way in is
-    /// [`Self::with_shards`], which documents the bit-identity contract.
-    #[serde(default)]
-    shards: usize,
 }
 
 impl StratRec {
@@ -132,7 +125,6 @@ impl StratRec {
         Self {
             config,
             engine: BatchEngine::new(),
-            shards: 0,
         }
     }
 
@@ -144,41 +136,9 @@ impl StratRec {
         self
     }
 
-    /// Serves aggregation through the **two-level sharded** path: each
-    /// matrix row's top-k is computed per column shard
-    /// ([`ShardPlan::uniform`] over the slot range, fanned out on the
-    /// engine's threads) and k-way-merged into the global requirement.
-    /// Reports are **bit-identical** to the flat path for every shard
-    /// count — sharding changes wall-clock time and cache-repair locality,
-    /// never an output bit. `0` or `1` restores the flat path.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// The configured column-shard count (`0`/`1` = flat aggregation).
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The shard plan the layer aggregates with at the given matrix width,
-    /// or `None` on the flat path.
-    fn shard_plan_for(&self, cols: usize) -> Option<ShardPlan> {
-        (self.shards > 1).then(|| ShardPlan::uniform(self.shards, cols))
-    }
-
-    /// Aggregates `matrix` on the configured path: flat, or shard-local
-    /// top-k + merge when shards are configured.
+    /// Aggregates `matrix` over the configured `k` and aggregation mode.
     fn aggregate_matrix(&self, matrix: &WorkforceMatrix) -> Vec<Option<RequestRequirement>> {
-        match self.shard_plan_for(matrix.cols()) {
-            Some(plan) => {
-                self.engine
-                    .aggregate_sharded(matrix, self.config.k, self.config.aggregation, &plan)
-            }
-            None => matrix.aggregate(self.config.k, self.config.aggregation),
-        }
+        matrix.aggregate(self.config.k, self.config.aggregation)
     }
 
     /// The Aggregator configured by this layer.
@@ -330,8 +290,8 @@ impl StratRec {
     ///
     /// Reuse is keyed on content: the session remembers the requests it was
     /// primed for and re-primes with a full compute whenever `requests`
-    /// differ from them, or `k`, the aggregation mode, the precision or the
-    /// shard count changed. One session follows one catalog; call
+    /// differ from them, or `k`, the aggregation mode or the precision
+    /// changed. One session follows one catalog; call
     /// [`StratRecSession::detach`] before moving it to another.
     ///
     /// # Errors
@@ -465,7 +425,6 @@ impl StratRec {
                 && matrix.precision() == self.engine.precision()
                 && cache.k() == self.config.k
                 && cache.mode() == self.config.aggregation
-                && cache.matches_sharding(self.shards)
             {
                 session.last_repaired_rows = if delta.is_empty() {
                     0
@@ -493,7 +452,7 @@ impl StratRec {
             .matrix
             .take()
             .unwrap_or_else(|| WorkforceMatrix::from_cells(0, 0, Vec::new()));
-        self.engine.refill_workforce_matrix_with_scratch(
+        self.engine.refill_workforce_matrix(
             requests,
             catalog,
             models,
@@ -501,36 +460,18 @@ impl StratRec {
             &mut matrix,
             &mut session.model_buf,
         )?;
-        session.cache = Some(self.primed_cache(&matrix));
+        let mut cache = AggregationCache::new(self.config.k, self.config.aggregation);
+        cache.prime(&matrix);
+        session.cache = Some(cache);
         session.last_repaired_rows = matrix.rows();
         session.matrix = Some(matrix);
         session.primed.extend_from_slice(requests);
         Ok(())
     }
 
-    /// A freshly primed aggregation cache on the configured path: flat, or
-    /// per-shard candidate caches under a uniform [`ShardPlan`] over the
-    /// matrix's slot range.
-    fn primed_cache(&self, matrix: &WorkforceMatrix) -> SessionCache {
-        match self.shard_plan_for(matrix.cols()) {
-            Some(plan) => {
-                let mut cache =
-                    ShardedAggregationCache::new(self.config.k, self.config.aggregation, plan);
-                cache.prime(matrix);
-                SessionCache::Sharded(cache)
-            }
-            None => {
-                let mut cache = AggregationCache::new(self.config.k, self.config.aggregation);
-                cache.prime(matrix);
-                SessionCache::Flat(cache)
-            }
-        }
-    }
-
     /// Serves one batch **per tenant** over a shared catalog and one shared
     /// availability budget, divided by `policy` ([`FairnessPolicy::split`]):
-    /// every tenant's aggregate demand is computed first (on the configured
-    /// flat or sharded path), the budget is split into per-tenant grants —
+    /// every tenant's aggregate demand is computed first, the budget is split into per-tenant grants —
     /// floors before weighted residual, so a tenant flooding the queue can
     /// never starve another below its floor — and each tenant's Aggregator
     /// then selects against **its own grant** instead of the whole pool.
@@ -615,57 +556,6 @@ pub struct TenantOutcome {
     pub batch: BatchOutcome,
 }
 
-/// The aggregation state a serving session maintains across epochs: the
-/// flat [`AggregationCache`] or its sharded counterpart, depending on the
-/// layer's [`StratRec::with_shards`] setting at prime time. Both repair
-/// lazily under [`CatalogDelta`]s and cache requirements that are
-/// bit-identical to each other, so switching the knob between calls simply
-/// re-primes on the other variant.
-#[derive(Debug)]
-enum SessionCache {
-    Flat(AggregationCache),
-    Sharded(ShardedAggregationCache),
-}
-
-impl SessionCache {
-    fn k(&self) -> usize {
-        match self {
-            Self::Flat(cache) => cache.k(),
-            Self::Sharded(cache) => cache.k(),
-        }
-    }
-
-    fn mode(&self) -> AggregationMode {
-        match self {
-            Self::Flat(cache) => cache.mode(),
-            Self::Sharded(cache) => cache.mode(),
-        }
-    }
-
-    fn requirements(&self) -> &[Option<RequestRequirement>] {
-        match self {
-            Self::Flat(cache) => cache.requirements(),
-            Self::Sharded(cache) => cache.requirements(),
-        }
-    }
-
-    fn repair(&mut self, matrix: &WorkforceMatrix, delta: &CatalogDelta) -> usize {
-        match self {
-            Self::Flat(cache) => cache.repair(matrix, delta),
-            Self::Sharded(cache) => cache.repair(matrix, delta),
-        }
-    }
-
-    /// Whether this cache variant serves the given shard knob without a
-    /// re-prime.
-    fn matches_sharding(&self, shards: usize) -> bool {
-        match self {
-            Self::Flat(_) => shards <= 1,
-            Self::Sharded(cache) => cache.shard_count() == shards,
-        }
-    }
-}
-
 /// Reusable cross-epoch state for [`StratRec::process_batch_with_session`]
 /// and [`StratRec::process_batch_with_reader`]: the delta-maintained
 /// workforce matrix, the lazily repaired aggregation cache, the requests
@@ -684,7 +574,7 @@ impl SessionCache {
 #[derive(Debug, Default)]
 pub struct StratRecSession {
     matrix: Option<WorkforceMatrix>,
-    cache: Option<SessionCache>,
+    cache: Option<AggregationCache>,
     primed: Vec<DeploymentRequest>,
     subscription: Option<DeltaSubscription>,
     model_buf: Vec<Option<StrategyModel>>,
@@ -1436,82 +1326,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_layers_produce_identical_reports_to_the_flat_path() {
-        let (catalog, models, requests, availability) = session_fixture();
-        let flat = StratRec::default()
-            .process_batch_with_catalog(&requests, &catalog, &models, &availability)
-            .unwrap();
-        for shards in [0, 1, 2, 3, 8, 18] {
-            let report = StratRec::default()
-                .with_shards(shards)
-                .process_batch_with_catalog(&requests, &catalog, &models, &availability)
-                .unwrap();
-            assert_eq!(report, flat, "{shards} shards");
-        }
-    }
-
-    #[test]
-    fn sharded_sessions_match_the_flat_pipeline_across_churn() {
-        // A sharded serving session (per-shard caches repaired per epoch)
-        // must report exactly what the flat full pipeline reports, and
-        // toggling the shard knob mid-stream must transparently re-prime.
-        let (mut catalog, mut models, requests, availability) = session_fixture();
-        let layer = StratRec::default().with_shards(3);
-        let mut session = StratRecSession::new();
-        let mut next_id = 18_u64;
-        for epoch in 0..6 {
-            if epoch > 0 {
-                for _ in 0..2 {
-                    let strategy = fixture_strategy(next_id);
-                    models.insert(strategy.id, fixture_model(next_id));
-                    catalog.insert(strategy);
-                    next_id += 1;
-                }
-                let live = catalog.live_indices();
-                assert!(catalog.retire(live[epoch % live.len()]));
-                if epoch == 3 {
-                    catalog.compact();
-                }
-            }
-            let incremental = layer
-                .process_batch_with_session(
-                    &requests,
-                    &mut catalog,
-                    &models,
-                    &availability,
-                    &mut session,
-                )
-                .unwrap();
-            let full = StratRec::default()
-                .process_batch_with_catalog(&requests, &catalog, &models, &availability)
-                .unwrap();
-            assert_eq!(incremental, full, "epoch {epoch}");
-            if epoch > 0 {
-                assert!(session.last_repaired_rows() <= requests.len());
-            }
-        }
-        // Flipping back to the flat path re-primes rather than serving from
-        // the sharded cache variant.
-        let flat_layer = StratRec::default();
-        let report = flat_layer
-            .process_batch_with_session(
-                &requests,
-                &mut catalog,
-                &models,
-                &availability,
-                &mut session,
-            )
-            .unwrap();
-        assert_eq!(session.last_repaired_rows(), requests.len(), "re-primed");
-        let full = flat_layer
-            .process_batch_with_catalog(&requests, &catalog, &models, &availability)
-            .unwrap();
-        assert_eq!(report, full);
-        session.detach(&mut catalog);
-        assert_eq!(catalog.delta_subscriber_count(), 0);
-    }
-
-    #[test]
     fn tenant_batches_split_the_budget_and_honor_floors() {
         use crate::fairness::{FairnessPolicy, TenantShare};
         let (catalog, models, requests, availability) = session_fixture();
@@ -1525,44 +1339,43 @@ mod tests {
             TenantShare::new(0.2, 1.0),
         ])
         .unwrap();
-        for layer in [StratRec::default(), StratRec::default().with_shards(4)] {
-            let outcomes = layer
-                .process_tenant_batches(
-                    &[&heavy, &light_a, light_b],
-                    &catalog,
-                    &models,
-                    &availability,
-                    &policy,
-                )
-                .unwrap();
-            assert_eq!(outcomes.len(), 3);
-            let budget = availability.expectation().value();
-            let total: f64 = outcomes.iter().map(|o| o.granted.value()).sum();
-            assert!(total <= budget + 1e-12);
-            for outcome in &outcomes[1..] {
-                // The heavy tenant must never push a light one below its
-                // floor (a tenant demanding less than the floor is simply
-                // satisfied in full).
-                let entitled = (0.2 * budget).min(outcome.demand);
-                assert!(
-                    outcome.granted.value() >= entitled - 1e-12,
-                    "tenant {} got {} under its entitlement {}",
-                    outcome.tenant,
-                    outcome.granted.value(),
-                    entitled
-                );
-            }
-            // Each tenant's selection is exactly the Aggregator under its
-            // own grant.
-            let aggregator = BatchStrat::new(layer.config.objective, layer.config.aggregation);
-            let matrix = layer
-                .engine
-                .workforce_matrix(&light_a, &catalog, &models, aggregator.eligibility)
-                .unwrap();
-            let requirements = matrix.aggregate(layer.config.k, layer.config.aggregation);
-            let expected = aggregator.select(&light_a, &requirements, outcomes[1].granted);
-            assert_eq!(outcomes[1].batch, expected);
+        let layer = StratRec::default();
+        let outcomes = layer
+            .process_tenant_batches(
+                &[&heavy, &light_a, light_b],
+                &catalog,
+                &models,
+                &availability,
+                &policy,
+            )
+            .unwrap();
+        assert_eq!(outcomes.len(), 3);
+        let budget = availability.expectation().value();
+        let total: f64 = outcomes.iter().map(|o| o.granted.value()).sum();
+        assert!(total <= budget + 1e-12);
+        for outcome in &outcomes[1..] {
+            // The heavy tenant must never push a light one below its
+            // floor (a tenant demanding less than the floor is simply
+            // satisfied in full).
+            let entitled = (0.2 * budget).min(outcome.demand);
+            assert!(
+                outcome.granted.value() >= entitled - 1e-12,
+                "tenant {} got {} under its entitlement {}",
+                outcome.tenant,
+                outcome.granted.value(),
+                entitled
+            );
         }
+        // Each tenant's selection is exactly the Aggregator under its
+        // own grant.
+        let aggregator = BatchStrat::new(layer.config.objective, layer.config.aggregation);
+        let matrix = layer
+            .engine
+            .workforce_matrix(&light_a, &catalog, &models, aggregator.eligibility)
+            .unwrap();
+        let requirements = matrix.aggregate(layer.config.k, layer.config.aggregation);
+        let expected = aggregator.select(&light_a, &requirements, outcomes[1].granted);
+        assert_eq!(outcomes[1].batch, expected);
         // Arity mismatches fail typed.
         assert!(matches!(
             StratRec::default().process_tenant_batches(

@@ -35,11 +35,7 @@
 //!   cold fill can start from a zeroed allocation. Rows are processed in
 //!   [`ROW_TILE`]-row tiles (row-outer, chunk-inner within the tile) so
 //!   each pass over the coefficient columns is amortized across the tile
-//!   while per-row threshold broadcasts stay hoisted. The `scalar-kernel`
-//!   cargo feature swaps the chunk walk for a per-slot scalar walk of the
-//!   *same* per-cell computation — a `std::simd`-style manual fallback
-//!   that is bit-identical by construction, kept for debugging codegen
-//!   regressions.
+//!   while per-row threshold broadcasts stay hoisted.
 //!
 //! # Precision contract
 //!
@@ -114,7 +110,6 @@ impl Precision {
 /// word covers 4 chunks, and the chunk's live bits extract as a `u16`.
 /// Measured faster than 8 on AVX2/AVX-512 targets — fewer loop-carried
 /// counters per slot processed.
-#[cfg_attr(feature = "scalar-kernel", allow(dead_code))] // the scalar walk has no chunk loop
 pub(crate) const LANES: usize = 16;
 
 /// `f32` counterpart of the model inversion's `1e-12` probe tolerance
@@ -190,7 +185,6 @@ impl AxisColumns {
 
 /// A fixed-size [`LANES`]-wide borrow of a column starting at `slot` — the
 /// array type lets the lane loops compile without per-lane bounds checks.
-#[cfg(not(feature = "scalar-kernel"))]
 #[inline(always)]
 fn window<T>(column: &[T], slot: usize) -> &[T; LANES] {
     column[slot..slot + LANES]
@@ -199,7 +193,6 @@ fn window<T>(column: &[T], slot: usize) -> &[T; LANES] {
 }
 
 /// A `LANES`-wide window over one axis's coefficient columns.
-#[cfg(not(feature = "scalar-kernel"))]
 #[derive(Clone, Copy)]
 struct AxisChunk<'a> {
     alpha: &'a [f32; LANES],
@@ -374,7 +367,6 @@ pub(crate) fn model_requirement_f32(model: &StrategyModel, t: Thresholds) -> f32
 // vectorizer must prove; iterator chains over three zipped arrays obscure
 // it without removing a single bounds check (the arrays are `[_; LANES]`).
 #[allow(clippy::needless_range_loop)]
-#[cfg(not(feature = "scalar-kernel"))]
 #[inline(always)]
 fn invert_chunk(
     keep: &[bool; LANES],
@@ -480,7 +472,7 @@ fn fill_tile(
     }
     let slot_live = |slot: usize| (words[slot / WORD_BITS] >> (slot % WORD_BITS)) & 1 == 1;
     // The exact f64 predicate, identical to `DeploymentParameters::satisfies`
-    // per slot (scalar tail + manual-fallback walk).
+    // per slot (scalar tail).
     let eligible = |slot: usize, params: &crate::model::DeploymentParameters| {
         !check_params
             || ((quality[slot] + SATISFIES_EPS >= params.quality)
@@ -492,9 +484,7 @@ fn fill_tile(
     // with all lengths provably equal, the `slot + LANES <= n` loop bound
     // covers every window and LLVM drops the per-column bounds checks from
     // the chunk loop (~13 compare+branch pairs per iteration otherwise).
-    #[cfg(not(feature = "scalar-kernel"))]
     let (quality_n, cost_n, latency_n) = (&quality[..n], &cost[..n], &latency[..n]);
-    #[cfg(not(feature = "scalar-kernel"))]
     let [qa, qi, qb, ca, ci, cb, la, li, lb] = [
         &coeffs.quality.alpha,
         &coeffs.quality.inv_alpha,
@@ -508,7 +498,6 @@ fn fill_tile(
     ]
     .map(|column| &column[..n]);
 
-    #[cfg(not(feature = "scalar-kernel"))]
     for ((row, request), &t) in rows.chunks_mut(n).zip(requests).zip(&thresholds) {
         let row = &mut row[..n];
         let params = &request.params;
@@ -581,23 +570,6 @@ fn fill_tile(
         // `slot` indexes the shared columns too, not just `row`
         for slot in slot..n {
             row[slot] = if slot_live(slot) && eligible(slot, params) {
-                f64::from(cell_requirement_f32(coeffs, slot, t))
-            } else {
-                f64::INFINITY
-            };
-        }
-    }
-
-    // The `std::simd`-style manual fallback behind the `scalar-kernel`
-    // feature: a per-slot scalar walk of the same per-cell inversion.
-    // Bit-identical to the chunked walk by construction (same function per
-    // slot); exists to isolate auto-vectorization regressions.
-    #[cfg(feature = "scalar-kernel")]
-    for ((row, request), &t) in rows.chunks_mut(n).zip(requests).zip(&thresholds) {
-        // `slot` indexes the shared coefficient columns too, not just `row`.
-        #[allow(clippy::needless_range_loop)]
-        for slot in 0..n {
-            row[slot] = if slot_live(slot) && eligible(slot, &request.params) {
                 f64::from(cell_requirement_f32(coeffs, slot, t))
             } else {
                 f64::INFINITY

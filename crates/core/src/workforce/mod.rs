@@ -17,6 +17,12 @@
 //! caching, delta repair — is shared: `f32` cells are stored exactly widened
 //! to `f64`, so one [`topk::k_smallest_aggregates_into`] code path serves
 //! both precisions.
+//!
+//! Aggregation has one implementation: a flat per-row top-k over the full
+//! slot range. The cold [`WorkforceMatrix::aggregate`] and the
+//! delta-repaired [`AggregationCache`] both reduce a row through the same
+//! private helper, so a repaired cache equals a fresh aggregate bit for
+//! bit.
 
 pub mod kernel;
 
@@ -25,7 +31,7 @@ pub use kernel::Precision;
 use serde::{Deserialize, Serialize};
 use stratrec_optim::topk::{self, TopKScratch};
 
-use crate::catalog::{CatalogDelta, ShardPlan, SlotRemap, StrategyCatalog};
+use crate::catalog::{CatalogDelta, SlotRemap, StrategyCatalog};
 use crate::error::StratRecError;
 use crate::model::{DeploymentRequest, Strategy};
 use crate::modeling::{ModelLibrary, StrategyModel};
@@ -181,32 +187,7 @@ impl WorkforceMatrix {
         models: &ModelLibrary,
         rule: EligibilityRule,
     ) -> Result<Self, StratRecError> {
-        let mut model_buf = Vec::new();
-        Self::compute_with_catalog_scratch(requests, catalog, models, rule, &mut model_buf)
-    }
-
-    /// [`Self::compute_with_catalog`] reusing a caller-provided model buffer
-    /// ([`collect_live_models_into`]), so repeated computations allocate no
-    /// model-collection memory in steady state.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::compute_with_catalog`].
-    pub fn compute_with_catalog_scratch(
-        requests: &[DeploymentRequest],
-        catalog: &StrategyCatalog,
-        models: &ModelLibrary,
-        rule: EligibilityRule,
-        model_buf: &mut Vec<Option<StrategyModel>>,
-    ) -> Result<Self, StratRecError> {
-        Self::compute_with_catalog_scratch_precision(
-            requests,
-            catalog,
-            models,
-            rule,
-            Precision::F64,
-            model_buf,
-        )
+        Self::compute_with_catalog_precision(requests, catalog, models, rule, Precision::F64)
     }
 
     /// [`Self::compute_with_catalog`] with an explicit [`Precision`]:
@@ -227,43 +208,13 @@ impl WorkforceMatrix {
         rule: EligibilityRule,
         precision: Precision,
     ) -> Result<Self, StratRecError> {
-        let mut model_buf = Vec::new();
-        Self::compute_with_catalog_scratch_precision(
-            requests,
-            catalog,
-            models,
-            rule,
-            precision,
-            &mut model_buf,
-        )
-    }
-
-    /// [`Self::compute_with_catalog_precision`] reusing a caller-provided
-    /// model buffer.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::compute_with_catalog`].
-    pub fn compute_with_catalog_scratch_precision(
-        requests: &[DeploymentRequest],
-        catalog: &StrategyCatalog,
-        models: &ModelLibrary,
-        rule: EligibilityRule,
-        precision: Precision,
-        model_buf: &mut Vec<Option<StrategyModel>>,
-    ) -> Result<Self, StratRecError> {
-        let mut matrix = Self {
-            rows: 0,
-            cols: 0,
-            cells: Vec::new(),
-            precision,
-        };
-        matrix.refill_with_catalog(requests, catalog, models, rule, precision, model_buf)?;
+        let mut matrix = Self::from_cells_with_precision(0, 0, Vec::new(), precision);
+        matrix.refill_with_catalog(requests, catalog, models, rule, precision, &mut Vec::new())?;
         Ok(matrix)
     }
 
     /// Recomputes `self` from scratch — a cold fill with the same semantics
-    /// as [`Self::compute_with_catalog_scratch_precision`], cell for cell —
+    /// as [`Self::compute_with_catalog_precision`], cell for cell —
     /// while **reusing `self`'s cell allocation**. Rebuilding a `m × 10 000`
     /// matrix allocates tens of megabytes; refilling in place skips the
     /// allocator round-trip and its page faults, which is the steady-state
@@ -337,7 +288,7 @@ impl WorkforceMatrix {
 
     /// [`Self::from_cells`] tagging the matrix with the precision whose fill
     /// produced `cells` — the constructor behind
-    /// [`crate::engine::BatchEngine`]'s sharded kernel fills.
+    /// [`crate::engine::BatchEngine`]'s row-parallel fills.
     pub(crate) fn from_cells_with_precision(
         rows: usize,
         cols: usize,
@@ -424,7 +375,7 @@ impl WorkforceMatrix {
 
     /// Takes the cell buffer out of the matrix (leaving it empty `0 × 0`),
     /// so [`crate::engine::BatchEngine`]'s refill can reuse the allocation
-    /// for its sharded workers and hand it back through
+    /// for its row-chunk workers and hand it back through
     /// [`Self::from_cells_with_precision`].
     pub(crate) fn take_cells(&mut self) -> Vec<f64> {
         self.rows = 0;
@@ -640,55 +591,6 @@ impl WorkforceMatrix {
             .map(|i| aggregate_row(self.row(i), i, k, mode, &mut scratch, &mut selected))
             .collect()
     }
-
-    /// The sequential two-level form of [`Self::aggregate`]: each shard of
-    /// `plan` computes a shard-local top-k over its column sub-range
-    /// ([`topk::k_smallest_candidates_into`]) and a k-way merge
-    /// ([`topk::merge_k_smallest_into`]) reassembles the global selection in
-    /// ascending shard order. **Bit-identical** to the flat path for any
-    /// plan: contiguous sub-ranges preserve the global index tie-break, a
-    /// global top-k member is necessarily in its own shard's top-k, and the
-    /// merge feeds the sum in the flat path's exact ascending order.
-    ///
-    /// [`crate::engine::BatchEngine::aggregate_sharded`] is the parallel
-    /// arm fanning the shard-local step across scoped threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the plan's width does not match the matrix's column
-    /// count.
-    #[must_use]
-    pub fn aggregate_sharded(
-        &self,
-        k: usize,
-        mode: AggregationMode,
-        plan: &ShardPlan,
-    ) -> Vec<Option<RequestRequirement>> {
-        assert_eq!(
-            plan.cols(),
-            self.cols,
-            "shard plan width must match the matrix's column count"
-        );
-        let mut scratch = TopKScratch::new();
-        let mut selected: Vec<usize> = Vec::new();
-        let mut lists: Vec<Vec<(f64, usize)>> = vec![Vec::new(); plan.shard_count()];
-        (0..self.rows)
-            .map(|i| {
-                let row = self.row(i);
-                for (list, range) in lists.iter_mut().zip(plan.ranges()) {
-                    topk::k_smallest_candidates_into(
-                        &row[range.clone()],
-                        range.start,
-                        k,
-                        &mut scratch,
-                        list,
-                    );
-                }
-                let refs: Vec<&[(f64, usize)]> = lists.iter().map(Vec::as_slice).collect();
-                merge_row_requirement(&refs, i, k, mode, &mut scratch, &mut selected)
-            })
-            .collect()
-    }
 }
 
 /// Aggregates one matrix row (the shared primitive of
@@ -704,31 +606,6 @@ fn aggregate_row(
     selected: &mut Vec<usize>,
 ) -> Option<RequestRequirement> {
     let aggregates = topk::k_smallest_aggregates_into(row, k, scratch, selected)?;
-    let workforce = match mode {
-        AggregationMode::Sum => aggregates.sum,
-        AggregationMode::Max => aggregates.kth,
-    };
-    Some(RequestRequirement {
-        request_index,
-        strategy_indices: selected.clone(),
-        workforce,
-    })
-}
-
-/// The merge step of the two-level aggregation: reassembles one row's global
-/// [`RequestRequirement`] from its shard-local candidate lists (the shared
-/// primitive of [`WorkforceMatrix::aggregate_sharded`],
-/// [`crate::engine::BatchEngine::aggregate_sharded`] and
-/// [`ShardedAggregationCache`] — same code, bit-identical by construction).
-pub(crate) fn merge_row_requirement(
-    lists: &[&[(f64, usize)]],
-    request_index: usize,
-    k: usize,
-    mode: AggregationMode,
-    scratch: &mut TopKScratch,
-    selected: &mut Vec<usize>,
-) -> Option<RequestRequirement> {
-    let aggregates = topk::merge_k_smallest_into(lists, k, scratch, selected)?;
     let workforce = match mode {
         AggregationMode::Sum => aggregates.sum,
         AggregationMode::Max => aggregates.kth,
@@ -920,307 +797,6 @@ impl AggregationCache {
             }
         }
         self.cols = matrix.cols();
-        repaired
-    }
-}
-
-/// The sharded counterpart of [`AggregationCache`]: per-shard caches of the
-/// shard-local top-k candidate lists plus the merged per-row
-/// [`RequestRequirement`]s, repaired lazily under churn.
-///
-/// Each shard of the [`ShardPlan`] keeps, per matrix row, its sub-range's
-/// top-k `(value, global index)` candidates — exactly what
-/// [`topk::k_smallest_candidates_into`] produces and
-/// [`topk::merge_k_smallest_into`] consumes. After the matrix absorbed a
-/// [`CatalogDelta`], [`Self::repair`] re-selects a shard's row candidates
-/// **only when the churn inside that shard can have moved them**:
-///
-/// * a compaction reclaimed one of the shard-row's candidates (surviving
-///   candidates are renumbered in place — dense renumbering keeps every
-///   survivor in its shard, so the lists never migrate), or
-/// * a retired column intersects the shard-row's candidate list (columns
-///   the shard holds that went `∞`), or
-/// * an appended column's cell beats the shard's worst candidate — appends
-///   extend only the **last** shard under
-///   [`ShardPlan::apply_delta`], so every other shard skips this test
-///   entirely (ties lose: appended slots carry the largest indices), or
-/// * the shard-row holds fewer than `k` candidates (its whole sub-range
-///   has fewer than `k` finite cells) and an appended cell is finite.
-///
-/// A row's merged requirement is re-assembled only when one of its
-/// shard-rows changed; untouched requirements are renumbered through the
-/// window's remap verbatim. Steady-state upkeep is therefore proportional
-/// to the churn **within each shard**, and the cached requirements equal a
-/// flat `matrix.aggregate(k, mode)` bit for bit (same candidate selection,
-/// same merge comparator, same summation order — pinned per churn step by
-/// the `tests/catalog_churn.rs` replay).
-#[derive(Debug, Clone)]
-pub struct ShardedAggregationCache {
-    k: usize,
-    mode: AggregationMode,
-    plan: ShardPlan,
-    /// Slot width the cache last synchronized with (= `plan.cols()`).
-    cols: usize,
-    primed: bool,
-    /// `candidates[shard][row]`: the shard-local top-k, ascending by
-    /// `(value, global index)`.
-    candidates: Vec<Vec<Vec<(f64, usize)>>>,
-    /// The merged global requirements, parallel to the matrix rows.
-    requirements: Vec<Option<RequestRequirement>>,
-    scratch: TopKScratch,
-    selected: Vec<usize>,
-    /// Per-row dirty flags reused across repairs.
-    dirty: Vec<bool>,
-}
-
-impl ShardedAggregationCache {
-    /// An unprimed cache aggregating over the `k` cheapest strategies with
-    /// `mode`, sharded by `plan`.
-    #[must_use]
-    pub fn new(k: usize, mode: AggregationMode, plan: ShardPlan) -> Self {
-        let shards = plan.shard_count();
-        Self {
-            k,
-            mode,
-            cols: plan.cols(),
-            plan,
-            primed: false,
-            candidates: vec![Vec::new(); shards],
-            requirements: Vec::new(),
-            scratch: TopKScratch::new(),
-            selected: Vec::new(),
-            dirty: Vec::new(),
-        }
-    }
-
-    /// The cardinality constraint the cache aggregates with.
-    #[must_use]
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The aggregation mode the cache aggregates with.
-    #[must_use]
-    pub fn mode(&self) -> AggregationMode {
-        self.mode
-    }
-
-    /// The shard plan the cache maintains (bounds follow the catalog's
-    /// churn through [`Self::repair`]).
-    #[must_use]
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.plan.shard_count()
-    }
-
-    /// Whether [`Self::prime`] has run (repairs need a baseline).
-    #[must_use]
-    pub fn is_primed(&self) -> bool {
-        self.primed
-    }
-
-    /// The cached merged requirements — identical to
-    /// `matrix.aggregate(k, mode)` over the matrix last primed/repaired
-    /// against. Empty before the first [`Self::prime`].
-    #[must_use]
-    pub fn requirements(&self) -> &[Option<RequestRequirement>] {
-        &self.requirements
-    }
-
-    /// Fully (re-)selects every shard-row's candidates and re-merges every
-    /// requirement, making `matrix` the cache's baseline.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the plan's width does not match the matrix's column
-    /// count.
-    pub fn prime(&mut self, matrix: &WorkforceMatrix) {
-        assert_eq!(
-            self.plan.cols(),
-            matrix.cols(),
-            "shard plan width must match the matrix's column count"
-        );
-        let rows = matrix.rows();
-        for (shard, rows_candidates) in self.candidates.iter_mut().enumerate() {
-            rows_candidates.clear();
-            rows_candidates.resize(rows, Vec::new());
-            let range = self.plan.range(shard);
-            for (row_idx, list) in rows_candidates.iter_mut().enumerate() {
-                topk::k_smallest_candidates_into(
-                    &matrix.row(row_idx)[range.clone()],
-                    range.start,
-                    self.k,
-                    &mut self.scratch,
-                    list,
-                );
-            }
-        }
-        self.requirements.clear();
-        self.requirements.reserve(rows);
-        for row_idx in 0..rows {
-            let merged = self.merge_row(row_idx);
-            self.requirements.push(merged);
-        }
-        self.cols = matrix.cols();
-        self.primed = true;
-    }
-
-    /// Re-merges one row's global requirement from its current shard-local
-    /// candidate lists.
-    fn merge_row(&mut self, row: usize) -> Option<RequestRequirement> {
-        let refs: Vec<&[(f64, usize)]> = self
-            .candidates
-            .iter()
-            .map(|rows_candidates| rows_candidates[row].as_slice())
-            .collect();
-        let aggregates =
-            topk::merge_k_smallest_into(&refs, self.k, &mut self.scratch, &mut self.selected)?;
-        let workforce = match self.mode {
-            AggregationMode::Sum => aggregates.sum,
-            AggregationMode::Max => aggregates.kth,
-        };
-        Some(RequestRequirement {
-            request_index: row,
-            strategy_indices: self.selected.clone(),
-            workforce,
-        })
-    }
-
-    /// Repairs the cache after `matrix` absorbed `delta`
-    /// ([`WorkforceMatrix::apply_delta`] with the same delta): follows the
-    /// window's remap, re-selects only the churn-affected shard-rows and
-    /// re-merges only the rows owning one. Returns the number of rows
-    /// re-merged. An unprimed cache falls back to a full [`Self::prime`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the cache or the matrix do not line up with the delta
-    /// (wrong row count, cache synchronized at a different width, or the
-    /// matrix has not absorbed the delta yet).
-    pub fn repair(&mut self, matrix: &WorkforceMatrix, delta: &CatalogDelta) -> usize {
-        if !self.primed {
-            self.prime(matrix);
-            return matrix.rows();
-        }
-        let rows = matrix.rows();
-        assert_eq!(
-            self.requirements.len(),
-            rows,
-            "cache row count must equal the matrix row count"
-        );
-        assert_eq!(
-            self.cols, delta.source_cols,
-            "cache was synchronized at a different slot width than the delta's source"
-        );
-        assert_eq!(
-            matrix.cols(),
-            delta.target_cols,
-            "the matrix must absorb the delta before the cache repairs"
-        );
-        self.dirty.clear();
-        self.dirty.resize(rows, false);
-
-        // Step 1: follow the window's compaction remap — candidates and
-        // requirements renumber in place; a reclaimed candidate dirties its
-        // shard-row (the shard genuinely lost a selected column and may
-        // have a replacement waiting in its sub-range).
-        if let Some(remap) = &delta.remap {
-            for rows_candidates in &mut self.candidates {
-                for (row_idx, list) in rows_candidates.iter_mut().enumerate() {
-                    let mut lost = false;
-                    for (_, index) in list.iter_mut() {
-                        match remap.remap(*index) {
-                            Some(new) => *index = new,
-                            None => lost = true,
-                        }
-                    }
-                    if lost {
-                        list.clear();
-                        self.dirty[row_idx] = true;
-                    }
-                }
-            }
-            for requirement in &mut self.requirements {
-                if let Some(req) = requirement {
-                    // A reclaimed selected slot re-merges below anyway (its
-                    // shard-row went dirty); drop the stale numbering.
-                    *requirement = req.remap(remap);
-                }
-            }
-        }
-        self.plan.apply_delta(delta);
-        self.cols = delta.target_cols;
-
-        // Step 2: retirements dirty exactly the shard-rows whose candidate
-        // lists hold a retired column — churn outside a shard's candidates
-        // can never move its top-k (a retired non-candidate was no better
-        // than the shard's worst candidate).
-        if !delta.retired.is_empty() {
-            for rows_candidates in &mut self.candidates {
-                for (row_idx, list) in rows_candidates.iter_mut().enumerate() {
-                    if list
-                        .iter()
-                        .any(|(_, index)| delta.retired.binary_search(index).is_ok())
-                    {
-                        list.clear();
-                        self.dirty[row_idx] = true;
-                    }
-                }
-            }
-        }
-
-        // Step 3: appends extend only the last shard; a shard-row there
-        // re-selects when an appended cell beats its worst candidate
-        // (strict `<`: appended slots carry the largest indices and lose
-        // ties) or when the shard had a shortfall and gains a finite cell.
-        if !delta.inserted.is_empty() {
-            let last = self.plan.shard_count() - 1;
-            let rows_candidates = &mut self.candidates[last];
-            for (row_idx, list) in rows_candidates.iter_mut().enumerate() {
-                let row = matrix.row(row_idx);
-                let moved = if list.len() < self.k {
-                    delta.inserted.iter().any(|&slot| row[slot].is_finite())
-                } else {
-                    let worst = list.last().expect("len >= k >= 1").0;
-                    delta.inserted.iter().any(|&slot| row[slot] < worst)
-                };
-                if moved {
-                    list.clear();
-                    self.dirty[row_idx] = true;
-                }
-            }
-        }
-
-        // Re-select the dirtied shard-rows (cleared lists) over the new
-        // bounds, then re-merge exactly the rows owning one.
-        let mut repaired = 0;
-        for row_idx in 0..rows {
-            if !self.dirty[row_idx] {
-                continue;
-            }
-            let row = matrix.row(row_idx);
-            for (shard, rows_candidates) in self.candidates.iter_mut().enumerate() {
-                let list = &mut rows_candidates[row_idx];
-                if !list.is_empty() {
-                    continue;
-                }
-                let range = self.plan.range(shard);
-                topk::k_smallest_candidates_into(
-                    &row[range.clone()],
-                    range.start,
-                    self.k,
-                    &mut self.scratch,
-                    list,
-                );
-            }
-            self.requirements[row_idx] = self.merge_row(row_idx);
-            repaired += 1;
-        }
         repaired
     }
 }
@@ -1942,231 +1518,9 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_sharded_is_bit_identical_to_the_flat_aggregate() {
-        let (catalog, models, requests) = churn_fixture();
-        for rule in [
-            EligibilityRule::StrategyParameters,
-            EligibilityRule::ModelOnly,
-        ] {
-            let matrix =
-                WorkforceMatrix::compute_with_catalog(&requests, &catalog, &models, rule).unwrap();
-            for mode in [AggregationMode::Sum, AggregationMode::Max] {
-                for k in [0, 1, 3, 24, 30] {
-                    let flat = matrix.aggregate(k, mode);
-                    for shards in [1, 2, 3, 8, 24, 31] {
-                        let plan = ShardPlan::uniform(shards, matrix.cols());
-                        let sharded = matrix.aggregate_sharded(k, mode, &plan);
-                        assert_eq!(flat.len(), sharded.len());
-                        for (a, b) in flat.iter().zip(&sharded) {
-                            match (a, b) {
-                                (None, None) => {}
-                                (Some(a), Some(b)) => {
-                                    assert_eq!(a.request_index, b.request_index);
-                                    assert_eq!(
-                                        a.strategy_indices, b.strategy_indices,
-                                        "{rule:?}, {mode:?}, k={k}, shards={shards}"
-                                    );
-                                    assert_eq!(
-                                        a.workforce.to_bits(),
-                                        b.workforce.to_bits(),
-                                        "{rule:?}, {mode:?}, k={k}, shards={shards}"
-                                    );
-                                }
-                                _ => {
-                                    panic!("feasibility diverged: {rule:?}, k={k}, shards={shards}")
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "shard plan width must match")]
-    fn aggregate_sharded_validates_the_plan_width() {
-        let matrix = WorkforceMatrix::from_cells(1, 3, vec![0.1, 0.2, 0.3]);
-        let _ = matrix.aggregate_sharded(2, AggregationMode::Sum, &ShardPlan::uniform(2, 4));
-    }
-
-    #[test]
-    fn sharded_cache_tracks_the_flat_aggregate_across_churn_and_compaction() {
-        // The sharded caches must repair to exactly what a flat aggregate
-        // over the churned matrix produces, for every shard count, while the
-        // shard plan follows the catalog's compactions.
-        for rule in [
-            EligibilityRule::StrategyParameters,
-            EligibilityRule::ModelOnly,
-        ] {
-            let (mut catalog, mut models, requests) = churn_fixture();
-            let mut matrix =
-                WorkforceMatrix::compute_with_catalog(&requests, &catalog, &models, rule).unwrap();
-            let mut caches: Vec<ShardedAggregationCache> = [1, 2, 3, 8]
-                .into_iter()
-                .map(|shards| {
-                    let plan = ShardPlan::for_catalog(shards, &catalog);
-                    let mut cache = ShardedAggregationCache::new(3, AggregationMode::Sum, plan);
-                    cache.prime(&matrix);
-                    cache
-                })
-                .collect();
-            let sub = catalog.subscribe_delta();
-            let mut next_id = 24_u64;
-            let mut model_buf = Vec::new();
-
-            for window in 0..5 {
-                for _ in 0..3 {
-                    let strategy = varied_strategy(next_id);
-                    models.insert(strategy.id, varied_model(next_id));
-                    catalog.insert(strategy);
-                    next_id += 1;
-                }
-                let live = catalog.live_indices();
-                assert!(catalog.retire(live[window % live.len()]));
-                assert!(catalog.retire(live[(window * 7 + 2) % live.len()]));
-                if window == 2 || window == 4 {
-                    catalog.compact();
-                    let strategy = varied_strategy(next_id);
-                    models.insert(strategy.id, varied_model(next_id));
-                    catalog.insert(strategy);
-                    next_id += 1;
-                }
-
-                let delta = catalog.take_delta(&sub).unwrap();
-                matrix
-                    .apply_delta_with_scratch(
-                        &delta,
-                        &requests,
-                        &catalog,
-                        &models,
-                        rule,
-                        &mut model_buf,
-                    )
-                    .unwrap();
-                let flat = matrix.aggregate(3, AggregationMode::Sum);
-                for cache in &mut caches {
-                    let repaired = cache.repair(&matrix, &delta);
-                    assert!(repaired <= matrix.rows());
-                    assert_eq!(cache.plan().cols(), matrix.cols());
-                    assert_eq!(
-                        cache.requirements(),
-                        &flat[..],
-                        "{rule:?}, window {window}, shards {}",
-                        cache.shard_count()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_cache_repairs_only_rows_the_churn_touched() {
-        // Two shards over four columns; retiring a column selected only by
-        // row 0 must re-merge row 0 alone.
-        let wide = WorkforceMatrix::from_cells(
-            2,
-            4,
-            vec![
-                0.1,
-                0.9,
-                0.8,
-                f64::INFINITY, // row 0 picks {0, 2}
-                0.7,
-                0.2,
-                f64::INFINITY,
-                0.3, // row 1 picks {1, 3}
-            ],
-        );
-        let mut cache =
-            ShardedAggregationCache::new(2, AggregationMode::Sum, ShardPlan::uniform(2, 4));
-        cache.prime(&wide);
-        assert!(cache.is_primed());
-
-        let churned = WorkforceMatrix::from_cells(
-            2,
-            4,
-            vec![
-                0.1,
-                0.9,
-                f64::INFINITY,
-                f64::INFINITY,
-                0.7,
-                0.2,
-                f64::INFINITY,
-                0.3,
-            ],
-        );
-        let delta = crate::catalog::CatalogDelta {
-            from_epoch: 0,
-            to_epoch: 1,
-            source_cols: 4,
-            target_cols: 4,
-            remap: None,
-            inserted: vec![],
-            retired: vec![2],
-        };
-        assert_eq!(cache.repair(&churned, &delta), 1, "only row 0 re-merges");
-        assert_eq!(
-            cache.requirements(),
-            &churned.aggregate(2, AggregationMode::Sum)[..]
-        );
-    }
-
-    #[test]
-    fn sharded_cache_appends_only_disturb_the_last_shard() {
-        // An appended column that loses to every cached candidate leaves all
-        // rows untouched; one that wins re-merges exactly the rows it beats.
-        let wide = WorkforceMatrix::from_cells(2, 4, vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]);
-        let mut cache =
-            ShardedAggregationCache::new(2, AggregationMode::Sum, ShardPlan::uniform(2, 4));
-        cache.prime(&wide);
-
-        // Loser append: 0.9 beats nothing.
-        let grown = WorkforceMatrix::from_cells(
-            2,
-            5,
-            vec![0.1, 0.2, 0.3, 0.4, 0.9, 0.5, 0.6, 0.7, 0.8, 0.9],
-        );
-        let delta = crate::catalog::CatalogDelta {
-            from_epoch: 0,
-            to_epoch: 1,
-            source_cols: 4,
-            target_cols: 5,
-            remap: None,
-            inserted: vec![4],
-            retired: vec![],
-        };
-        assert_eq!(cache.repair(&grown, &delta), 0);
-        assert_eq!(cache.plan().cols(), 5);
-
-        // Winner append for row 1 only (0.05 < its worst candidate 0.6).
-        let grown = WorkforceMatrix::from_cells(
-            2,
-            6,
-            vec![0.1, 0.2, 0.3, 0.4, 0.9, 0.95, 0.5, 0.6, 0.7, 0.8, 0.9, 0.05],
-        );
-        let delta = crate::catalog::CatalogDelta {
-            from_epoch: 1,
-            to_epoch: 2,
-            source_cols: 5,
-            target_cols: 6,
-            remap: None,
-            inserted: vec![5],
-            retired: vec![],
-        };
-        assert_eq!(cache.repair(&grown, &delta), 1, "only row 1 re-merges");
-        assert_eq!(
-            cache.requirements(),
-            &grown.aggregate(2, AggregationMode::Sum)[..]
-        );
-    }
-
-    #[test]
-    fn sharded_cache_unprimed_repair_falls_back_to_prime() {
+    fn cache_unprimed_repair_falls_back_to_prime() {
         let matrix = WorkforceMatrix::from_cells(1, 4, vec![0.4, 0.3, 0.2, 0.1]);
-        let mut cache =
-            ShardedAggregationCache::new(2, AggregationMode::Max, ShardPlan::uniform(2, 4));
+        let mut cache = AggregationCache::new(2, AggregationMode::Max);
         let delta = crate::catalog::CatalogDelta {
             from_epoch: 0,
             to_epoch: 0,

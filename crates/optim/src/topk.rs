@@ -41,8 +41,6 @@ pub struct TopKScratch {
     heap: BinaryHeap<(OrdF64, usize)>,
     /// Heap drain-and-sort buffer.
     sorted: Vec<(f64, usize)>,
-    /// Per-list head cursors for [`merge_k_smallest_into`].
-    heads: Vec<usize>,
 }
 
 impl TopKScratch {
@@ -134,112 +132,6 @@ pub fn k_smallest_aggregates_into(
 ) -> Option<TopKAggregates> {
     k_smallest_indices_into(values, k, scratch, out);
     if k == 0 || out.len() < k {
-        return None;
-    }
-    let mut sum = 0.0;
-    for &(value, _) in &scratch.sorted {
-        sum += value;
-    }
-    let kth = scratch
-        .sorted
-        .last()
-        .expect("k >= 1 so the selection is non-empty")
-        .0;
-    Some(TopKAggregates { sum, kth })
-}
-
-/// Shard-local top-k step of the two-level aggregation: selects the `k`
-/// smallest finite values of `values` (a contiguous column sub-range
-/// starting at global column `base`) exactly like
-/// [`k_smallest_indices_into`] and writes the selection into `candidates`
-/// (cleared first) as `(value, base + local_index)` pairs, ascending by
-/// `(value, global index)`.
-///
-/// The output is one input list of [`merge_k_smallest_into`]: because the
-/// sub-range is contiguous, ascending local index order *is* ascending
-/// global index order, so shard-local tie-breaks agree with the flat path's
-/// global tie-breaks by construction.
-pub fn k_smallest_candidates_into(
-    values: &[f64],
-    base: usize,
-    k: usize,
-    scratch: &mut TopKScratch,
-    candidates: &mut Vec<(f64, usize)>,
-) {
-    candidates.clear();
-    if k == 0 {
-        return;
-    }
-    let heap = &mut scratch.heap;
-    heap.clear();
-    for (idx, &value) in values.iter().enumerate() {
-        if !value.is_finite() {
-            continue;
-        }
-        if heap.len() < k {
-            heap.push((OrdF64(value), idx));
-        } else if let Some(&(OrdF64(worst), worst_idx)) = heap.peek() {
-            if value < worst || (value == worst && idx < worst_idx) {
-                heap.pop();
-                heap.push((OrdF64(value), idx));
-            }
-        }
-    }
-    candidates.extend(heap.drain().map(|(v, i)| (v.0, base + i)));
-    candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-}
-
-/// K-way merge of shard-local top-k candidate lists into the global top-k
-/// selection + aggregates — the second level of the two-level aggregation.
-///
-/// Each list must be ascending by `(value, global index)` with **finite**
-/// values and pairwise-distinct indices across lists (what
-/// [`k_smallest_candidates_into`] produces over disjoint contiguous
-/// sub-ranges). The merge repeatedly takes the smallest head under the exact
-/// flat-path comparator — `value.total_cmp` then ascending index — so the
-/// selection written to `out`, the summation order (and therefore the `f64`
-/// sum bit pattern) and the `k`-th value are **bit-identical** to
-/// [`k_smallest_aggregates_into`] over the concatenation of the sub-ranges,
-/// provided every list holds its sub-range's `k` smallest (a global top-k
-/// member is necessarily in its own shard's top-k).
-///
-/// Returns `None` when `k == 0` or fewer than `k` candidates exist in total
-/// (`out` then holds the shortfall selection, mirroring the flat path).
-pub fn merge_k_smallest_into(
-    lists: &[&[(f64, usize)]],
-    k: usize,
-    scratch: &mut TopKScratch,
-    out: &mut Vec<usize>,
-) -> Option<TopKAggregates> {
-    out.clear();
-    scratch.sorted.clear();
-    if k == 0 {
-        return None;
-    }
-    scratch.heads.clear();
-    scratch.heads.resize(lists.len(), 0);
-    while scratch.sorted.len() < k {
-        let mut best: Option<(f64, usize, usize)> = None;
-        for (list_idx, list) in lists.iter().enumerate() {
-            let head = scratch.heads[list_idx];
-            let Some(&(value, index)) = list.get(head) else {
-                continue;
-            };
-            let better = best.is_none_or(|(best_value, best_index, _)| {
-                value.total_cmp(&best_value).then(index.cmp(&best_index)) == Ordering::Less
-            });
-            if better {
-                best = Some((value, index, list_idx));
-            }
-        }
-        let Some((value, index, list_idx)) = best else {
-            break;
-        };
-        scratch.heads[list_idx] += 1;
-        scratch.sorted.push((value, index));
-    }
-    out.extend(scratch.sorted.iter().map(|&(_, i)| i));
-    if out.len() < k {
         return None;
     }
     let mut sum = 0.0;
@@ -393,118 +285,7 @@ mod tests {
         }
     }
 
-    /// Splits `values` into `shards` contiguous sub-ranges and produces the
-    /// per-shard candidate lists the two-level aggregation feeds the merge.
-    fn shard_candidates(values: &[f64], shards: usize, k: usize) -> Vec<Vec<(f64, usize)>> {
-        let mut scratch = TopKScratch::new();
-        let per_shard = values.len().div_ceil(shards.max(1)).max(1);
-        let mut lists = Vec::new();
-        let mut base = 0;
-        while base < values.len() {
-            let hi = (base + per_shard).min(values.len());
-            let mut candidates = Vec::new();
-            k_smallest_candidates_into(&values[base..hi], base, k, &mut scratch, &mut candidates);
-            lists.push(candidates);
-            base = hi;
-        }
-        lists
-    }
-
-    #[test]
-    fn merge_matches_flat_on_a_fixed_example() {
-        let values = [0.5, 0.1, 0.9, 0.3, 0.2, 0.3, f64::INFINITY, 0.05];
-        for shards in 1..=4 {
-            let lists = shard_candidates(&values, shards, 3);
-            let refs: Vec<&[(f64, usize)]> = lists.iter().map(Vec::as_slice).collect();
-            let mut scratch = TopKScratch::new();
-            let mut out = Vec::new();
-            let merged = merge_k_smallest_into(&refs, 3, &mut scratch, &mut out).unwrap();
-            assert_eq!(out, vec![7, 1, 4], "{shards} shards");
-            assert_eq!(merged.kth.to_bits(), 0.2_f64.to_bits(), "{shards} shards");
-            let flat =
-                k_smallest_aggregates_into(&values, 3, &mut TopKScratch::new(), &mut Vec::new())
-                    .unwrap();
-            assert_eq!(merged.sum.to_bits(), flat.sum.to_bits(), "{shards} shards");
-        }
-    }
-
-    #[test]
-    fn merge_breaks_cross_shard_ties_by_global_index() {
-        // Equal values in different shards: the flat path picks the lower
-        // global index, and so must the merge.
-        let values = [0.3, 0.3, 0.3, 0.3];
-        let lists = shard_candidates(&values, 2, 2);
-        let refs: Vec<&[(f64, usize)]> = lists.iter().map(Vec::as_slice).collect();
-        let mut scratch = TopKScratch::new();
-        let mut out = Vec::new();
-        merge_k_smallest_into(&refs, 2, &mut scratch, &mut out).unwrap();
-        assert_eq!(out, k_smallest_indices(&values, 2));
-        assert_eq!(out, vec![0, 1]);
-    }
-
-    #[test]
-    fn merge_signals_shortfall_like_the_flat_path() {
-        let values = [0.5, f64::INFINITY, f64::NAN, 0.2];
-        let lists = shard_candidates(&values, 2, 3);
-        let refs: Vec<&[(f64, usize)]> = lists.iter().map(Vec::as_slice).collect();
-        let mut scratch = TopKScratch::new();
-        let mut out = Vec::new();
-        assert_eq!(
-            merge_k_smallest_into(&refs, 3, &mut scratch, &mut out),
-            None
-        );
-        assert_eq!(out, k_smallest_indices(&values, 3));
-        assert_eq!(merge_k_smallest_into(&[], 1, &mut scratch, &mut out), None);
-        assert!(out.is_empty());
-        assert_eq!(
-            merge_k_smallest_into(&refs, 0, &mut scratch, &mut out),
-            None
-        );
-        assert!(out.is_empty());
-    }
-
     proptest! {
-        #[test]
-        fn merge_is_bit_identical_to_the_flat_aggregation(
-            raw in proptest::collection::vec((-1e3_f64..1e3, 0.0_f64..1.0), 0..64),
-            shards in 1_usize..9,
-            k in 0_usize..12,
-        ) {
-            // Mix in infinite cells (infeasible slots) and repeated values
-            // (cross-shard ties) so the tie-break and shortfall paths are
-            // genuinely exercised.
-            let values: Vec<f64> = raw
-                .iter()
-                .map(|&(value, kind)| {
-                    if kind < 0.15 {
-                        f64::INFINITY
-                    } else if kind < 0.35 {
-                        0.25
-                    } else {
-                        value
-                    }
-                })
-                .collect();
-            let mut flat_scratch = TopKScratch::new();
-            let mut flat_out = Vec::new();
-            let flat =
-                k_smallest_aggregates_into(&values, k, &mut flat_scratch, &mut flat_out);
-            let lists = shard_candidates(&values, shards, k);
-            let refs: Vec<&[(f64, usize)]> = lists.iter().map(Vec::as_slice).collect();
-            let mut scratch = TopKScratch::new();
-            let mut out = Vec::new();
-            let merged = merge_k_smallest_into(&refs, k, &mut scratch, &mut out);
-            prop_assert_eq!(&out, &flat_out, "selection diverged");
-            match (merged, flat) {
-                (None, None) => {}
-                (Some(m), Some(f)) => {
-                    prop_assert_eq!(m.sum.to_bits(), f.sum.to_bits(), "sum bits diverged");
-                    prop_assert_eq!(m.kth.to_bits(), f.kth.to_bits(), "kth bits diverged");
-                }
-                (m, f) => prop_assert!(false, "feasibility diverged: {:?} vs {:?}", m, f),
-            }
-        }
-
         #[test]
         fn heap_matches_sort_reference(
             values in proptest::collection::vec(-1e3_f64..1e3, 0..64),

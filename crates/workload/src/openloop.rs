@@ -46,7 +46,7 @@ pub struct BurstPhase {
 }
 
 /// A reproducible open-loop arrival schedule: seeded Poisson arrivals at a
-/// base rate, burst phases, and the Zipf tenant mix of the sharded tier.
+/// base rate, burst phases, and the Zipf tenant mix of [`crate::tenants`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OpenLoopScenario {
     /// Baseline arrival rate outside bursts, in requests per second.

@@ -103,7 +103,14 @@ impl BatchInstance {
         matrix: &mut WorkforceMatrix,
     ) {
         engine
-            .refill_workforce_matrix(&self.requests, catalog, &self.models, rule, matrix)
+            .refill_workforce_matrix(
+                &self.requests,
+                catalog,
+                &self.models,
+                rule,
+                matrix,
+                &mut Vec::new(),
+            )
             .expect("synthetic batch instances cold-fill cleanly");
     }
 }

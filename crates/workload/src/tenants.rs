@@ -1,4 +1,4 @@
-//! Zipf-skewed multi-tenant request mixes for the sharded serving tier.
+//! Zipf-skewed multi-tenant request mixes for the fair-share serving path.
 //!
 //! Real multi-tenant queues are heavy-tailed: a few tenants issue most of
 //! the traffic. This module generates that shape deterministically — tenant

@@ -24,11 +24,11 @@
 
 use proptest::prelude::*;
 use stratrec::core::adpar::{AdparBruteForce, AdparExact, AdparProblem, AdparSolver, SolveScratch};
-use stratrec::core::catalog::{RebuildPolicy, ShardPlan, StrategyCatalog};
+use stratrec::core::catalog::{RebuildPolicy, StrategyCatalog};
 use stratrec::core::model::{DeploymentParameters, DeploymentRequest, Strategy, TaskType};
 use stratrec::core::modeling::{ModelLibrary, StrategyModel};
 use stratrec::core::workforce::{
-    AggregationCache, AggregationMode, EligibilityRule, ShardedAggregationCache, WorkforceMatrix,
+    AggregationCache, AggregationMode, EligibilityRule, WorkforceMatrix,
 };
 use stratrec::geometry::Axis;
 
@@ -314,21 +314,19 @@ proptest! {
         }
     }
 
-    /// Sharded-aggregation churn parity: per-shard candidate caches
-    /// (`ShardedAggregationCache`, repaired after **every** step) must stay
-    /// bit-identical to the flat `aggregate` over the delta-maintained
-    /// matrix, for shard counts {1, 2, 3, 8} × both `EligibilityRule`s ×
-    /// both aggregation modes, across random insert / retire / compact
-    /// interleavings — the shard plans following every compaction through
-    /// the drained deltas.
+    /// Aggregation-cache churn parity for **both** `EligibilityRule`s: a
+    /// delta-maintained matrix per rule and an `AggregationCache` per mode
+    /// (repaired after **every** step, empty windows included) must stay
+    /// bit-identical to a fresh `compute_with_catalog` and to the flat
+    /// `aggregate` over it, across random insert / retire / compact
+    /// interleavings.
     #[test]
-    fn sharded_aggregation_parity_under_churn(
+    fn aggregation_cache_parity_under_churn_for_both_rules(
         initial in proptest::collection::vec(
             (0.0_f64..1.0, 0.0_f64..1.0, 0.0_f64..1.0), 0..20),
         ops in proptest::collection::vec(
             (0.0_f64..1.0, (0.0_f64..1.0, 0.0_f64..1.0, 0.0_f64..1.0)), 1..40),
     ) {
-        const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
         const RULES: [EligibilityRule; 2] = [
             EligibilityRule::StrategyParameters,
             EligibilityRule::ModelOnly,
@@ -352,23 +350,20 @@ proptest! {
             rule: EligibilityRule,
             subscription: stratrec::core::catalog::DeltaSubscription,
             matrix: WorkforceMatrix,
-            /// One cache per (shard count, mode) pair, flattened.
-            caches: Vec<ShardedAggregationCache>,
+            /// One cache per aggregation mode, in `MODES` order.
+            caches: Vec<AggregationCache>,
         }
         let mut states: Vec<RuleState> = Vec::new();
         for rule in RULES {
             let matrix =
                 WorkforceMatrix::compute_with_catalog(&requests, &catalog, &models, rule)
                     .expect("every replayed strategy has a model");
-            let caches = SHARD_COUNTS
+            let caches = MODES
                 .iter()
-                .flat_map(|&shards| {
-                    MODES.map(|mode| {
-                        let plan = ShardPlan::for_catalog(shards, &catalog);
-                        let mut cache = ShardedAggregationCache::new(MAINTAINED_K, mode, plan);
-                        cache.prime(&matrix);
-                        cache
-                    })
+                .map(|&mode| {
+                    let mut cache = AggregationCache::new(MAINTAINED_K, mode);
+                    cache.prime(&matrix);
+                    cache
                 })
                 .collect();
             states.push(RuleState {
@@ -410,23 +405,25 @@ proptest! {
                         &mut model_buf,
                     )
                     .expect("replayed deltas are current and fully modeled");
+                let fresh =
+                    WorkforceMatrix::compute_with_catalog(&requests, &catalog, &models, state.rule)
+                        .expect("every replayed strategy has a model");
+                prop_assert_eq!(
+                    &state.matrix,
+                    &fresh,
+                    "delta-maintained matrix diverged: rule {:?}",
+                    state.rule
+                );
                 for cache in &mut state.caches {
                     let repaired = cache.repair(&state.matrix, &delta);
                     prop_assert!(repaired <= state.matrix.rows());
-                    prop_assert_eq!(cache.plan().cols(), state.matrix.cols());
-                }
-                for mode in MODES {
-                    let flat = state.matrix.aggregate(MAINTAINED_K, mode);
-                    for cache in state.caches.iter().filter(|cache| cache.mode() == mode) {
-                        prop_assert_eq!(
-                            cache.requirements(),
-                            &flat[..],
-                            "sharded cache diverged: rule {:?}, {} shards, {:?}",
-                            state.rule,
-                            cache.shard_count(),
-                            mode
-                        );
-                    }
+                    prop_assert_eq!(
+                        cache.requirements(),
+                        &fresh.aggregate(MAINTAINED_K, cache.mode())[..],
+                        "cache diverged: rule {:?}, {:?}",
+                        state.rule,
+                        cache.mode()
+                    );
                 }
             }
         }

@@ -1,8 +1,8 @@
 //! Fairness regression suite: a tenant flooding the queue with 10× every
 //! other tenant's volume must never push a light tenant's granted budget
 //! below its fairness floor — not at steady state, and not across catalog
-//! churn (inserts, retires, a mid-stream compaction). Runs on both the flat
-//! and the sharded aggregation path, which must also grant bit-identically.
+//! churn (inserts, retires, a mid-stream compaction), and not at bench
+//! scale (`|S| = 10 000`, `k = 10`).
 
 use stratrec::core::availability::AvailabilityPdf;
 use stratrec::core::catalog::{RebuildPolicy, StrategyCatalog};
@@ -11,6 +11,7 @@ use stratrec::core::model::{DeploymentParameters, Strategy};
 use stratrec::core::modeling::{ModelLibrary, StrategyModel};
 use stratrec::core::stratrec::{StratRec, StratRecConfig, TenantOutcome};
 use stratrec::workload::tenants::TenantMixScenario;
+use stratrec::workload::{BatchScenario, ParameterDistribution};
 
 const TENANTS: usize = 4;
 const HEAVY: usize = 0;
@@ -32,12 +33,13 @@ fn strategy_for(id: u64) -> Strategy {
     Strategy::from_params(id, DeploymentParameters::clamped(q, c, l))
 }
 
-/// The Zipf-flat mix with one 10× flooding tenant and 0.2 floors.
-fn flooded_mix() -> stratrec::workload::TenantMix {
+/// The Zipf-flat mix of `total_requests` with one 10× flooding tenant and
+/// 0.2 floors.
+fn flooded_mix(total_requests: usize) -> stratrec::workload::TenantMix {
     TenantMixScenario {
         tenants: TENANTS,
         zipf_s: 0.0,
-        total_requests: 160,
+        total_requests,
         heavy_tenant: Some(HEAVY),
         heavy_factor: 10.0,
         floor: FLOOR,
@@ -71,7 +73,7 @@ fn assert_floors_hold(outcomes: &[TenantOutcome], budget: f64, context: &str) {
 
 #[test]
 fn flooding_tenant_never_starves_a_floor_across_churn_and_compaction() {
-    let mix = flooded_mix();
+    let mix = flooded_mix(160);
     let batches: Vec<&[_]> = mix.batches.iter().map(Vec::as_slice).collect();
     // The flood must actually be a flood for the regression to bite.
     for (tenant, batch) in mix.batches.iter().enumerate() {
@@ -87,8 +89,7 @@ fn flooding_tenant_never_starves_a_floor_across_churn_and_compaction() {
 
     let availability = AvailabilityPdf::certain(0.85);
     let budget = availability.expectation().value();
-    let flat = StratRec::new(StratRecConfig::default());
-    let sharded = StratRec::new(StratRecConfig::default()).with_shards(4);
+    let layer = StratRec::new(StratRecConfig::default());
 
     let mut catalog = StrategyCatalog::with_policy(
         (0..24).map(strategy_for).collect::<Vec<_>>(),
@@ -115,25 +116,17 @@ fn flooding_tenant_never_starves_a_floor_across_churn_and_compaction() {
             catalog.compact();
         }
 
-        let flat_outcomes = flat
-            .process_tenant_batches(&batches, &catalog, &models, &availability, &mix.policy)
-            .expect("policy arity matches the mix");
-        let sharded_outcomes = sharded
+        let outcomes = layer
             .process_tenant_batches(&batches, &catalog, &models, &availability, &mix.policy)
             .expect("policy arity matches the mix");
 
         let context = format!("epoch {epoch}");
-        assert_floors_hold(&flat_outcomes, budget, &context);
-        assert_floors_hold(&sharded_outcomes, budget, &context);
-        assert_eq!(
-            flat_outcomes, sharded_outcomes,
-            "{context}: sharded grants must be bit-identical to flat"
-        );
+        assert_floors_hold(&outcomes, budget, &context);
 
         // The flood is real: the heavy tenant demands (far) more than any
         // light tenant, yet the split confines the damage to the residual.
-        let heavy = &flat_outcomes[HEAVY];
-        for outcome in &flat_outcomes {
+        let heavy = &outcomes[HEAVY];
+        for outcome in &outcomes {
             if outcome.tenant != HEAVY {
                 assert!(
                     heavy.demand > outcome.demand,
@@ -152,7 +145,7 @@ fn removing_the_flood_never_lowers_a_light_tenants_grant() {
     // The same mix with and without the 10× multiplier on tenant 0: with
     // floors in place, adding the flood can shrink a light tenant's
     // residual share but never its floor entitlement.
-    let flooded = flooded_mix();
+    let flooded = flooded_mix(160);
     let calm = TenantMixScenario {
         tenants: TENANTS,
         zipf_s: 0.0,
@@ -166,7 +159,7 @@ fn removing_the_flood_never_lowers_a_light_tenants_grant() {
 
     let availability = AvailabilityPdf::certain(0.85);
     let budget = availability.expectation().value();
-    let layer = StratRec::new(StratRecConfig::default()).with_shards(2);
+    let layer = StratRec::new(StratRecConfig::default());
     let catalog = StrategyCatalog::new((0..24).map(strategy_for).collect::<Vec<_>>());
     let models = ModelLibrary::from_pairs((0..24).map(|id| (strategy_for(id).id, model_for(id))));
 
@@ -177,6 +170,39 @@ fn removing_the_flood_never_lowers_a_light_tenants_grant() {
             .expect("policy arity matches the mix");
         assert_floors_hold(&outcomes, budget, "steady state");
     }
+
+    // The same floors at bench scale: a 128-request flooded mix against
+    // |S| = 10 000 synthetic strategies with k = 10.
+    let bench = BatchScenario {
+        batch_size: 64,
+        strategy_count: 10_000,
+        k: 10,
+        availability: 0.5,
+        distribution: ParameterDistribution::Uniform,
+        seed: 2020,
+    }
+    .materialize();
+    let bench_layer = StratRec::new(StratRecConfig {
+        k: 10,
+        ..StratRecConfig::default()
+    });
+    let bench_mix = flooded_mix(128);
+    let batches: Vec<&[_]> = bench_mix.batches.iter().map(Vec::as_slice).collect();
+    let outcomes = bench_layer
+        .process_tenant_batches(
+            &batches,
+            &bench.catalog(),
+            &bench.models,
+            &availability,
+            &bench_mix.policy,
+        )
+        .expect("policy arity matches the mix");
+    assert_floors_hold(&outcomes, budget, "bench scale");
+    let total_demand: f64 = outcomes.iter().map(|o| o.demand).sum();
+    assert!(
+        total_demand > budget,
+        "bench scale: demand {total_demand} must exceed budget {budget} for the split to bind"
+    );
 
     // Mismatched arity is a policy error, not a panic.
     let batches: Vec<&[_]> = flooded.batches[..TENANTS - 1]
