@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use stratrec_core::catalog::{RebuildPolicy, StrategyCatalog};
 use stratrec_core::engine::BatchEngine;
 use stratrec_core::workforce::{
-    AggregationCache, AggregationMode, EligibilityRule, Precision, WorkforceMatrix,
+    AggregationCache, AggregationMode, EligibilityRule, WorkforceMatrix,
 };
 use stratrec_workload::churn::{ChurnInstance, ChurnScenario, CompactPolicy};
 
@@ -297,7 +297,6 @@ fn measure_incremental(
                     &catalog,
                     &instance.models,
                     rule,
-                    Precision::F64,
                     &mut model_buf,
                 )
                 .unwrap();
@@ -465,7 +464,6 @@ fn bench_incremental_vs_recompute(c: &mut Criterion) {
                                 &catalog,
                                 &instance.models,
                                 config.rule,
-                                Precision::F64,
                                 &mut model_buf,
                             )
                             .unwrap();

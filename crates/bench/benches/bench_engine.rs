@@ -18,7 +18,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use stratrec_core::adpar::{AdparExact, AdparProblem, AdparSolver, SolveScratch};
 use stratrec_core::engine::BatchEngine;
-use stratrec_core::workforce::{EligibilityRule, Precision, WorkforceMatrix};
+use stratrec_core::workforce::{EligibilityRule, WorkforceMatrix};
 use stratrec_workload::scenario::{AdparScenario, BatchScenario, ParameterDistribution};
 
 const STRATEGY_COUNT: usize = 10_000;
@@ -55,35 +55,21 @@ fn bench_workforce_matrix(c: &mut Criterion) {
                 )
             });
         });
-        // Sequential scalar f64 above; the remaining arms pit row sharding
-        // and the columnar f32 kernel (alone and sharded) against it — the
-        // deep-dive numbers live in `bench_kernel` / `BENCH_kernel.json`.
-        for (label, engine) in [
-            ("parallel", BatchEngine::new()),
-            (
-                "kernel_f32",
-                BatchEngine::sequential().with_precision(Precision::F32),
-            ),
-            (
-                "kernel_f32_sharded",
-                BatchEngine::new().with_precision(Precision::F32),
-            ),
-        ] {
-            group.bench_with_input(BenchmarkId::new(label, m), &m, |b, _| {
-                b.iter(|| {
-                    black_box(
-                        engine
-                            .workforce_matrix(
-                                &instance.requests,
-                                &catalog,
-                                &instance.models,
-                                EligibilityRule::StrategyParameters,
-                            )
-                            .expect("models cover the catalog"),
-                    )
-                });
+        let engine = BatchEngine::new();
+        group.bench_with_input(BenchmarkId::new("parallel", m), &m, |b, _| {
+            b.iter(|| {
+                black_box(
+                    engine
+                        .workforce_matrix(
+                            &instance.requests,
+                            &catalog,
+                            &instance.models,
+                            EligibilityRule::StrategyParameters,
+                        )
+                        .expect("models cover the catalog"),
+                )
             });
-        }
+        });
     }
     group.finish();
 }

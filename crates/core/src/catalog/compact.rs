@@ -172,7 +172,6 @@ impl StrategyCatalog {
         self.tail.clear();
         self.pending_tombstones.clear();
         self.axis_rebuild_live();
-        self.soa = super::soa::SoaBlock::build(&self.strategies, &self.live);
         self.epoch += 1;
         self.merges += 1;
         self.packed = true;

@@ -73,7 +73,6 @@ mod compact;
 mod delta;
 mod overlay;
 mod snapshot;
-pub(crate) mod soa;
 
 pub use compact::SlotRemap;
 pub use delta::{CatalogDelta, DeltaSubscription, DEFAULT_DELTA_LAPSE_LIMIT};
@@ -243,10 +242,6 @@ pub struct StrategyCatalog {
     delta_lapse_limit: u64,
     /// Trackers evicted so far for lapsing ([`Self::delta_evictions`]).
     delta_evictions: u64,
-    /// Columnar mirror of `strategies` + `live` for the workforce kernel
-    /// ([`soa`]): per-axis parameter columns and a packed liveness bitmap,
-    /// maintained exactly at every insert/retire/compact.
-    soa: soa::SoaBlock,
     /// Mutation journal for the durable tier: when enabled
     /// ([`Self::enable_journal`]), every insert / live retire / compact
     /// appends a [`CatalogMutation`] for a write-ahead logger to drain
@@ -282,10 +277,8 @@ impl StrategyCatalog {
         let index = RTree::bulk_load(&points);
         let live_count = strategies.len();
         let axis_base = sorted_axis_orders(&points, (0..strategies.len()).collect());
-        let live = vec![true; live_count];
-        let soa = soa::SoaBlock::build(&strategies, &live);
         Self {
-            live,
+            live: vec![true; live_count],
             live_count,
             strategies,
             points,
@@ -302,7 +295,6 @@ impl StrategyCatalog {
             subscriptions: Vec::new(),
             delta_lapse_limit: delta::DEFAULT_DELTA_LAPSE_LIMIT,
             delta_evictions: 0,
-            soa,
             journal: None,
         }
     }
@@ -311,11 +303,10 @@ impl StrategyCatalog {
     /// `(strategy, liveness)` pairs of the numbering in force at `epoch`,
     /// exactly as [`Self::strategies`] + [`Self::is_live`] would report
     /// them. The result is **observably identical** to the catalog the
-    /// checkpoint captured — same eligibility answers, axis orders, SoA
-    /// mirror, slot numbering and epoch — because all of those are functions
-    /// of the slot contents alone; only the R-tree's internal shape (merge
-    /// history) and the merge counter differ, and no query depends on
-    /// either. The overlay starts empty and the index packed, as after
+    /// checkpoint captured — same eligibility answers, axis orders, slot
+    /// numbering and epoch — because all of those are functions of the slot
+    /// contents alone; only the R-tree's internal shape (merge history) and
+    /// the merge counter differ, and no query depends on either. The overlay starts empty and the index packed, as after
     /// [`Self::force_rebuild`].
     #[must_use]
     pub fn from_checkpoint_parts(
@@ -344,7 +335,6 @@ impl StrategyCatalog {
         let index =
             RTree::bulk_load_entries(live_entries, stratrec_geometry::DEFAULT_NODE_CAPACITY);
         let axis_base = sorted_axis_orders(&points, live_slots);
-        let soa = soa::SoaBlock::build(&strategies, &live);
         Self {
             live,
             live_count,
@@ -363,15 +353,14 @@ impl StrategyCatalog {
             subscriptions: Vec::new(),
             delta_lapse_limit: delta::DEFAULT_DELTA_LAPSE_LIMIT,
             delta_evictions: 0,
-            soa,
             journal: None,
         }
     }
 
     /// A clone of this catalog's **read state** — strategies, points,
-    /// liveness, R-tree, axis orders, SoA mirror, epoch — with the
-    /// subscription table and the mutation journal left behind. This is what
-    /// an [`EpochSnapshot`] captures: subscriptions and the journal are
+    /// liveness, R-tree, axis orders, epoch — with the subscription table
+    /// and the mutation journal left behind. This is what an
+    /// [`EpochSnapshot`] captures: subscriptions and the journal are
     /// writer-side lifecycle state (draining them requires `&mut`), so an
     /// immutable snapshot carrying them would only mislead.
     #[must_use]
@@ -601,12 +590,6 @@ impl StrategyCatalog {
     #[must_use]
     pub fn eligible_for_request(&self, request: &DeploymentRequest) -> Vec<usize> {
         self.eligible_for(&request.params)
-    }
-
-    /// The columnar SoA mirror the workforce kernel streams: per-axis
-    /// parameter columns plus the packed liveness bitmap.
-    pub(crate) fn soa(&self) -> &soa::SoaBlock {
-        &self.soa
     }
 }
 

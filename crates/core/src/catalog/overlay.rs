@@ -32,7 +32,6 @@ impl StrategyCatalog {
     pub fn insert(&mut self, strategy: Strategy) -> usize {
         let slot = self.strategies.len();
         let point = strategy.to_normalized_point();
-        self.soa.push_live(&strategy.params);
         self.strategies.push(strategy);
         self.points.push(point);
         self.live.push(true);
@@ -61,7 +60,6 @@ impl StrategyCatalog {
         }
         self.live[slot] = false;
         self.live_count -= 1;
-        self.soa.retire(slot);
         if let Ok(pos) = self.tail.binary_search(&slot) {
             // Never indexed: drop it from the tail and we are done.
             self.tail.remove(pos);

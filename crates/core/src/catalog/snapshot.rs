@@ -7,8 +7,7 @@
 //!
 //! * an [`EpochSnapshot`] — an **immutable** capture of the catalog's read
 //!   state (strategies, normalized points, liveness bitmap, R-tree, axis
-//!   orders, SoA mirror) at one epoch, shared as a cheaply-clonable
-//!   `Arc<EpochSnapshot>`. Every read path that takes `&StrategyCatalog`
+//!   orders) at one epoch, shared as a cheaply-clonable `Arc<EpochSnapshot>`. Every read path that takes `&StrategyCatalog`
 //!   serves from a pinned snapshot unchanged — the snapshot derefs to the
 //!   catalog it captured;
 //! * a [`ConcurrentCatalog`] — the publication cell. A single writer folds

@@ -37,7 +37,7 @@ use crate::catalog::{CatalogDelta, StrategyCatalog};
 use crate::error::StratRecError;
 use crate::model::DeploymentRequest;
 use crate::modeling::{ModelLibrary, StrategyModel};
-use crate::workforce::{self, kernel, EligibilityRule, Precision, WorkforceMatrix};
+use crate::workforce::{self, EligibilityRule, WorkforceMatrix};
 
 /// A scoped-thread batch executor. Cheap to copy and hold inside
 /// configuration structs; threads are spawned per call and joined before
@@ -46,9 +46,6 @@ use crate::workforce::{self, kernel, EligibilityRule, Precision, WorkforceMatrix
 pub struct BatchEngine {
     /// Worker-thread cap; `0` means "one per available core".
     threads: usize,
-    /// Which workforce-matrix fill the engine runs ([`Precision::F64`] is
-    /// the scalar reference path).
-    precision: Precision,
 }
 
 impl BatchEngine {
@@ -62,10 +59,7 @@ impl BatchEngine {
     /// core).
     #[must_use]
     pub fn with_threads(threads: usize) -> Self {
-        Self {
-            threads,
-            precision: Precision::default(),
-        }
+        Self { threads }
     }
 
     /// An engine that always runs on the calling thread — useful for
@@ -75,25 +69,10 @@ impl BatchEngine {
         Self::with_threads(1)
     }
 
-    /// This engine with its workforce-matrix fill switched to `precision`
-    /// ([`Precision::F32`] selects the columnar kernel; sharding and the
-    /// kernel compose — each worker runs the kernel over its own row chunk).
-    #[must_use]
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self
-    }
-
     /// The configured worker cap (`0` = auto).
     #[must_use]
     pub fn thread_cap(&self) -> usize {
         self.threads
-    }
-
-    /// The workforce-matrix fill this engine runs.
-    #[must_use]
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     /// Workers actually used for `work_items` parallel items: the cap (or
@@ -127,8 +106,7 @@ impl BatchEngine {
         models: &ModelLibrary,
         rule: EligibilityRule,
     ) -> Result<WorkforceMatrix, StratRecError> {
-        let mut matrix =
-            WorkforceMatrix::from_cells_with_precision(0, 0, Vec::new(), self.precision);
+        let mut matrix = WorkforceMatrix::from_cells(0, 0, Vec::new());
         self.refill_workforce_matrix(
             requests,
             catalog,
@@ -142,7 +120,7 @@ impl BatchEngine {
 
     /// Cold-refills an existing matrix in place —
     /// [`WorkforceMatrix::refill_with_catalog`] semantics (previous
-    /// contents, shape, and precision discarded; cell allocation reused),
+    /// contents and shape discarded; cell allocation reused),
     /// sharded like [`Self::workforce_matrix`] and bit-identical to it.
     /// `model_buf` is a reusable model-collection scratch
     /// (`workforce::collect_live_models_into`), so repeated refills do zero
@@ -170,79 +148,29 @@ impl BatchEngine {
         if threads < 2 || cols == 0 {
             // One worker (or nothing to shard): the sequential path IS the
             // engine's semantics, so delegate rather than duplicate it.
-            return matrix.refill_with_catalog(
-                requests,
-                catalog,
-                models,
-                rule,
-                self.precision,
-                model_buf,
-            );
+            return matrix.refill_with_catalog(requests, catalog, models, rule, model_buf);
         }
         let mut cells = matrix.take_cells();
         workforce::collect_live_models_into(catalog, models, model_buf)?;
-        // Same per-precision start state as the sequential cold fill: the
-        // scalar path needs `∞` rows, the kernel writes every cell (fresh
-        // buffers for it come from `alloc_zeroed` — no pre-fill write pass).
-        let len = requests.len() * cols;
-        match self.precision {
-            Precision::F64 => {
-                cells.clear();
-                cells.resize(len, f64::INFINITY);
+        // Same start state as the sequential cold fill: the fill writes only
+        // eligible cells, so rows start at `∞`.
+        cells.clear();
+        cells.resize(requests.len() * cols, f64::INFINITY);
+        let rows_per_chunk = requests.len().div_ceil(threads);
+        let strategy_models = &*model_buf;
+        std::thread::scope(|scope| {
+            for (chunk_requests, chunk_cells) in requests
+                .chunks(rows_per_chunk)
+                .zip(cells.chunks_mut(rows_per_chunk * cols))
+            {
+                scope.spawn(move || {
+                    for (request, row) in chunk_requests.iter().zip(chunk_cells.chunks_mut(cols)) {
+                        workforce::fill_catalog_row(request, catalog, strategy_models, rule, row);
+                    }
+                });
             }
-            Precision::F32 => {
-                if cells.capacity() < len {
-                    cells = vec![0.0; len];
-                } else {
-                    cells.resize(len, 0.0);
-                }
-            }
-        }
-        {
-            let rows_per_chunk = requests.len().div_ceil(threads);
-            let strategy_models = &*model_buf;
-            // The kernel's coefficient columns are collected once and shared
-            // read-only by every worker, like the model buffer.
-            let coeffs = match self.precision {
-                Precision::F64 => None,
-                Precision::F32 => Some(kernel::KernelCoeffs::collect(strategy_models)),
-            };
-            let coeffs = coeffs.as_ref();
-            std::thread::scope(|scope| {
-                for (chunk_requests, chunk_cells) in requests
-                    .chunks(rows_per_chunk)
-                    .zip(cells.chunks_mut(rows_per_chunk * cols))
-                {
-                    scope.spawn(move || match coeffs {
-                        None => {
-                            for (request, row) in
-                                chunk_requests.iter().zip(chunk_cells.chunks_mut(cols))
-                            {
-                                workforce::fill_catalog_row(
-                                    request,
-                                    catalog,
-                                    strategy_models,
-                                    rule,
-                                    row,
-                                );
-                            }
-                        }
-                        // Row tiling is worker-local: cell values don't
-                        // depend on the tiling, so the shard split stays
-                        // bit-identical to the sequential fill.
-                        Some(coeffs) => kernel::fill_catalog_rows_f32(
-                            chunk_requests,
-                            catalog,
-                            coeffs,
-                            rule,
-                            chunk_cells,
-                        ),
-                    });
-                }
-            });
-        }
-        *matrix =
-            WorkforceMatrix::from_cells_with_precision(requests.len(), cols, cells, self.precision);
+        });
+        *matrix = WorkforceMatrix::from_cells(requests.len(), cols, cells);
         Ok(())
     }
 
@@ -282,10 +210,6 @@ impl BatchEngine {
         }
         matrix.apply_delta_structure(delta, requests, catalog, models, model_buf)?;
         let cols = matrix.cols();
-        // The fill follows the *matrix's* precision (not the engine's): the
-        // delta repairs the state some fill produced, and mixing precisions
-        // within one matrix would break its parity contract.
-        let precision = matrix.precision();
         let rows_per_chunk = requests.len().div_ceil(threads);
         let inserted = &delta.inserted;
         let inserted_models = &*model_buf;
@@ -297,24 +221,14 @@ impl BatchEngine {
             {
                 scope.spawn(move || {
                     for (request, row) in chunk_requests.iter().zip(chunk_cells.chunks_mut(cols)) {
-                        match precision {
-                            Precision::F64 => workforce::fill_inserted_cells(
-                                request,
-                                catalog,
-                                inserted,
-                                inserted_models,
-                                rule,
-                                row,
-                            ),
-                            Precision::F32 => kernel::fill_inserted_cells_f32(
-                                request,
-                                catalog,
-                                inserted,
-                                inserted_models,
-                                rule,
-                                row,
-                            ),
-                        }
+                        workforce::fill_inserted_cells(
+                            request,
+                            catalog,
+                            inserted,
+                            inserted_models,
+                            rule,
+                            row,
+                        );
                     }
                 });
             }
@@ -439,25 +353,17 @@ mod tests {
     fn engine_matrix_matches_sequential_for_every_thread_count() {
         let (requests, strategies, models) = setup();
         let catalog = StrategyCatalog::from_slice(&strategies);
-        for precision in Precision::ALL {
-            for rule in [
-                EligibilityRule::StrategyParameters,
-                EligibilityRule::ModelOnly,
-            ] {
-                let sequential = WorkforceMatrix::compute_with_catalog_precision(
-                    &requests, &catalog, &models, rule, precision,
-                )
-                .unwrap();
-                for threads in [0, 1, 2, 3, 7] {
-                    let parallel = BatchEngine::with_threads(threads)
-                        .with_precision(precision)
-                        .workforce_matrix(&requests, &catalog, &models, rule)
-                        .unwrap();
-                    assert_eq!(
-                        sequential, parallel,
-                        "{precision:?}, {rule:?}, {threads} threads"
-                    );
-                }
+        for rule in [
+            EligibilityRule::StrategyParameters,
+            EligibilityRule::ModelOnly,
+        ] {
+            let sequential =
+                WorkforceMatrix::compute_with_catalog(&requests, &catalog, &models, rule).unwrap();
+            for threads in [0, 1, 2, 3, 7] {
+                let parallel = BatchEngine::with_threads(threads)
+                    .workforce_matrix(&requests, &catalog, &models, rule)
+                    .unwrap();
+                assert_eq!(sequential, parallel, "{rule:?}, {threads} threads");
             }
         }
     }
@@ -639,20 +545,16 @@ mod tests {
                 )
             })
             .collect();
-        for (rule, precision) in [
-            (EligibilityRule::StrategyParameters, Precision::F64),
-            (EligibilityRule::ModelOnly, Precision::F64),
-            (EligibilityRule::StrategyParameters, Precision::F32),
-            (EligibilityRule::ModelOnly, Precision::F32),
+        for rule in [
+            EligibilityRule::StrategyParameters,
+            EligibilityRule::ModelOnly,
         ] {
             let mut catalog = StrategyCatalog::with_policy(
                 strategies.clone(),
                 crate::catalog::RebuildPolicy::threshold(3),
             );
-            let base = WorkforceMatrix::compute_with_catalog_precision(
-                &requests, &catalog, &models, rule, precision,
-            )
-            .unwrap();
+            let base =
+                WorkforceMatrix::compute_with_catalog(&requests, &catalog, &models, rule).unwrap();
             let sub = catalog.subscribe_delta();
             let engines = [0_usize, 1, 2, 3, 7];
             let mut matrices: Vec<WorkforceMatrix> = engines.iter().map(|_| base.clone()).collect();
@@ -682,14 +584,11 @@ mod tests {
                     catalog.compact();
                 }
                 let delta = catalog.take_delta(&sub).unwrap();
-                let fresh = WorkforceMatrix::compute_with_catalog_precision(
-                    &requests, &catalog, &models, rule, precision,
-                )
-                .unwrap();
+                let fresh =
+                    WorkforceMatrix::compute_with_catalog(&requests, &catalog, &models, rule)
+                        .unwrap();
                 for (&threads, matrix) in engines.iter().zip(&mut matrices) {
                     let mut model_buf = Vec::new();
-                    // The delta fill follows the *matrix's* precision, so the
-                    // engine is left at its default here on purpose.
                     BatchEngine::with_threads(threads)
                         .apply_matrix_delta(
                             matrix,
@@ -703,7 +602,7 @@ mod tests {
                         .unwrap();
                     assert_eq!(
                         matrix, &fresh,
-                        "{precision:?}, {rule:?}, window {window}, {threads} threads"
+                        "{rule:?}, window {window}, {threads} threads"
                     );
                 }
             }

@@ -94,7 +94,6 @@ pub mod prelude {
         StratRecSession, TenantOutcome,
     };
     pub use crate::workforce::{
-        AggregationCache, AggregationMode, EligibilityRule, Precision, RequestRequirement,
-        WorkforceMatrix,
+        AggregationCache, AggregationMode, EligibilityRule, RequestRequirement, WorkforceMatrix,
     };
 }

@@ -206,11 +206,8 @@ impl DeploymentParameters {
     }
 }
 
-/// Tolerance of [`DeploymentParameters::satisfies`] on every axis. Shared
-/// with the workforce kernel's bitmask eligibility pass
-/// ([`crate::workforce::kernel`]), which must reproduce the predicate bit
-/// for bit off the catalog's SoA columns.
-pub(crate) const SATISFIES_EPS: f64 = 1e-9;
+/// Tolerance of [`DeploymentParameters::satisfies`] on every axis.
+const SATISFIES_EPS: f64 = 1e-9;
 
 impl Default for DeploymentParameters {
     fn default() -> Self {

@@ -285,14 +285,15 @@ impl StratRec {
     /// ([`AggregationCache::repair`]) — epoch maintenance proportional to
     /// the churn rather than to `n · |S|`. The report is **identical** to
     /// [`Self::process_batch_with_catalog`] over the same catalog state
-    /// (pinned by tests here and by the workload churn suite); the steady-state epoch allocates nothing for model
-    /// collection (the session reuses one model buffer).
+    /// (pinned by tests here and by the workload churn suite); the
+    /// steady-state epoch allocates nothing for model collection (the
+    /// session reuses one model buffer).
     ///
     /// Reuse is keyed on content: the session remembers the requests it was
     /// primed for and re-primes with a full compute whenever `requests`
-    /// differ from them, or `k`, the aggregation mode or the precision
-    /// changed. One session follows one catalog; call
-    /// [`StratRecSession::detach`] before moving it to another.
+    /// differ from them, or `k` or the aggregation mode changed. One session
+    /// follows one catalog; call [`StratRecSession::detach`] before moving it
+    /// to another.
     ///
     /// # Errors
     ///
@@ -422,7 +423,6 @@ impl StratRec {
             (delta, session.matrix.as_mut(), session.cache.as_mut())
         {
             if session.primed == requests
-                && matrix.precision() == self.engine.precision()
                 && cache.k() == self.config.k
                 && cache.mode() == self.config.aggregation
             {

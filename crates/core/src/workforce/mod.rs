@@ -9,24 +9,16 @@
 //! run all `k` recommended strategies) or as the `k`-th smallest value
 //! (*max-case*: only one of the `k` will be run).
 //!
-//! The cold fill exists in two implementations selected by a [`Precision`]
-//! knob: the scalar `f64` reference path of this module and the columnar
-//! `f32` [`kernel`], which streams the catalog's SoA block with bitmask
-//! eligibility and vectorizable chunk loops (see the kernel module docs for
-//! the precision contract). Everything downstream of the fill — aggregation,
-//! caching, delta repair — is shared: `f32` cells are stored exactly widened
-//! to `f64`, so one [`topk::k_smallest_aggregates_into`] code path serves
-//! both precisions.
+//! The cold fill has one implementation: per request, the catalog's R-tree
+//! answers eligibility and only the eligible cells invert their model in
+//! `f64`. The delta fill of inserted columns evaluates the same per-cell
+//! arithmetic, so a delta-maintained matrix equals a cold fill bit for bit.
 //!
 //! Aggregation has one implementation: a flat per-row top-k over the full
 //! slot range. The cold [`WorkforceMatrix::aggregate`] and the
 //! delta-repaired [`AggregationCache`] both reduce a row through the same
 //! private helper, so a repaired cache equals a fresh aggregate bit for
 //! bit.
-
-pub mod kernel;
-
-pub use kernel::Precision;
 
 use serde::{Deserialize, Serialize};
 use stratrec_optim::topk::{self, TopKScratch};
@@ -99,11 +91,8 @@ pub struct WorkforceMatrix {
     rows: usize,
     cols: usize,
     /// Row-major cells; `f64::INFINITY` marks an infeasible (request,
-    /// strategy) pair. Under [`Precision::F32`] each finite cell is an
-    /// exactly-widened `f32` kernel result.
+    /// strategy) pair.
     cells: Vec<f64>,
-    /// Which fill implementation produced (and maintains) the cells.
-    precision: Precision,
 }
 
 impl WorkforceMatrix {
@@ -155,7 +144,6 @@ impl WorkforceMatrix {
             rows: requests.len(),
             cols: strategies.len(),
             cells,
-            precision: Precision::F64,
         })
     }
 
@@ -187,40 +175,19 @@ impl WorkforceMatrix {
         models: &ModelLibrary,
         rule: EligibilityRule,
     ) -> Result<Self, StratRecError> {
-        Self::compute_with_catalog_precision(requests, catalog, models, rule, Precision::F64)
-    }
-
-    /// [`Self::compute_with_catalog`] with an explicit [`Precision`]:
-    /// `F64` runs the scalar reference path (bit-identical to
-    /// [`Self::compute_with_catalog`]), `F32` runs the columnar
-    /// [`kernel`] over the catalog's SoA block. Either way the resulting
-    /// matrix equals the chosen path's fill over the same live set —
-    /// eligibility masks are identical between precisions, finite cells
-    /// differ within the kernel's documented ULP bound.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::compute_with_catalog`].
-    pub fn compute_with_catalog_precision(
-        requests: &[DeploymentRequest],
-        catalog: &StrategyCatalog,
-        models: &ModelLibrary,
-        rule: EligibilityRule,
-        precision: Precision,
-    ) -> Result<Self, StratRecError> {
-        let mut matrix = Self::from_cells_with_precision(0, 0, Vec::new(), precision);
-        matrix.refill_with_catalog(requests, catalog, models, rule, precision, &mut Vec::new())?;
+        let mut matrix = Self::from_cells(0, 0, Vec::new());
+        matrix.refill_with_catalog(requests, catalog, models, rule, &mut Vec::new())?;
         Ok(matrix)
     }
 
     /// Recomputes `self` from scratch — a cold fill with the same semantics
-    /// as [`Self::compute_with_catalog_precision`], cell for cell —
+    /// as [`Self::compute_with_catalog`], cell for cell —
     /// while **reusing `self`'s cell allocation**. Rebuilding a `m × 10 000`
     /// matrix allocates tens of megabytes; refilling in place skips the
     /// allocator round-trip and its page faults, which is the steady-state
     /// shape of epoch loops that rebuild their matrix on a rebuild trigger.
     ///
-    /// The previous contents, shape, and precision of `self` are discarded.
+    /// The previous contents and shape of `self` are discarded.
     ///
     /// # Errors
     ///
@@ -232,50 +199,27 @@ impl WorkforceMatrix {
         catalog: &StrategyCatalog,
         models: &ModelLibrary,
         rule: EligibilityRule,
-        precision: Precision,
         model_buf: &mut Vec<Option<StrategyModel>>,
     ) -> Result<(), StratRecError> {
         let cols = catalog.strategies().len();
         self.rows = 0;
         self.cols = cols;
-        self.precision = precision;
         self.cells.clear();
         if requests.is_empty() {
             return Ok(());
         }
         collect_live_models_into(catalog, models, model_buf)?;
-        let len = requests.len() * cols;
-        match precision {
-            Precision::F64 => {
-                // The scalar path writes only eligible cells, so its rows
-                // must start at `∞`.
-                self.cells.resize(len, f64::INFINITY);
-                for (request, row) in requests.iter().zip(self.cells.chunks_mut(cols.max(1))) {
-                    fill_catalog_row(request, catalog, model_buf, rule, row);
-                }
-            }
-            Precision::F32 => {
-                // The kernel writes every cell exactly once, so the buffer
-                // needs no `∞` pre-fill. Fresh matrices allocate through
-                // `vec![0.0; _]` — an `alloc_zeroed`, i.e. pre-zeroed pages
-                // with no write pass — while reused buffers just take a
-                // cheap zero-memset over warm pages before being overwritten.
-                if self.cells.capacity() < len {
-                    self.cells = vec![0.0; len];
-                } else {
-                    self.cells.resize(len, 0.0);
-                }
-                let coeffs = kernel::KernelCoeffs::collect(model_buf);
-                kernel::fill_catalog_rows_f32(requests, catalog, &coeffs, rule, &mut self.cells);
-            }
+        // The fill writes only eligible cells, so rows start at `∞`.
+        self.cells.resize(requests.len() * cols, f64::INFINITY);
+        for (request, row) in requests.iter().zip(self.cells.chunks_mut(cols.max(1))) {
+            fill_catalog_row(request, catalog, model_buf, rule, row);
         }
         self.rows = requests.len();
         Ok(())
     }
 
     /// Builds a matrix directly from row-major cells (used in tests and by
-    /// callers that estimate requirements through other means). The matrix
-    /// is marked [`Precision::F64`].
+    /// callers that estimate requirements through other means).
     ///
     /// # Panics
     ///
@@ -283,30 +227,13 @@ impl WorkforceMatrix {
     /// context, matching the style of [`Self::get`] / [`Self::row`]).
     #[must_use]
     pub fn from_cells(rows: usize, cols: usize, cells: Vec<f64>) -> Self {
-        Self::from_cells_with_precision(rows, cols, cells, Precision::F64)
-    }
-
-    /// [`Self::from_cells`] tagging the matrix with the precision whose fill
-    /// produced `cells` — the constructor behind
-    /// [`crate::engine::BatchEngine`]'s row-parallel fills.
-    pub(crate) fn from_cells_with_precision(
-        rows: usize,
-        cols: usize,
-        cells: Vec<f64>,
-        precision: Precision,
-    ) -> Self {
         assert!(
             cells.len() == rows * cols,
             "cell count {} does not fill a {rows}x{cols} workforce matrix ({} cells needed)",
             cells.len(),
             rows * cols
         );
-        Self {
-            rows,
-            cols,
-            cells,
-            precision,
-        }
+        Self { rows, cols, cells }
     }
 
     /// Number of requests (rows).
@@ -319,12 +246,6 @@ impl WorkforceMatrix {
     #[must_use]
     pub fn cols(&self) -> usize {
         self.cols
-    }
-
-    /// Which fill implementation produced (and maintains) the cells.
-    #[must_use]
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     /// The workforce requirement of deploying request `i` with strategy `j`.
@@ -376,7 +297,7 @@ impl WorkforceMatrix {
     /// Takes the cell buffer out of the matrix (leaving it empty `0 × 0`),
     /// so [`crate::engine::BatchEngine`]'s refill can reuse the allocation
     /// for its row-chunk workers and hand it back through
-    /// [`Self::from_cells_with_precision`].
+    /// [`Self::from_cells`].
     pub(crate) fn take_cells(&mut self) -> Vec<f64> {
         self.rows = 0;
         self.cols = 0;
@@ -416,7 +337,6 @@ impl WorkforceMatrix {
             rows: self.rows,
             cols,
             cells,
-            precision: self.precision,
         }
     }
 
@@ -481,27 +401,8 @@ impl WorkforceMatrix {
     ) -> Result<(), StratRecError> {
         self.apply_delta_structure(delta, requests, catalog, models, model_buf)?;
         let cols = self.cols;
-        // The inserted-cell fill follows the matrix's own precision, so a
-        // delta-maintained matrix stays identical to a fresh fill of the
-        // same precision over the updated catalog.
-        match self.precision {
-            Precision::F64 => {
-                for (request, row) in requests.iter().zip(self.cells.chunks_mut(cols.max(1))) {
-                    fill_inserted_cells(request, catalog, &delta.inserted, model_buf, rule, row);
-                }
-            }
-            Precision::F32 => {
-                for (request, row) in requests.iter().zip(self.cells.chunks_mut(cols.max(1))) {
-                    kernel::fill_inserted_cells_f32(
-                        request,
-                        catalog,
-                        &delta.inserted,
-                        model_buf,
-                        rule,
-                        row,
-                    );
-                }
-            }
+        for (request, row) in requests.iter().zip(self.cells.chunks_mut(cols.max(1))) {
+            fill_inserted_cells(request, catalog, &delta.inserted, model_buf, rule, row);
         }
         Ok(())
     }
@@ -1241,83 +1142,74 @@ mod tests {
 
     #[test]
     fn apply_delta_matches_a_fresh_recompute_across_churn_and_compaction() {
-        // Runs at both precisions: the delta-maintained matrix must stay
-        // bit-identical to a fresh fill *of its own precision* across
-        // inserts, retires and compactions, and the caches — which route
-        // through the shared fused top-k primitive — must track exactly.
-        for precision in Precision::ALL {
-            for rule in [
-                EligibilityRule::StrategyParameters,
-                EligibilityRule::ModelOnly,
-            ] {
-                let (mut catalog, mut models, requests) = churn_fixture();
-                let mut matrix = WorkforceMatrix::compute_with_catalog_precision(
-                    &requests, &catalog, &models, rule, precision,
-                )
-                .unwrap();
-                assert_eq!(matrix.precision(), precision);
-                let mut cache_sum = AggregationCache::new(3, AggregationMode::Sum);
-                let mut cache_max = AggregationCache::new(3, AggregationMode::Max);
-                cache_sum.prime(&matrix);
-                cache_max.prime(&matrix);
-                let sub = catalog.subscribe_delta();
-                let mut next_id = 24_u64;
-                let mut model_buf = Vec::new();
+        // The delta-maintained matrix must stay bit-identical to a fresh
+        // fill across inserts, retires and compactions, and the caches —
+        // which route through the shared fused top-k primitive — must track
+        // exactly.
+        for rule in [
+            EligibilityRule::StrategyParameters,
+            EligibilityRule::ModelOnly,
+        ] {
+            let (mut catalog, mut models, requests) = churn_fixture();
+            let mut matrix =
+                WorkforceMatrix::compute_with_catalog(&requests, &catalog, &models, rule).unwrap();
+            let mut cache_sum = AggregationCache::new(3, AggregationMode::Sum);
+            let mut cache_max = AggregationCache::new(3, AggregationMode::Max);
+            cache_sum.prime(&matrix);
+            cache_max.prime(&matrix);
+            let sub = catalog.subscribe_delta();
+            let mut next_id = 24_u64;
+            let mut model_buf = Vec::new();
 
-                // Five churn windows; the third and fifth compact mid-window.
-                for window in 0..5 {
-                    for _ in 0..3 {
-                        let strategy = varied_strategy(next_id);
-                        models.insert(strategy.id, varied_model(next_id));
-                        catalog.insert(strategy);
-                        next_id += 1;
-                    }
-                    let live = catalog.live_indices();
-                    assert!(catalog.retire(live[window % live.len()]));
-                    assert!(catalog.retire(live[(window * 7 + 2) % live.len()]));
-                    if window == 2 || window == 4 {
-                        catalog.compact();
-                        // Churn continues after the compaction, same window.
-                        let strategy = varied_strategy(next_id);
-                        models.insert(strategy.id, varied_model(next_id));
-                        catalog.insert(strategy);
-                        next_id += 1;
-                    }
+            // Five churn windows; the third and fifth compact mid-window.
+            for window in 0..5 {
+                for _ in 0..3 {
+                    let strategy = varied_strategy(next_id);
+                    models.insert(strategy.id, varied_model(next_id));
+                    catalog.insert(strategy);
+                    next_id += 1;
+                }
+                let live = catalog.live_indices();
+                assert!(catalog.retire(live[window % live.len()]));
+                assert!(catalog.retire(live[(window * 7 + 2) % live.len()]));
+                if window == 2 || window == 4 {
+                    catalog.compact();
+                    // Churn continues after the compaction, same window.
+                    let strategy = varied_strategy(next_id);
+                    models.insert(strategy.id, varied_model(next_id));
+                    catalog.insert(strategy);
+                    next_id += 1;
+                }
 
-                    let delta = catalog.take_delta(&sub).unwrap();
-                    matrix
-                        .apply_delta_with_scratch(
-                            &delta,
-                            &requests,
-                            &catalog,
-                            &models,
-                            rule,
-                            &mut model_buf,
-                        )
-                        .unwrap();
-                    let fresh = WorkforceMatrix::compute_with_catalog_precision(
-                        &requests, &catalog, &models, rule, precision,
+                let delta = catalog.take_delta(&sub).unwrap();
+                matrix
+                    .apply_delta_with_scratch(
+                        &delta,
+                        &requests,
+                        &catalog,
+                        &models,
+                        rule,
+                        &mut model_buf,
                     )
                     .unwrap();
-                    assert_eq!(matrix, fresh, "{precision:?}, {rule:?}, window {window}");
+                let fresh =
+                    WorkforceMatrix::compute_with_catalog(&requests, &catalog, &models, rule)
+                        .unwrap();
+                assert_eq!(matrix, fresh, "{rule:?}, window {window}");
 
-                    let repaired = cache_sum.repair(&matrix, &delta);
-                    assert!(
-                        repaired <= matrix.rows(),
-                        "{precision:?}, {rule:?}, window {window}"
-                    );
-                    cache_max.repair(&matrix, &delta);
-                    assert_eq!(
-                        cache_sum.requirements(),
-                        &matrix.aggregate(3, AggregationMode::Sum)[..],
-                        "{precision:?}, {rule:?}, window {window}, sum"
-                    );
-                    assert_eq!(
-                        cache_max.requirements(),
-                        &matrix.aggregate(3, AggregationMode::Max)[..],
-                        "{precision:?}, {rule:?}, window {window}, max"
-                    );
-                }
+                let repaired = cache_sum.repair(&matrix, &delta);
+                assert!(repaired <= matrix.rows(), "{rule:?}, window {window}");
+                cache_max.repair(&matrix, &delta);
+                assert_eq!(
+                    cache_sum.requirements(),
+                    &matrix.aggregate(3, AggregationMode::Sum)[..],
+                    "{rule:?}, window {window}, sum"
+                );
+                assert_eq!(
+                    cache_max.requirements(),
+                    &matrix.aggregate(3, AggregationMode::Max)[..],
+                    "{rule:?}, window {window}, max"
+                );
             }
         }
     }

@@ -11,8 +11,8 @@
 //! the logged one **byte-for-byte** (compared through the record codec, so
 //! even NaN payloads and signed zeros must match). A passing verification
 //! is an end-to-end proof that the durable tier preserved everything the
-//! recommendation depended on — eligibility, axis orders, the SoA kernel
-//! state — not just the strategy list.
+//! recommendation depended on — slot numbering, liveness, eligibility and
+//! axis orders — not just the strategy list.
 //!
 //! The model library is supplied by the caller: fitted models are immutable
 //! configuration in this system (the catalog churns, models do not), so

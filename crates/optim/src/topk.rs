@@ -121,9 +121,9 @@ pub struct TopKAggregates {
 /// finite values exist (`out` then holds the shortfall selection).
 ///
 /// This is **the** aggregation primitive: cold aggregation
-/// (`WorkforceMatrix::aggregate`), cache priming and cache repair — for
-/// either matrix precision — all route through it, so every path sums the
-/// same values in the same order and is bit-identical by construction.
+/// (`WorkforceMatrix::aggregate`), cache priming and cache repair all
+/// route through it, so every path sums the same values in the same order
+/// and is bit-identical by construction.
 pub fn k_smallest_aggregates_into(
     values: &[f64],
     k: usize,

@@ -102,8 +102,17 @@ pub struct AdmissionWindow {
 
 impl AdmissionWindow {
     /// An empty window under `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `config.max_batch` is 0: such a window would count as
+    /// closed while empty, so a serving loop could never admit a request.
     #[must_use]
     pub fn new(config: AdmissionConfig) -> Self {
+        assert!(
+            config.max_batch > 0,
+            "AdmissionConfig::max_batch must be at least 1"
+        );
         Self {
             config,
             pending: VecDeque::new(),
@@ -196,13 +205,6 @@ impl AdmissionWindow {
             }
         }
         (admitted, shed)
-    }
-
-    /// Drains every pending request (shutdown path): the caller decides how
-    /// to respond to each.
-    #[must_use]
-    pub fn drain(&mut self) -> Vec<QueuedRequest> {
-        self.pending.drain(..).collect()
     }
 }
 
@@ -336,8 +338,5 @@ mod tests {
         let ids: Vec<u64> = admitted.iter().map(|q| q.request.id).collect();
         assert_eq!(ids, vec![0, 1, 2], "max_batch oldest-first");
         assert_eq!(window.depth(), 2, "the rest stays queued");
-        let drained = window.drain();
-        assert_eq!(drained.len(), 2);
-        assert!(window.is_empty());
     }
 }

@@ -148,6 +148,11 @@ impl StreamServer {
     /// handle. Each window pins the latest published snapshot, so a churn
     /// writer publishing epochs concurrently is observed one whole epoch at
     /// a time, never as a torn read.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the calling thread, before anything is spawned, when the
+    /// admission config is invalid ([`AdmissionWindow::new`]).
     #[must_use]
     pub fn start(
         self,
@@ -158,8 +163,17 @@ impl StreamServer {
         let (submit, ingest) = mpsc::channel::<(StreamRequest, Instant)>();
         let (respond, responses) = mpsc::channel::<StreamResponse>();
         let config = self.config;
+        let window = AdmissionWindow::new(config.admission);
         let thread = std::thread::spawn(move || {
-            serve_loop(&config, &catalog, &models, &availability, &ingest, &respond)
+            serve_loop(
+                &config,
+                window,
+                &catalog,
+                &models,
+                &availability,
+                &ingest,
+                &respond,
+            )
         });
         ServerHandle {
             submit,
@@ -208,6 +222,7 @@ impl ServerHandle {
 
 fn serve_loop(
     config: &ServeConfig,
+    mut window: AdmissionWindow,
     catalog: &ConcurrentCatalog,
     models: &ModelLibrary,
     availability: &AvailabilityPdf,
@@ -215,7 +230,6 @@ fn serve_loop(
     respond: &Sender<StreamResponse>,
 ) -> ServerStats {
     let layer = StratRec::new(config.stratrec);
-    let mut window = AdmissionWindow::new(config.admission);
     let mut controller = BackpressureController::new(config.controller);
     let mut estimate = config.admission.initial_estimate();
     let mut stats = ServerStats::default();
@@ -499,5 +513,24 @@ mod tests {
         let (stats, responses) = handle.shutdown();
         assert_eq!(responses.len(), 5);
         assert_eq!(stats.responses(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "max_batch must be at least 1")]
+    fn a_zero_max_batch_is_rejected_at_start() {
+        // A zero batch bound makes every window count as closed while
+        // empty: the loop would spin without ever receiving, never see the
+        // sender drop, and `shutdown` would never return.
+        let (catalog, models, pdf) = fixture();
+        let config = ServeConfig {
+            admission: AdmissionConfig {
+                max_batch: 0,
+                ..AdmissionConfig::default()
+            },
+            ..ServeConfig::default()
+        };
+        let handle = StreamServer::new(config).start(catalog, models, pdf);
+        assert!(handle.submit(stream_request(0, Duration::from_secs(5))));
+        let _ = handle.shutdown();
     }
 }

@@ -10,12 +10,15 @@ use stratrec::core::availability::AvailabilityPdf;
 use stratrec::core::batch::{BatchObjective, BatchStrat};
 use stratrec::core::catalog::{RebuildPolicy, StrategyCatalog};
 use stratrec::core::engine::BatchEngine;
-use stratrec::core::model::{DeploymentRequest, Strategy};
-use stratrec::core::modeling::ModelLibrary;
+use stratrec::core::model::{DeploymentParameters, DeploymentRequest, Strategy, TaskType};
+use stratrec::core::modeling::{LinearModel, ModelLibrary, StrategyModel};
 use stratrec::core::prelude::*;
 use stratrec::core::stratrec::{StratRec, StratRecConfig};
 use stratrec::core::workforce::{EligibilityRule, WorkforceMatrix};
 use stratrec::workload::scenario::{AdparScenario, BatchScenario, ParameterDistribution};
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const SEEDS: [u64; 6] = [2020, 1, 7, 42, 99, 123_456];
 
@@ -348,64 +351,86 @@ fn four_solver_parity_survives_compaction() {
     }
 }
 
+/// A batch instance whose every input lies on the 1/64 grid: strategy and
+/// request parameters in `[0, 1]`, model slopes `±n/64` with `|α| ≥ 1/4`
+/// and intercepts in `[-1/2, 3/2]`, so model lines rise, fall, overshoot
+/// and undershoot, and satisfaction comparisons hit exact ties.
+fn grid_instance(seed: u64) -> (Vec<DeploymentRequest>, StrategyCatalog, ModelLibrary) {
+    fn grid(rng: &mut StdRng, lo: u32, hi: u32) -> f64 {
+        f64::from(rng.gen_range(lo..=hi)) / 64.0
+    }
+    fn params(rng: &mut StdRng) -> DeploymentParameters {
+        DeploymentParameters::clamped(grid(rng, 0, 64), grid(rng, 0, 64), grid(rng, 0, 64))
+    }
+    fn line(rng: &mut StdRng) -> LinearModel {
+        let alpha = grid(rng, 16, 63);
+        let alpha = if rng.gen_bool(0.5) { -alpha } else { alpha };
+        LinearModel::new(alpha, grid(rng, 0, 128) - 0.5)
+    }
+    let rng = &mut StdRng::seed_from_u64(seed);
+    let strategies: Vec<Strategy> = (0..64)
+        .map(|id| Strategy::from_params(id, params(rng)))
+        .collect();
+    let requests: Vec<DeploymentRequest> = (0..12)
+        .map(|id| DeploymentRequest::new(id, TaskType::SentenceTranslation, params(rng)))
+        .collect();
+    let models = ModelLibrary::from_pairs(
+        strategies
+            .iter()
+            .map(|s| (s.id, StrategyModel::new(line(rng), line(rng), line(rng)))),
+    );
+    (requests, StrategyCatalog::from_slice(&strategies), models)
+}
+
 #[test]
 fn batch_engine_outputs_are_identical_for_every_thread_count() {
     // The parallel engine must produce byte-identical workforce matrices
     // and ADPaR solutions no matter how the rows / problems are sharded.
-    for seed in SEEDS {
-        let instance = BatchScenario {
-            batch_size: 24,
-            strategy_count: 400,
-            k: 4,
-            availability: 0.4,
-            distribution: ParameterDistribution::Uniform,
-            seed,
-        }
-        .materialize();
-        let catalog = instance.catalog();
+    let instances = SEEDS
+        .iter()
+        .map(|&seed| {
+            let instance = BatchScenario {
+                batch_size: 24,
+                strategy_count: 400,
+                k: 4,
+                availability: 0.4,
+                distribution: ParameterDistribution::Uniform,
+                seed,
+            }
+            .materialize();
+            let catalog = instance.catalog();
+            (
+                format!("seed {seed}"),
+                (instance.requests, catalog, instance.models),
+            )
+        })
+        .chain(std::iter::once(("1/64 grid".to_owned(), grid_instance(64))));
+    for (label, (requests, catalog, models)) in instances {
         for rule in [
             EligibilityRule::StrategyParameters,
             EligibilityRule::ModelOnly,
         ] {
-            let sequential = WorkforceMatrix::compute_with_catalog(
-                &instance.requests,
-                &catalog,
-                &instance.models,
-                rule,
-            )
-            .unwrap();
+            let sequential =
+                WorkforceMatrix::compute_with_catalog(&requests, &catalog, &models, rule).unwrap();
             for threads in [1, 2, 3, 5, 0] {
                 let parallel = BatchEngine::with_threads(threads)
-                    .workforce_matrix(&instance.requests, &catalog, &instance.models, rule)
+                    .workforce_matrix(&requests, &catalog, &models, rule)
                     .unwrap();
-                assert_eq!(
-                    sequential, parallel,
-                    "seed {seed}, {rule:?}, {threads} threads"
-                );
+                assert_eq!(sequential, parallel, "{label}, {rule:?}, {threads} threads");
             }
         }
 
         // ADPaR fan-out over every request in the batch, against standalone
         // solves in input order.
-        let indices: Vec<usize> = (0..instance.requests.len()).collect();
+        let indices: Vec<usize> = (0..requests.len()).collect();
         let expected: Vec<_> = indices
             .iter()
-            .map(|&idx| {
-                AdparExact.solve(&AdparProblem::with_catalog(
-                    &instance.requests[idx],
-                    &catalog,
-                    4,
-                ))
-            })
+            .map(|&idx| AdparExact.solve(&AdparProblem::with_catalog(&requests[idx], &catalog, 4)))
             .collect();
         for threads in [1, 2, 3, 0] {
-            let batch = BatchEngine::with_threads(threads).solve_adpar_batch(
-                &instance.requests,
-                &catalog,
-                &indices,
-                4,
-            );
-            assert_eq!(batch, expected, "seed {seed}, {threads} threads");
+            let batch = BatchEngine::with_threads(threads)
+                .solve_adpar_batch(&requests, &catalog, &indices, 4);
+            assert_eq!(batch, expected, "{label}, {threads} threads");
         }
     }
 }

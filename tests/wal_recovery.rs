@@ -5,12 +5,12 @@
 //! drives a [`DurableCatalog`] through a random churn sequence while a
 //! shadow catalog applies the same mutations in lockstep, snapshotting the
 //! full observable projection after every logged record — strategies,
-//! liveness, eligibility answers, all three axis orders, the SoA-kernel
-//! workforce matrix, and (at record boundaries) a complete pipeline
-//! report. Then the log is cut at **every record boundary and mid-record**
-//! (inside frame headers and inside payloads), each cut is recovered in a
-//! fresh directory, and the recovered catalog must project exactly the
-//! shadow state of the last record that fully survived the cut. Mid-record
+//! liveness, eligibility answers, all three axis orders, the workforce
+//! matrix of a standing batch, and (at record boundaries) a complete
+//! pipeline report. Then the log is cut at **every record boundary and
+//! mid-record** (inside frame headers and inside payloads), each cut is
+//! recovered in a fresh directory, and the recovered catalog must project
+//! exactly the shadow state of the last record that fully survived the cut. Mid-record
 //! cuts must additionally surface typed tail corruption; boundary cuts
 //! must scan clean.
 //!
@@ -82,8 +82,9 @@ fn eligibility_probes() -> [DeploymentParameters; 3] {
 
 /// Everything recovery promises to reproduce: the slot table, liveness,
 /// indexed eligibility answers, the catalog-resident axis orders, and the
-/// workforce matrix the SoA kernel streams from the catalog's columnar
-/// mirror. Bit-identity of the matrix is the SoA-state check.
+/// workforce matrix of a standing batch. Bit-identity of the matrix checks
+/// that the recovered R-tree answers eligibility for every request and
+/// that every live slot inverts the same model to the same cell.
 #[derive(Debug, PartialEq)]
 struct Observed {
     epoch: u64,
@@ -308,7 +309,7 @@ proptest! {
 
                 // At boundary cuts, the full recommendation pipeline must
                 // reproduce the shadow's report bit for bit (this sweeps
-                // the recovered SoA mirror, axis orders and eligibility
+                // the recovered R-tree, axis orders and eligibility
                 // through the real solve).
                 if boundaries.contains(&cut) {
                     let shadow_state = StrategyCatalog::from_checkpoint_parts(
