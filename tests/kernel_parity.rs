@@ -1,34 +1,22 @@
-//! Precision-parity properties for the columnar f32 workforce kernel.
+//! Row-sharding parity for the workforce fill on exactly representable inputs.
 //!
-//! The kernel's contract against the scalar f64 reference
-//! (`WorkforceMatrix::compute_with_catalog`) has three tiers:
-//!
-//! 1. **Bit-exact structure** — eligibility masks, the finite/∞
-//!    classification of every cell, and top-k slot sets (including index
-//!    tie-breaking) are identical;
-//! 2. **ULP-bounded values** — finite cells agree within the documented
-//!    `1e-6` absolute bound (f32 round-trip error, ≪ the documented `2e-6`
-//!    contract);
-//! 3. **f64 mode is the reference** — `Precision::F64` through the
-//!    precision-aware entry points reproduces `compute_with_catalog`
-//!    bit for bit.
-//!
-//! Inputs are drawn from a 1/64 grid (exactly representable in both f32 and
-//! f64): every satisfaction comparison is then either an exact tie or
-//! separated by at least 1/64 ≫ the kernel's `PROBE_EPS` boundary band, and
-//! any two distinct finite cells differ by at least `1/63² ≈ 2.5e-4` ≫ f32
-//! rounding — so tier 1 is *provable* on the grid, not merely probable.
+//! Inputs are drawn from a 1/64 grid (exact in f64): every satisfaction
+//! comparison is then either an exact tie or separated by at least 1/64, so
+//! the instances exercise the fill's boundary cases and index tie-breaking
+//! rather than only generic positions. `BatchEngine` fills rows
+//! independently, so its output must equal the sequential fill bit for bit
+//! under every thread count.
 
 use stratrec::core::catalog::StrategyCatalog;
 use stratrec::core::engine::BatchEngine;
 use stratrec::core::model::{DeploymentParameters, DeploymentRequest, Strategy, TaskType};
 use stratrec::core::modeling::{LinearModel, ModelLibrary, StrategyModel};
-use stratrec::core::workforce::{AggregationMode, EligibilityRule, Precision, WorkforceMatrix};
+use stratrec::core::workforce::{EligibilityRule, WorkforceMatrix};
 
 #[allow(unused_imports)]
 use proptest::prelude::*;
 
-/// One grid step: `n / 64`, exact in f32 and f64 for the ranges drawn here.
+/// One grid step: `n / 64`, exact in f64 for the ranges drawn here.
 fn grid(n: u32) -> f64 {
     f64::from(n) / 64.0
 }
@@ -93,100 +81,6 @@ const RULES: [EligibilityRule; 2] = [
 
 proptest! {
     #[test]
-    fn f32_kernel_matches_the_f64_reference_on_the_grid(
-        specs in proptest::collection::vec(
-            (
-                (0_u32..=64, 0_u32..=64, 0_u32..=64),
-                (
-                    (16_u32..=63, proptest::bool::ANY, 0_u32..=128),
-                    (16_u32..=63, proptest::bool::ANY, 0_u32..=128),
-                    (16_u32..=63, proptest::bool::ANY, 0_u32..=128),
-                ),
-            ),
-            1..40,
-        ),
-        request_specs in proptest::collection::vec(
-            (0_u32..=64, 0_u32..=64, 0_u32..=64),
-            1..8,
-        ),
-        k in 1_usize..6,
-    ) {
-        let (catalog, models, requests) = build_instance(&specs, &request_specs);
-        for rule in RULES {
-            // Tier 3: f64 precision mode IS the scalar reference.
-            let reference =
-                WorkforceMatrix::compute_with_catalog(&requests, &catalog, &models, rule)
-                    .unwrap();
-            let f64_matrix = WorkforceMatrix::compute_with_catalog_precision(
-                &requests, &catalog, &models, rule, Precision::F64,
-            )
-            .unwrap();
-            prop_assert_eq!(&reference, &f64_matrix, "{:?}: f64 mode drifted", rule);
-
-            let f32_matrix = WorkforceMatrix::compute_with_catalog_precision(
-                &requests, &catalog, &models, rule, Precision::F32,
-            )
-            .unwrap();
-            prop_assert_eq!(f32_matrix.precision(), Precision::F32);
-            prop_assert_eq!(f32_matrix.rows(), reference.rows());
-            prop_assert_eq!(f32_matrix.cols(), reference.cols());
-
-            // Tiers 1 and 2: per-cell classification and value bound.
-            for row in 0..reference.rows() {
-                for col in 0..reference.cols() {
-                    let exact = reference.get(row, col);
-                    let kernel = f32_matrix.get(row, col);
-                    prop_assert_eq!(
-                        exact.is_finite(),
-                        kernel.is_finite(),
-                        "{:?}: classification flip at ({}, {}): {} vs {}",
-                        rule, row, col, exact, kernel
-                    );
-                    if exact.is_finite() {
-                        prop_assert!(
-                            (exact - kernel).abs() <= 1e-6,
-                            "{:?}: cell ({}, {}) off by {:e}",
-                            rule, row, col, (exact - kernel).abs()
-                        );
-                    }
-                }
-            }
-
-            // Tier 1: identical top-k slot sets under index tie-breaking.
-            for mode in [AggregationMode::Sum, AggregationMode::Max] {
-                let exact_agg = reference.aggregate(k, mode);
-                let kernel_agg = f32_matrix.aggregate(k, mode);
-                prop_assert_eq!(exact_agg.len(), kernel_agg.len());
-                for (row, (exact, kernel)) in
-                    exact_agg.iter().zip(&kernel_agg).enumerate()
-                {
-                    match (exact, kernel) {
-                        (None, None) => {}
-                        (Some(e), Some(f)) => {
-                            prop_assert_eq!(
-                                &e.strategy_indices,
-                                &f.strategy_indices,
-                                "{:?}, {:?}: top-{} slots differ in row {}",
-                                rule, mode, k, row
-                            );
-                            prop_assert!(
-                                (e.workforce - f.workforce).abs() <= 1e-5,
-                                "{:?}, {:?}: aggregate off in row {}",
-                                rule, mode, row
-                            );
-                        }
-                        _ => prop_assert!(
-                            false,
-                            "{:?}, {:?}: satisfiability flip in row {}",
-                            rule, mode, row
-                        ),
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn engine_sharding_preserves_kernel_bits_on_the_grid(
         specs in proptest::collection::vec(
             (
@@ -205,29 +99,18 @@ proptest! {
         ),
         threads in 0_usize..5,
     ) {
-        // Row sharding must never change a single bit of either precision:
-        // rows are filled independently, so the engine output equals the
-        // sequential fill cell for cell.
+        // Row sharding must never change a single bit: rows are filled
+        // independently, so the engine output equals the sequential fill
+        // cell for cell.
         let (catalog, models, requests) = build_instance(&specs, &request_specs);
         for rule in RULES {
-            for precision in Precision::ALL {
-                let sequential = WorkforceMatrix::compute_with_catalog_precision(
-                    &requests, &catalog, &models, rule, precision,
-                )
-                .unwrap();
-                let sharded = BatchEngine::with_threads(threads)
-                    .with_precision(precision)
-                    .workforce_matrix(&requests, &catalog, &models, rule)
+            let sequential =
+                WorkforceMatrix::compute_with_catalog(&requests, &catalog, &models, rule)
                     .unwrap();
-                prop_assert_eq!(
-                    &sequential,
-                    &sharded,
-                    "{:?}, {:?}, {} threads",
-                    rule,
-                    precision,
-                    threads
-                );
-            }
+            let sharded = BatchEngine::with_threads(threads)
+                .workforce_matrix(&requests, &catalog, &models, rule)
+                .unwrap();
+            prop_assert_eq!(&sequential, &sharded, "{:?}, {} threads", rule, threads);
         }
     }
 }
