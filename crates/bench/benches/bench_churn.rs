@@ -286,20 +286,16 @@ fn measure_incremental(
 
         // Recompute arm: rebuild matrix + aggregation from scratch per epoch.
         let mut catalog = base.clone();
-        let mut model_buf = Vec::new();
         for i in 0..epochs {
             instance.apply_epoch(i, &mut catalog);
             let started = Instant::now();
-            let mut matrix = WorkforceMatrix::from_cells(0, 0, Vec::new());
-            matrix
-                .refill_with_catalog(
-                    &instance.standing,
-                    &catalog,
-                    &instance.models,
-                    rule,
-                    &mut model_buf,
-                )
-                .unwrap();
+            let matrix = WorkforceMatrix::compute_with_catalog(
+                &instance.standing,
+                &catalog,
+                &instance.models,
+                rule,
+            )
+            .unwrap();
             let requirements = matrix.aggregate(k, mode);
             recompute += started.elapsed();
             black_box(requirements);
@@ -451,22 +447,18 @@ fn bench_incremental_vs_recompute(c: &mut Criterion) {
             BenchmarkId::new("recompute", config.label),
             &instance,
             |b, instance| {
-                let mut model_buf = Vec::new();
                 b.iter(|| {
                     let mut catalog = base.clone();
                     let mut served = 0usize;
                     for i in 0..instance.epochs.len() {
                         instance.apply_epoch(i, &mut catalog);
-                        let mut matrix = WorkforceMatrix::from_cells(0, 0, Vec::new());
-                        matrix
-                            .refill_with_catalog(
-                                &instance.standing,
-                                &catalog,
-                                &instance.models,
-                                config.rule,
-                                &mut model_buf,
-                            )
-                            .unwrap();
+                        let matrix = WorkforceMatrix::compute_with_catalog(
+                            &instance.standing,
+                            &catalog,
+                            &instance.models,
+                            config.rule,
+                        )
+                        .unwrap();
                         served += matrix
                             .aggregate(instance.k, AggregationMode::Sum)
                             .iter()

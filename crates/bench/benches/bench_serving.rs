@@ -4,8 +4,8 @@
 //! Reuses the workload crate's churn-vs-serve stress harness
 //! ([`stratrec_workload::stress::run_churn_stress`]): one writer folds the
 //! scenario's epoch stream into published snapshots while `N` reader
-//! threads keep serving the standing batch from whatever epoch they have
-//! pinned, migrating forward through the delta feed. The measurement is
+//! threads keep serving the standing batch cold from the latest snapshot
+//! they pinned, as the streaming server does. The measurement is
 //! **serves per second across all readers** as the reader count grows —
 //! the scaling claim of the epoch-snapshot design is that readers never
 //! block on the writer or on each other, so aggregate throughput should
@@ -29,7 +29,7 @@ use stratrec_workload::churn::{ChurnInstance, ChurnScenario, CompactPolicy};
 use stratrec_workload::stress::run_churn_stress;
 
 /// The serving scenario: enough catalog to make a serve non-trivial, enough
-/// epochs that readers genuinely migrate mid-run.
+/// epochs that readers genuinely pin several snapshots mid-run.
 fn serving_scenario() -> ChurnInstance {
     ChurnScenario {
         initial_strategies: 2_000,

@@ -342,8 +342,8 @@ impl StrategyCatalog {
     /// How many catalog mutations a subscriber may sit through without
     /// draining before its tracker is evicted (its handles then fail with
     /// [`StratRecError::StaleSubscription`]). Bounds the cost of leaked
-    /// subscriptions: a `StratRecSession` dropped without detaching stops
-    /// charging per-mutation bookkeeping once it lapses. `u64::MAX`
+    /// subscriptions: a subscriber that stops draining without unsubscribing
+    /// stops charging per-mutation bookkeeping once it lapses. `u64::MAX`
     /// disables eviction.
     #[must_use]
     pub fn delta_lapse_limit(&self) -> u64 {
@@ -587,8 +587,8 @@ mod tests {
 
     #[test]
     fn a_stale_handle_never_drains_a_recycled_id() {
-        // The regression the generation tag exists for: a detached session
-        // keeps a `Copy` of its released handle while a new subscriber is
+        // The regression the generation tag exists for: a consumer that
+        // unsubscribed keeps a `Copy` of its released handle while a new subscriber is
         // issued the same id. The stale copy must fail typed instead of
         // silently draining (and thereby corrupting) the new subscriber's
         // window.
@@ -625,7 +625,7 @@ mod tests {
 
     #[test]
     fn lapsed_trackers_are_evicted_and_memory_stays_pinned() {
-        // A leaked subscriber (session dropped without `detach()`) must not
+        // A leaked subscriber (dropped without `unsubscribe_delta`) must not
         // keep charging the catalog forever: after `delta_lapse_limit`
         // mutations without a drain the tracker is evicted, its handle
         // fails typed, and an active subscriber draining every epoch is

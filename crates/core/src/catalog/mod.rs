@@ -12,7 +12,7 @@
 //! across the whole pipeline:
 //!
 //! * per-request eligibility becomes an R-tree box query
-//!   ([`Self::eligible_for`]) instead of a linear scan;
+//!   ([`StrategyCatalog::eligible_for`]) instead of a linear scan;
 //! * ADPaR problems built with [`crate::adpar::AdparProblem::with_catalog`]
 //!   reuse the pre-normalized points and the shared index (`Baseline3` skips
 //!   its per-solve bulk load entirely);
@@ -24,8 +24,8 @@
 //! A long-lived catalog moves through three kinds of maintenance, each owned
 //! by one submodule of this directory:
 //!
-//! 1. **Churn** ([`overlay`]) — [`Self::insert`] appends to a small
-//!    unindexed *tail*, [`Self::retire`] marks a slot with a *tombstone*;
+//! 1. **Churn** ([`overlay`]) — [`StrategyCatalog::insert`] appends to a small
+//!    unindexed *tail*, [`StrategyCatalog::retire`] marks a slot with a *tombstone*;
 //!    queries answer `index ∪ tail − tombstones` with the exact predicate,
 //!    so results are exact at every point of the churn stream. The overlay
 //!    merges into the R-tree incrementally at the [`RebuildPolicy`]
@@ -36,10 +36,10 @@
 //!    base + sorted tail, tombstones filtered at query time) so
 //!    catalog-backed ADPaR problems never sort.
 //! 3. **Compaction** ([`compact`]) — the price of stable slots is monotone
-//!    growth: tombstoned slots are never reclaimed, so [`Self::slot_count`]
+//!    growth: tombstoned slots are never reclaimed, so [`StrategyCatalog::slot_count`]
 //!    — and every slot-shaped allocation downstream (workforce-matrix
 //!    columns, per-slot relaxations, axis buffers) — grows without bound
-//!    under indefinite churn. [`Self::compact`] closes the lifecycle: it
+//!    under indefinite churn. [`StrategyCatalog::compact`] closes the lifecycle: it
 //!    renumbers the live slots densely (dropping retired metadata), rebuilds
 //!    the R-tree and the axis orders over the compacted range, bumps the
 //!    epoch and returns a [`SlotRemap`] every holder of old slot numbers
@@ -47,14 +47,14 @@
 //!    [`crate::adpar::AdparSolution::remap`]).
 //! 4. **Delta feed** ([`delta`]) — derived state that would otherwise be
 //!    recomputed per epoch (the workforce matrix and its aggregation)
-//!    subscribes to the catalog's churn: [`Self::subscribe_delta`] /
-//!    [`Self::take_delta`] hand each consumer exactly the slots inserted
+//!    subscribes to the catalog's churn: [`StrategyCatalog::subscribe_delta`] /
+//!    [`StrategyCatalog::take_delta`] hand each consumer exactly the slots inserted
 //!    and retired since it last synchronized as a [`CatalogDelta`],
-//!    composing the [`SlotRemap`] of any interleaved [`Self::compact`] into
+//!    composing the [`SlotRemap`] of any interleaved [`StrategyCatalog::compact`] into
 //!    the window, so maintenance work is proportional to the churn rather
 //!    than to `|S|`.
 //!
-//! [`Self::epoch`] increments on every mutation — compaction included — and
+//! [`StrategyCatalog::epoch`] increments on every mutation — compaction included — and
 //! is captured by catalog-backed [`crate::adpar::AdparProblem`]s; a problem
 //! whose epoch no longer matches the catalog's fails `validate` with the
 //! typed [`crate::error::StratRecError::StaleCatalog`] instead of silently

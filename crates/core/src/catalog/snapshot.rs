@@ -629,7 +629,25 @@ mod tests {
             crate::examples_data::running_example_strategies(),
             RebuildPolicy::threshold(3),
         ));
+        // One more input: a migrating reader, subscribed before any publish,
+        // whose deltas must chain epoch to epoch without a gap or overlap.
+        let mut migrating = concurrent.reader();
         std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let mut last_to = migrating.epoch();
+                while last_to < EPOCHS {
+                    let delta = migrating.migrate().expect("well under the lapse limit");
+                    assert_eq!(delta.from_epoch, last_to, "deltas chain");
+                    assert_eq!(delta.to_epoch, migrating.epoch());
+                    // Every published epoch inserted exactly one strategy.
+                    assert_eq!(
+                        delta.inserted.len() as u64,
+                        delta.to_epoch - delta.from_epoch
+                    );
+                    last_to = delta.to_epoch;
+                    std::thread::yield_now();
+                }
+            });
             for _ in 0..READERS {
                 let handle = concurrent.clone();
                 scope.spawn(move || {

@@ -106,38 +106,6 @@ impl BatchEngine {
         models: &ModelLibrary,
         rule: EligibilityRule,
     ) -> Result<WorkforceMatrix, StratRecError> {
-        let mut matrix = WorkforceMatrix::from_cells(0, 0, Vec::new());
-        self.refill_workforce_matrix(
-            requests,
-            catalog,
-            models,
-            rule,
-            &mut matrix,
-            &mut Vec::new(),
-        )?;
-        Ok(matrix)
-    }
-
-    /// Cold-refills an existing matrix in place —
-    /// [`WorkforceMatrix::refill_with_catalog`] semantics (previous
-    /// contents and shape discarded; cell allocation reused),
-    /// sharded like [`Self::workforce_matrix`] and bit-identical to it.
-    /// `model_buf` is a reusable model-collection scratch
-    /// (`workforce::collect_live_models_into`), so repeated refills do zero
-    /// model-collection allocation in steady state.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::workforce_matrix`]; `matrix` is left empty on error.
-    pub fn refill_workforce_matrix(
-        &self,
-        requests: &[DeploymentRequest],
-        catalog: &StrategyCatalog,
-        models: &ModelLibrary,
-        rule: EligibilityRule,
-        matrix: &mut WorkforceMatrix,
-        model_buf: &mut Vec<Option<StrategyModel>>,
-    ) -> Result<(), StratRecError> {
         // Rows are slot-shaped: one column per catalog slot, so row width —
         // and the whole cell buffer — tracks `slot_count`, which a
         // `compact()` snaps back to `len()` (the live count). Long-lived
@@ -148,16 +116,14 @@ impl BatchEngine {
         if threads < 2 || cols == 0 {
             // One worker (or nothing to shard): the sequential path IS the
             // engine's semantics, so delegate rather than duplicate it.
-            return matrix.refill_with_catalog(requests, catalog, models, rule, model_buf);
+            return WorkforceMatrix::compute_with_catalog(requests, catalog, models, rule);
         }
-        let mut cells = matrix.take_cells();
-        workforce::collect_live_models_into(catalog, models, model_buf)?;
-        // Same start state as the sequential cold fill: the fill writes only
+        let strategy_models = workforce::collect_live_models(catalog, models)?;
+        // Same start state as the sequential fill: the fill writes only
         // eligible cells, so rows start at `∞`.
-        cells.clear();
-        cells.resize(requests.len() * cols, f64::INFINITY);
+        let mut cells = vec![f64::INFINITY; requests.len() * cols];
         let rows_per_chunk = requests.len().div_ceil(threads);
-        let strategy_models = &*model_buf;
+        let strategy_models = &strategy_models;
         std::thread::scope(|scope| {
             for (chunk_requests, chunk_cells) in requests
                 .chunks(rows_per_chunk)
@@ -170,8 +136,7 @@ impl BatchEngine {
                 });
             }
         });
-        *matrix = WorkforceMatrix::from_cells(requests.len(), cols, cells);
-        Ok(())
+        Ok(WorkforceMatrix::from_cells(requests.len(), cols, cells))
     }
 
     /// Applies a [`CatalogDelta`] to a long-lived workforce matrix

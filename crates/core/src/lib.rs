@@ -91,7 +91,7 @@ pub mod prelude {
     pub use crate::modeling::{LinearModel, ModelLibrary, ParameterKind, StrategyModel};
     pub use crate::stratrec::{
         AlternativeRecommendation, ServiceQuality, StratRec, StratRecConfig, StratRecReport,
-        StratRecSession, TenantOutcome,
+        TenantOutcome,
     };
     pub use crate::workforce::{
         AggregationCache, AggregationMode, EligibilityRule, RequestRequirement, WorkforceMatrix,

@@ -3,9 +3,9 @@
 //! [`StratRec`] wires the two modules together: the **Aggregator**
 //! ([`BatchStrat`]) triages a batch of deployment requests against worker
 //! availability and recommends `k` strategies for each satisfied request;
-//! every unsatisfied request is then forwarded to **ADPaR** ([`AdparExact`])
-//! which recommends the closest alternative deployment parameters for which
-//! `k` strategies exist.
+//! every unsatisfied request is then forwarded to **ADPaR**
+//! ([`AdparExact`](crate::adpar::AdparExact)) which recommends the closest
+//! alternative deployment parameters for which `k` strategies exist.
 //!
 //! Both stages run over a shared [`StrategyCatalog`] and execute on a
 //! [`BatchEngine`]: eligibility is an R-tree box query instead of an
@@ -17,20 +17,16 @@
 
 use serde::{Deserialize, Serialize};
 
-use std::sync::Arc;
-
 use crate::adpar::AdparSolution;
 use crate::availability::{AvailabilityPdf, WorkerAvailability};
 use crate::batch::{BatchObjective, BatchOutcome, BatchStrat};
-use crate::catalog::{
-    CatalogDelta, DeltaSubscription, EpochSnapshot, SnapshotReader, StrategyCatalog,
-};
+use crate::catalog::StrategyCatalog;
 use crate::engine::BatchEngine;
 use crate::error::StratRecError;
 use crate::fairness::FairnessPolicy;
 use crate::model::{DeploymentRequest, Strategy};
-use crate::modeling::{ModelLibrary, StrategyModel};
-use crate::workforce::{AggregationCache, AggregationMode, RequestRequirement, WorkforceMatrix};
+use crate::modeling::ModelLibrary;
+use crate::workforce::{AggregationMode, RequestRequirement, WorkforceMatrix};
 
 /// Configuration of the middle layer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -270,205 +266,6 @@ impl StratRec {
         }
     }
 
-    /// Processes a **standing** batch of deployment requests across catalog
-    /// churn epochs, maintaining the workforce matrix and its aggregation
-    /// **incrementally** through `session` instead of recomputing them per
-    /// call.
-    ///
-    /// The first call computes everything from scratch and registers a
-    /// [`DeltaSubscription`] with the catalog; every later call drains the
-    /// churn since the previous one ([`StrategyCatalog::take_delta`]),
-    /// recomputes only the inserted-slot columns
-    /// ([`BatchEngine::apply_matrix_delta`], sharded across the engine's
-    /// threads), writes `∞` into retired columns in place, and repairs only
-    /// the aggregation rows the churn can have moved
-    /// ([`AggregationCache::repair`]) — epoch maintenance proportional to
-    /// the churn rather than to `n · |S|`. The report is **identical** to
-    /// [`Self::process_batch_with_catalog`] over the same catalog state
-    /// (pinned by tests here and by the workload churn suite); the
-    /// steady-state epoch allocates nothing for model collection (the
-    /// session reuses one model buffer).
-    ///
-    /// Reuse is keyed on content: the session remembers the requests it was
-    /// primed for and re-primes with a full compute whenever `requests`
-    /// differ from them, or `k` or the aggregation mode changed. One session
-    /// follows one catalog; call [`StratRecSession::detach`] before moving it
-    /// to another.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StratRecError::MissingModel`] when a live catalog strategy
-    /// (full compute) or an inserted live slot (incremental path) has no
-    /// fitted model. On any error the session detaches itself, so the next
-    /// call recovers with a full recompute.
-    pub fn process_batch_with_session(
-        &self,
-        requests: &[DeploymentRequest],
-        catalog: &mut StrategyCatalog,
-        models: &ModelLibrary,
-        availability: &AvailabilityPdf,
-        session: &mut StratRecSession,
-    ) -> Result<StratRecReport, StratRecError> {
-        // A stale handle (the session's tracker was evicted after lapsing,
-        // or the session was moved across catalogs without a detach) fails
-        // typed: release it and re-prime under a fresh subscription instead
-        // of mis-applying another subscriber's window.
-        let delta = session.subscription.and_then(|subscription| {
-            let delta = catalog.take_delta(&subscription).ok();
-            if delta.is_none() {
-                catalog.unsubscribe_delta(subscription);
-                session.subscription = None;
-            }
-            delta
-        });
-        if let Err(error) = self.sync_session(requests, catalog, delta, models, session) {
-            session.detach(catalog);
-            return Err(error);
-        }
-        if session.subscription.is_none() {
-            // Subscribe *after* the compute: both observe the same epoch
-            // (the caller holds the catalog exclusively throughout).
-            session.subscription = Some(catalog.subscribe_delta());
-        }
-        Ok(self.plan(
-            requests,
-            catalog,
-            session.requirements(),
-            availability,
-            ServiceQuality::Full,
-        ))
-    }
-
-    /// The **concurrent** counterpart of [`Self::process_batch_with_session`]:
-    /// serves a standing batch from the [`EpochSnapshot`]s a
-    /// [`ConcurrentCatalog`](crate::catalog::ConcurrentCatalog) publishes,
-    /// while a writer thread keeps churning. Each call first migrates
-    /// `reader` to the latest published snapshot
-    /// ([`SnapshotReader::migrate`] — the only moment any lock is touched),
-    /// folds the drained [`CatalogDelta`] into the session exactly like the
-    /// sequential delta path, then plans the batch **entirely lock-free**
-    /// against the pinned snapshot. The report is identical to
-    /// [`Self::process_batch_with_catalog`] over the snapshot's catalog
-    /// (pinned by `tests/snapshot_isolation.rs` with readers racing a
-    /// churning writer), and the snapshot the report was
-    /// planned against is returned alongside it so callers can attribute
-    /// the answer to its epoch.
-    ///
-    /// The reader owns the subscription (and releases it on drop); the
-    /// session holds only derived state. A reader evicted for lapsing past
-    /// the catalog's delta-lapse limit re-pins and recomputes from scratch
-    /// instead of failing, and any error resets the session so the next
-    /// call re-primes. A session still holding a catalog-side subscription
-    /// was primed through [`Self::process_batch_with_session`] on another
-    /// catalog, so it re-primes too and drops that handle; the abandoned
-    /// tracker lapses out of its catalog unless the session was
-    /// [detached](StratRecSession::detach) first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StratRecError::MissingModel`] when a live strategy of the
-    /// pinned snapshot (full compute) or an inserted live slot (delta path)
-    /// has no fitted model in `models`.
-    pub fn process_batch_with_reader(
-        &self,
-        requests: &[DeploymentRequest],
-        reader: &mut SnapshotReader,
-        models: &ModelLibrary,
-        availability: &AvailabilityPdf,
-        session: &mut StratRecSession,
-    ) -> Result<(StratRecReport, Arc<EpochSnapshot>), StratRecError> {
-        // An evicted reader fails the migration typed (StaleSubscription):
-        // re-pin and re-prime instead of serving from a torn delta window.
-        let migrated = reader.migrate().ok();
-        let snapshot = match migrated {
-            Some(_) => Arc::clone(reader.pinned()),
-            None => reader.re_pin(),
-        };
-        // The reader's delta continues this reader's window, not the one
-        // a catalog-side subscription tracked.
-        let primed_on_a_catalog = session.subscription.take().is_some();
-        let delta = migrated.filter(|_| !primed_on_a_catalog);
-        if let Err(error) = self.sync_session(requests, snapshot.catalog(), delta, models, session)
-        {
-            session.reset();
-            return Err(error);
-        }
-        let report = self.plan(
-            requests,
-            snapshot.catalog(),
-            session.requirements(),
-            availability,
-            ServiceQuality::Full,
-        );
-        Ok((report, snapshot))
-    }
-
-    /// Brings `session` to `catalog`'s state. `delta` is the churn since the
-    /// session's previous call, drawn by the caller from its delta source,
-    /// or `None` when the source had none to give (first call, stale or
-    /// evicted subscription). The delta is applied only when the session
-    /// was primed for exactly these requests under the current
-    /// configuration; anything else re-primes with a full compute, which
-    /// supersedes the delta.
-    fn sync_session(
-        &self,
-        requests: &[DeploymentRequest],
-        catalog: &StrategyCatalog,
-        delta: Option<CatalogDelta>,
-        models: &ModelLibrary,
-        session: &mut StratRecSession,
-    ) -> Result<(), StratRecError> {
-        let eligibility = self.aggregator().eligibility;
-        if let (Some(delta), Some(matrix), Some(cache)) =
-            (delta, session.matrix.as_mut(), session.cache.as_mut())
-        {
-            if session.primed == requests
-                && cache.k() == self.config.k
-                && cache.mode() == self.config.aggregation
-            {
-                session.last_repaired_rows = if delta.is_empty() {
-                    0
-                } else {
-                    self.engine.apply_matrix_delta(
-                        matrix,
-                        &delta,
-                        requests,
-                        catalog,
-                        models,
-                        eligibility,
-                        &mut session.model_buf,
-                    )?;
-                    cache.repair(matrix, &delta)
-                };
-                return Ok(());
-            }
-        }
-        session.cache = None;
-        session.primed.clear();
-        // Refill into the stale matrix when the session still holds one:
-        // a full recompute either way, but the tens-of-megabytes cell
-        // allocation survives re-primes.
-        let mut matrix = session
-            .matrix
-            .take()
-            .unwrap_or_else(|| WorkforceMatrix::from_cells(0, 0, Vec::new()));
-        self.engine.refill_workforce_matrix(
-            requests,
-            catalog,
-            models,
-            eligibility,
-            &mut matrix,
-            &mut session.model_buf,
-        )?;
-        let mut cache = AggregationCache::new(self.config.k, self.config.aggregation);
-        cache.prime(&matrix);
-        session.cache = Some(cache);
-        session.last_repaired_rows = matrix.rows();
-        session.matrix = Some(matrix);
-        session.primed.extend_from_slice(requests);
-        Ok(())
-    }
-
     /// Serves one batch **per tenant** over a shared catalog and one shared
     /// availability budget, divided by `policy` ([`FairnessPolicy::split`]):
     /// every tenant's aggregate demand is computed first, the budget is split into per-tenant grants —
@@ -556,79 +353,6 @@ pub struct TenantOutcome {
     pub batch: BatchOutcome,
 }
 
-/// Reusable cross-epoch state for [`StratRec::process_batch_with_session`]
-/// and [`StratRec::process_batch_with_reader`]: the delta-maintained
-/// workforce matrix, the lazily repaired aggregation cache, the requests
-/// they were computed for, and the model collection buffer — everything
-/// an incremental serving loop holds between catalog churn epochs. On the
-/// catalog path the session also owns its [`DeltaSubscription`]; on the
-/// reader path the [`SnapshotReader`] owns it instead.
-///
-/// Cached state is reused only for the exact requests it was primed for,
-/// so any batch may be passed on any call: a changed batch re-primes.
-///
-/// Deliberately **not** `Clone`: a clone would share the original's
-/// subscription id, and whichever copy drained the catalog first would
-/// silently corrupt the other's delta window. One session per delta
-/// source; create a fresh one instead of cloning.
-#[derive(Debug, Default)]
-pub struct StratRecSession {
-    matrix: Option<WorkforceMatrix>,
-    cache: Option<AggregationCache>,
-    primed: Vec<DeploymentRequest>,
-    subscription: Option<DeltaSubscription>,
-    model_buf: Vec<Option<StrategyModel>>,
-    last_repaired_rows: usize,
-}
-
-impl StratRecSession {
-    /// An empty session; the first call through it initializes it.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The delta-maintained workforce matrix, once initialized.
-    #[must_use]
-    pub fn matrix(&self) -> Option<&WorkforceMatrix> {
-        self.matrix.as_ref()
-    }
-
-    /// How many aggregation rows the most recent call re-aggregated: the
-    /// full row count on (re-)initialization, then only the churn-affected
-    /// rows — the observable "work proportional to churn" signal.
-    #[must_use]
-    pub fn last_repaired_rows(&self) -> usize {
-        self.last_repaired_rows
-    }
-
-    /// Drops the derived state so the next call recomputes from scratch.
-    /// A catalog-side subscription is kept (and drained on re-init); use
-    /// [`Self::detach`] when the catalog is available to release it too.
-    pub fn reset(&mut self) {
-        self.matrix = None;
-        self.cache = None;
-    }
-
-    /// [`Self::reset`] plus releasing the session's subscription from
-    /// `catalog` — the clean way to retire a session or to move it to a
-    /// different catalog.
-    pub fn detach(&mut self, catalog: &mut StrategyCatalog) {
-        if let Some(subscription) = self.subscription.take() {
-            catalog.unsubscribe_delta(subscription);
-        }
-        self.reset();
-    }
-
-    /// The primed requirements; only called after a successful sync.
-    fn requirements(&self) -> &[Option<RequestRequirement>] {
-        self.cache
-            .as_ref()
-            .expect("a synced session holds a cache")
-            .requirements()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -706,7 +430,7 @@ mod tests {
             .is_err());
     }
 
-    fn session_fixture() -> (
+    fn fixture() -> (
         StrategyCatalog,
         ModelLibrary,
         Vec<DeploymentRequest>,
@@ -749,521 +473,10 @@ mod tests {
         (catalog, models, requests, pdf(0.6))
     }
 
-    use crate::catalog::StrategyCatalog;
-    use crate::model::Strategy;
-
-    fn fixture_strategy(id: u64) -> Strategy {
-        Strategy::from_params(
-            id,
-            crate::model::DeploymentParameters::clamped(
-                0.4 + (id as f64 * 0.13) % 0.5,
-                0.25 + (id as f64 * 0.17) % 0.6,
-                0.2 + (id as f64 * 0.23) % 0.6,
-            ),
-        )
-    }
-
-    fn fixture_model(id: u64) -> crate::modeling::StrategyModel {
-        let alpha = 0.45 + (id % 35) as f64 / 100.0;
-        crate::modeling::StrategyModel::uniform(alpha, 1.0 - alpha)
-    }
-
-    /// The two delta sources a session can be served from, behind one test
-    /// harness: the catalog's own subscription
-    /// ([`StratRec::process_batch_with_session`]) and a reader of a
-    /// concurrent catalog ([`StratRec::process_batch_with_reader`]).
-    enum Source {
-        Catalog(Box<StrategyCatalog>),
-        Reader(crate::catalog::ConcurrentCatalog, Option<SnapshotReader>),
-    }
-
-    impl Source {
-        /// Both sources over the session fixture's catalog, with the given
-        /// delta-lapse limit.
-        fn both(lapse_limit: u64) -> [Self; 2] {
-            let catalog = || {
-                let mut catalog = session_fixture().0;
-                catalog.set_delta_lapse_limit(lapse_limit);
-                catalog
-            };
-            let concurrent = crate::catalog::ConcurrentCatalog::new(catalog());
-            let reader = concurrent.reader();
-            [
-                Self::Catalog(Box::new(catalog())),
-                Self::Reader(concurrent, Some(reader)),
-            ]
-        }
-
-        fn name(&self) -> &'static str {
-            match self {
-                Self::Catalog(_) => "catalog",
-                Self::Reader(..) => "reader",
-            }
-        }
-
-        /// Runs one churn epoch on the source's catalog.
-        fn churn(&mut self, f: impl FnOnce(&mut StrategyCatalog)) {
-            match self {
-                Self::Catalog(catalog) => f(catalog),
-                Self::Reader(concurrent, _) => {
-                    concurrent.update(f);
-                }
-            }
-        }
-
-        fn serve(
-            &mut self,
-            layer: &StratRec,
-            requests: &[DeploymentRequest],
-            models: &ModelLibrary,
-            availability: &AvailabilityPdf,
-            session: &mut StratRecSession,
-        ) -> Result<StratRecReport, StratRecError> {
-            match self {
-                Self::Catalog(catalog) => layer.process_batch_with_session(
-                    requests,
-                    catalog,
-                    models,
-                    availability,
-                    session,
-                ),
-                Self::Reader(concurrent, reader) => {
-                    let reader = reader.as_mut().expect("the reader is live");
-                    let (report, snapshot) = layer.process_batch_with_reader(
-                        requests,
-                        reader,
-                        models,
-                        availability,
-                        session,
-                    )?;
-                    assert_eq!(snapshot.epoch(), concurrent.epoch(), "no writer races");
-                    Ok(report)
-                }
-            }
-        }
-
-        /// The catalog state the last serve was planned against.
-        fn catalog(&self) -> &StrategyCatalog {
-            match self {
-                Self::Catalog(catalog) => catalog,
-                Self::Reader(_, reader) => reader.as_ref().expect("the reader is live").pinned(),
-            }
-        }
-
-        /// A fresh sequential pipeline over [`Self::catalog`].
-        fn reference(
-            &self,
-            layer: &StratRec,
-            requests: &[DeploymentRequest],
-            models: &ModelLibrary,
-            availability: &AvailabilityPdf,
-        ) -> StratRecReport {
-            layer
-                .process_batch_with_catalog(requests, self.catalog(), models, availability)
-                .unwrap()
-        }
-
-        /// Live delta subscriptions and lapse evictions on the writer side.
-        fn subscriptions(&self) -> (usize, u64) {
-            match self {
-                Self::Catalog(catalog) => {
-                    (catalog.delta_subscriber_count(), catalog.delta_evictions())
-                }
-                Self::Reader(concurrent, _) => {
-                    let stats = concurrent.stats();
-                    (stats.subscribers, stats.delta_evictions)
-                }
-            }
-        }
-
-        /// Retires the session's subscription: detach, or drop the reader.
-        fn release(&mut self, session: &mut StratRecSession) {
-            match self {
-                Self::Catalog(catalog) => session.detach(catalog),
-                Self::Reader(_, reader) => *reader = None,
-            }
-        }
-    }
-
-    #[test]
-    fn sessions_match_the_per_epoch_full_pipeline_from_both_delta_sources() {
-        let (_, mut models, requests, availability) = session_fixture();
-        let layer = StratRec::default().with_engine(BatchEngine::with_threads(2));
-        let mut next_id = 18_u64;
-        for mut source in Source::both(4096) {
-            let name = source.name();
-            let mut session = StratRecSession::new();
-            for epoch in 0..6 {
-                if epoch > 0 {
-                    // Churn between batches: two inserts, two retirements,
-                    // and a mid-stream compaction at epoch 3.
-                    let inserted: Vec<Strategy> =
-                        (0..2).map(|i| fixture_strategy(next_id + i)).collect();
-                    next_id += 2;
-                    for strategy in &inserted {
-                        models.insert(strategy.id, fixture_model(strategy.id.0));
-                    }
-                    source.churn(|catalog| {
-                        for strategy in inserted {
-                            catalog.insert(strategy);
-                        }
-                        let live = catalog.live_indices();
-                        assert!(catalog.retire(live[epoch % live.len()]));
-                        assert!(catalog.retire(live[(epoch * 3 + 1) % live.len()]));
-                        if epoch == 3 {
-                            catalog.compact();
-                        }
-                    });
-                }
-                let report = source
-                    .serve(&layer, &requests, &models, &availability, &mut session)
-                    .unwrap();
-                let full = source.reference(&layer, &requests, &models, &availability);
-                assert_eq!(report, full, "{name}, epoch {epoch}");
-                if epoch == 0 {
-                    assert_eq!(session.last_repaired_rows(), requests.len());
-                } else {
-                    assert!(session.last_repaired_rows() <= requests.len());
-                }
-                assert_eq!(
-                    session.matrix().unwrap().cols(),
-                    source.catalog().slot_count(),
-                    "{name}, epoch {epoch}"
-                );
-            }
-            assert_eq!(source.subscriptions(), (1, 0), "{name}");
-            source.release(&mut session);
-            assert_eq!(source.subscriptions().0, 0, "{name}");
-        }
-    }
-
-    /// Reuse is keyed on content: a batch of the same length as the primed
-    /// one but with other requests (here reordered, or one request swapped
-    /// for another) re-primes, and only the exact primed batch takes the
-    /// delta path.
-    #[test]
-    fn sessions_reuse_state_only_for_the_requests_they_were_primed_for() {
-        let (_, mut models, requests, availability) = session_fixture();
-        let reversed: Vec<DeploymentRequest> = requests.iter().rev().cloned().collect();
-        let mut swapped = requests.clone();
-        swapped[2] = DeploymentRequest::new(
-            7,
-            crate::model::TaskType::SentenceTranslation,
-            crate::model::DeploymentParameters::clamped(0.95, 0.1, 0.1),
-        );
-        let layer = StratRec::default();
-        for mut source in Source::both(4096) {
-            let name = source.name();
-            let mut session = StratRecSession::new();
-            let mut primed: Option<&Vec<DeploymentRequest>> = None;
-            for (step, (batch, churn)) in [
-                (&requests, false),
-                (&reversed, false),
-                (&reversed, false),
-                (&swapped, true),
-                (&swapped, true),
-                (&requests, false),
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                if churn {
-                    let strategy = fixture_strategy(200 + step as u64);
-                    models.insert(strategy.id, fixture_model(strategy.id.0));
-                    source.churn(|catalog| {
-                        catalog.insert(strategy);
-                    });
-                }
-                let report = source
-                    .serve(&layer, batch, &models, &availability, &mut session)
-                    .unwrap();
-                let reference = source.reference(&layer, batch, &models, &availability);
-                assert_eq!(report, reference, "{name}, step {step}");
-                let expected_rows = match (primed == Some(batch), churn) {
-                    (false, _) => Some(batch.len()),
-                    (true, false) => Some(0),
-                    (true, true) => None,
-                };
-                if let Some(rows) = expected_rows {
-                    assert_eq!(session.last_repaired_rows(), rows, "{name}, step {step}");
-                }
-                primed = Some(batch);
-            }
-            assert_eq!(source.subscriptions(), (1, 0), "{name}");
-        }
-    }
-
-    #[test]
-    fn sessions_reprime_on_batch_shape_or_config_changes() {
-        let (_, models, requests, availability) = session_fixture();
-        let layer = StratRec::default();
-        let stricter = StratRec::new(StratRecConfig {
-            k: 5,
-            ..StratRecConfig::default()
-        });
-        let shorter = &requests[..3];
-        for mut source in Source::both(4096) {
-            let name = source.name();
-            let mut session = StratRecSession::new();
-            source
-                .serve(&layer, &requests, &models, &availability, &mut session)
-                .unwrap();
-            // A shorter standing batch re-primes instead of mis-applying
-            // deltas; a changed k re-primes too. Neither publishes a
-            // subscription: the standing one is drained and kept.
-            for (layer, batch) in [(&layer, shorter), (&stricter, shorter)] {
-                let report = source
-                    .serve(layer, batch, &models, &availability, &mut session)
-                    .unwrap();
-                assert_eq!(session.last_repaired_rows(), batch.len(), "{name}");
-                let reference = source.reference(layer, batch, &models, &availability);
-                assert_eq!(report, reference, "{name}");
-                assert_eq!(source.subscriptions(), (1, 0), "{name}");
-            }
-        }
-    }
-
-    #[test]
-    fn sessions_recover_with_a_full_recompute_after_an_error() {
-        let layer = StratRec::default();
-        for mut source in Source::both(4096) {
-            let (_, mut models, requests, availability) = session_fixture();
-            let name = source.name();
-            let mut session = StratRecSession::new();
-            source
-                .serve(&layer, &requests, &models, &availability, &mut session)
-                .unwrap();
-            // An insert without a model fails the incremental epoch...
-            let orphan = fixture_strategy(900);
-            let inserted = orphan.clone();
-            source.churn(|catalog| {
-                catalog.insert(inserted);
-            });
-            assert!(matches!(
-                source.serve(&layer, &requests, &models, &availability, &mut session),
-                Err(StratRecError::MissingModel { strategy: 900 })
-            ));
-            assert!(
-                session.matrix().is_none(),
-                "{name}: errors reset the session"
-            );
-            if let Source::Catalog(_) = source {
-                assert_eq!(source.subscriptions().0, 0, "errors detach");
-            }
-            // ...and once the model arrives, the session rebuilds from
-            // scratch and agrees with the full pipeline again.
-            models.insert(orphan.id, fixture_model(900));
-            let report = source
-                .serve(&layer, &requests, &models, &availability, &mut session)
-                .unwrap();
-            let reference = source.reference(&layer, &requests, &models, &availability);
-            assert_eq!(report, reference, "{name}");
-            assert_eq!(session.last_repaired_rows(), requests.len(), "{name}");
-            assert_eq!(source.subscriptions().0, 1, "{name}");
-        }
-    }
-
-    /// A session whose tracker was evicted for lapsing keeps working: the
-    /// stale handle (or the evicted reader's migration) fails typed inside
-    /// the entry point, which falls back to a full recompute under one
-    /// fresh subscription.
-    #[test]
-    fn sessions_survive_delta_tracker_eviction() {
-        let (_, mut models, requests, availability) = session_fixture();
-        let layer = StratRec::default();
-        for mut source in Source::both(8) {
-            let name = source.name();
-            let mut session = StratRecSession::new();
-            source
-                .serve(&layer, &requests, &models, &availability, &mut session)
-                .unwrap();
-            // Stall the session far past the lapse limit.
-            for i in 0..20_u64 {
-                let strategy = fixture_strategy(300 + i);
-                models.insert(strategy.id, fixture_model(300 + i));
-                source.churn(|catalog| {
-                    catalog.insert(strategy);
-                });
-            }
-            assert_eq!(source.subscriptions(), (0, 1), "{name}: the tracker lapsed");
-            let report = source
-                .serve(&layer, &requests, &models, &availability, &mut session)
-                .unwrap();
-            assert_eq!(
-                session.last_repaired_rows(),
-                requests.len(),
-                "{name}: full re-prime"
-            );
-            let reference = source.reference(&layer, &requests, &models, &availability);
-            assert_eq!(report, reference, "{name}");
-            assert_eq!(
-                source.subscriptions(),
-                (1, 1),
-                "{name}: one live re-subscription"
-            );
-        }
-    }
-
-    /// A session primed on a catalog and then handed to a reader of another
-    /// catalog re-primes instead of applying the reader's delta to a matrix
-    /// built from the first catalog. It drops the catalog-side handle, whose
-    /// tracker lapses out of that catalog, and follows the reader from then
-    /// on.
-    #[test]
-    fn a_session_moved_from_a_catalog_to_a_reader_reprimes() {
-        let (_, mut models, requests, availability) = session_fixture();
-        let layer = StratRec::default();
-        let [mut on_catalog, mut on_reader] = Source::both(8);
-        let mut session = StratRecSession::new();
-        // The two catalogs diverge: the first gains two strategies, the
-        // second loses one after its reader pinned.
-        for id in [400, 401] {
-            let strategy = fixture_strategy(id);
-            models.insert(strategy.id, fixture_model(id));
-            on_catalog
-                .serve(&layer, &requests, &models, &availability, &mut session)
-                .unwrap();
-            on_catalog.churn(|catalog| {
-                catalog.insert(strategy);
-            });
-        }
-        on_catalog
-            .serve(&layer, &requests, &models, &availability, &mut session)
-            .unwrap();
-        on_reader.churn(|catalog| {
-            let live = catalog.live_indices();
-            assert!(catalog.retire(live[0]));
-        });
-        let report = on_reader
-            .serve(&layer, &requests, &models, &availability, &mut session)
-            .unwrap();
-        assert_eq!(
-            report,
-            on_reader.reference(&layer, &requests, &models, &availability)
-        );
-        assert_eq!(session.last_repaired_rows(), requests.len(), "re-primed");
-        assert_eq!(
-            session.matrix().unwrap().cols(),
-            on_reader.catalog().slot_count()
-        );
-        // The abandoned tracker lapses out of the first catalog.
-        assert_eq!(on_catalog.subscriptions(), (1, 0));
-        for id in 410..430 {
-            let strategy = fixture_strategy(id);
-            models.insert(strategy.id, fixture_model(id));
-            on_catalog.churn(|catalog| {
-                catalog.insert(strategy);
-            });
-        }
-        assert_eq!(on_catalog.subscriptions(), (0, 1));
-        // The reader's next window continues on the delta path.
-        let report = on_reader
-            .serve(&layer, &requests, &models, &availability, &mut session)
-            .unwrap();
-        assert_eq!(
-            report,
-            on_reader.reference(&layer, &requests, &models, &availability)
-        );
-        assert_eq!(session.last_repaired_rows(), 0, "nothing to repair");
-        assert_eq!(on_reader.subscriptions(), (1, 0));
-    }
-
-    /// The detach-on-error audit: every error exit of
-    /// `process_batch_with_session` releases the catalog-side subscription,
-    /// and the stale handle the session dropped can never drain a newer
-    /// subscriber that recycled the same id.
-    #[test]
-    fn every_session_error_exit_releases_the_subscription() {
-        let (mut catalog, mut models, requests, availability) = session_fixture();
-        let layer = StratRec::default();
-
-        // Error on the *priming* path: a live strategy with no model fails
-        // the very first call — no subscription may survive it.
-        let orphan_a = fixture_strategy(901);
-        catalog.insert(orphan_a.clone());
-        let mut session = StratRecSession::new();
-        assert!(layer
-            .process_batch_with_session(
-                &requests,
-                &mut catalog,
-                &models,
-                &availability,
-                &mut session,
-            )
-            .is_err());
-        assert_eq!(catalog.delta_subscriber_count(), 0, "prime error detaches");
-
-        // Error on the *delta* path: prime successfully, then churn in a
-        // modelless insert.
-        models.insert(orphan_a.id, fixture_model(901));
-        layer
-            .process_batch_with_session(
-                &requests,
-                &mut catalog,
-                &models,
-                &availability,
-                &mut session,
-            )
-            .unwrap();
-        assert_eq!(catalog.delta_subscriber_count(), 1);
-        let orphan_b = fixture_strategy(902);
-        catalog.insert(orphan_b.clone());
-        assert!(layer
-            .process_batch_with_session(
-                &requests,
-                &mut catalog,
-                &models,
-                &availability,
-                &mut session,
-            )
-            .is_err());
-        assert_eq!(catalog.delta_subscriber_count(), 0, "delta error detaches");
-
-        // The freed id is recycled by a second session. The errored session
-        // recovers with a full recompute + fresh generation-tagged handle —
-        // and both coexist without draining each other's windows.
-        models.insert(orphan_b.id, fixture_model(902));
-        let mut second = StratRecSession::new();
-        layer
-            .process_batch_with_session(
-                &requests,
-                &mut catalog,
-                &models,
-                &availability,
-                &mut second,
-            )
-            .unwrap();
-        layer
-            .process_batch_with_session(
-                &requests,
-                &mut catalog,
-                &models,
-                &availability,
-                &mut session,
-            )
-            .unwrap();
-        assert_eq!(catalog.delta_subscriber_count(), 2);
-        let extra = fixture_strategy(903);
-        models.insert(extra.id, fixture_model(903));
-        catalog.insert(extra.clone());
-        let full = layer
-            .process_batch_with_catalog(&requests, &catalog, &models, &availability)
-            .unwrap();
-        for s in [&mut second, &mut session] {
-            let report = layer
-                .process_batch_with_session(&requests, &mut catalog, &models, &availability, s)
-                .unwrap();
-            assert_eq!(report, full, "both sessions absorb the same delta once");
-        }
-        session.detach(&mut catalog);
-        second.detach(&mut catalog);
-        assert_eq!(catalog.delta_subscriber_count(), 0);
-    }
-
     #[test]
     fn degraded_reports_swap_only_the_adpar_stage() {
         use crate::adpar::{AdparBaseline2, AdparProblem, AdparSolver};
-        let (catalog, models, requests, _) = session_fixture();
+        let (catalog, models, requests, _) = fixture();
         // Zero availability pushes every request to ADPaR, so the degraded
         // fan-out has maximal surface to diverge on.
         let availability = pdf(0.0);
@@ -1328,7 +541,7 @@ mod tests {
     #[test]
     fn tenant_batches_split_the_budget_and_honor_floors() {
         use crate::fairness::{FairnessPolicy, TenantShare};
-        let (catalog, models, requests, availability) = session_fixture();
+        let (catalog, models, requests, availability) = fixture();
         // Tenant 0 floods the queue with 10× the volume of tenants 1 and 2.
         let heavy: Vec<DeploymentRequest> = (0..10).flat_map(|_| requests.clone()).collect();
         let light_a = requests.clone();

@@ -175,47 +175,17 @@ impl WorkforceMatrix {
         models: &ModelLibrary,
         rule: EligibilityRule,
     ) -> Result<Self, StratRecError> {
-        let mut matrix = Self::from_cells(0, 0, Vec::new());
-        matrix.refill_with_catalog(requests, catalog, models, rule, &mut Vec::new())?;
-        Ok(matrix)
-    }
-
-    /// Recomputes `self` from scratch — a cold fill with the same semantics
-    /// as [`Self::compute_with_catalog`], cell for cell —
-    /// while **reusing `self`'s cell allocation**. Rebuilding a `m × 10 000`
-    /// matrix allocates tens of megabytes; refilling in place skips the
-    /// allocator round-trip and its page faults, which is the steady-state
-    /// shape of epoch loops that rebuild their matrix on a rebuild trigger.
-    ///
-    /// The previous contents and shape of `self` are discarded.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::compute_with_catalog`]; `self` is left empty (0 × cols)
-    /// when a model is missing.
-    pub fn refill_with_catalog(
-        &mut self,
-        requests: &[DeploymentRequest],
-        catalog: &StrategyCatalog,
-        models: &ModelLibrary,
-        rule: EligibilityRule,
-        model_buf: &mut Vec<Option<StrategyModel>>,
-    ) -> Result<(), StratRecError> {
-        let cols = catalog.strategies().len();
-        self.rows = 0;
-        self.cols = cols;
-        self.cells.clear();
+        let cols = catalog.slot_count();
         if requests.is_empty() {
-            return Ok(());
+            return Ok(Self::from_cells(0, cols, Vec::new()));
         }
-        collect_live_models_into(catalog, models, model_buf)?;
+        let strategy_models = collect_live_models(catalog, models)?;
         // The fill writes only eligible cells, so rows start at `∞`.
-        self.cells.resize(requests.len() * cols, f64::INFINITY);
-        for (request, row) in requests.iter().zip(self.cells.chunks_mut(cols.max(1))) {
-            fill_catalog_row(request, catalog, model_buf, rule, row);
+        let mut cells = vec![f64::INFINITY; requests.len() * cols];
+        for (request, row) in requests.iter().zip(cells.chunks_mut(cols.max(1))) {
+            fill_catalog_row(request, catalog, &strategy_models, rule, row);
         }
-        self.rows = requests.len();
-        Ok(())
+        Ok(Self::from_cells(requests.len(), cols, cells))
     }
 
     /// Builds a matrix directly from row-major cells (used in tests and by
@@ -292,16 +262,6 @@ impl WorkforceMatrix {
     /// [`crate::engine::BatchEngine`]'s row-sharded fills.
     pub(crate) fn cells_mut(&mut self) -> &mut [f64] {
         &mut self.cells
-    }
-
-    /// Takes the cell buffer out of the matrix (leaving it empty `0 × 0`),
-    /// so [`crate::engine::BatchEngine`]'s refill can reuse the allocation
-    /// for its row-chunk workers and hand it back through
-    /// [`Self::from_cells`].
-    pub(crate) fn take_cells(&mut self) -> Vec<f64> {
-        self.rows = 0;
-        self.cols = 0;
-        std::mem::take(&mut self.cells)
     }
 
     /// Renumbers the matrix columns through a catalog compaction's
@@ -703,19 +663,15 @@ impl AggregationCache {
 }
 
 /// Hoists the per-cell model lookups of the scan path into one id-indexed
-/// pass over a caller-provided buffer (cleared first), so the per-batch /
-/// per-epoch paths — [`crate::engine::BatchEngine`] and the delta fill — do
-/// zero model-collection allocation in steady state. This also enforces the
-/// missing-model contract for every **live** slot. Retired slots keep a
-/// `None` placeholder: their model may have been dropped from the library
-/// along with the strategy. The buffer is parallel to the catalog slots.
-pub(crate) fn collect_live_models_into(
+/// pass, returning a buffer parallel to the catalog slots. This also
+/// enforces the missing-model contract for every **live** slot. Retired
+/// slots keep a `None` placeholder: their model may have been dropped from
+/// the library along with the strategy.
+pub(crate) fn collect_live_models(
     catalog: &StrategyCatalog,
     models: &ModelLibrary,
-    out: &mut Vec<Option<StrategyModel>>,
-) -> Result<(), StratRecError> {
-    out.clear();
-    out.reserve(catalog.slot_count());
+) -> Result<Vec<Option<StrategyModel>>, StratRecError> {
+    let mut out = Vec::with_capacity(catalog.slot_count());
     for (slot, strategy) in catalog.strategies().iter().enumerate() {
         out.push(if catalog.is_live(slot) {
             Some(*models.require(strategy.id)?)
@@ -723,10 +679,10 @@ pub(crate) fn collect_live_models_into(
             None
         });
     }
-    Ok(())
+    Ok(out)
 }
 
-/// The slot-subset variant of [`collect_live_models_into`]: collects the
+/// The slot-subset variant of [`collect_live_models`]: collects the
 /// models of exactly `slots` (the buffer comes back parallel to `slots`,
 /// `None` for retired ones), enforcing the missing-model contract for the
 /// live ones. The delta fill uses this so per-epoch model collection is
@@ -753,7 +709,7 @@ pub(crate) fn collect_slot_models_into(
 /// `request`: the unit of work sharded across threads by
 /// [`crate::engine::BatchEngine`] and run in a plain loop by
 /// [`WorkforceMatrix::compute_with_catalog`]. `strategy_models` comes from
-/// [`collect_live_models_into`] and is parallel to the catalog slots.
+/// [`collect_live_models`] and is parallel to the catalog slots.
 pub(crate) fn fill_catalog_row(
     request: &DeploymentRequest,
     catalog: &StrategyCatalog,

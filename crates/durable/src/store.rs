@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use stratrec_core::catalog::{
-    CatalogStats, ConcurrentCatalog, EpochSnapshot, RebuildPolicy, SnapshotReader, StrategyCatalog,
+    CatalogStats, ConcurrentCatalog, EpochSnapshot, RebuildPolicy, StrategyCatalog,
 };
 
 use crate::checkpoint::{write_checkpoint, Checkpoint, CheckpointPolicy};
@@ -209,12 +209,6 @@ impl DurableCatalog {
     #[must_use]
     pub fn pin(&self) -> Arc<EpochSnapshot> {
         self.inner.pin()
-    }
-
-    /// Registers a migrating reader on the inner cell.
-    #[must_use]
-    pub fn reader(&self) -> SnapshotReader {
-        self.inner.reader()
     }
 
     /// The published epoch.

@@ -1,7 +1,7 @@
 //! A bulk-loaded R-tree over 3-D points.
 //!
 //! The paper's `Baseline3` for the ADPaR problem "is designed by modifying
-//! [the] space partitioning data structure R-Tree … We treat each strategy['s]
+//! \[the\] space partitioning data structure R-Tree … We treat each strategy\['s\]
 //! parameters as a point in a 3-D space and index them using an R-Tree. Then,
 //! it scans the tree to find if there is a minimum bounding box (MBB) that
 //! exactly contains k strategies" (§5.2.1). This module provides that index:

@@ -61,7 +61,7 @@ impl FittedStrategyReport {
 
     /// Whether the generating ground-truth coefficients fall inside the 90 %
     /// confidence box of every fit — the reproduction's counterpart of the
-    /// paper's "estimated (α, β) always lie within [the] 90 % confidence
+    /// paper's "estimated (α, β) always lie within \[the\] 90 % confidence
     /// interval of the fitted line".
     #[must_use]
     pub fn consistent_with(&self, truth: &StrategyModel, level: f64) -> bool {

@@ -3,7 +3,7 @@
 //! Requests are grouped into **windows** that close on whichever comes
 //! first: the window reaches [`AdmissionConfig::max_batch`] requests, or the
 //! oldest queued request has waited [`AdmissionConfig::max_wait`]. Batching
-//! amortizes the per-window pipeline cost (matrix sync, delta drain,
+//! amortizes the per-window pipeline cost (snapshot pin, engine fan-out,
 //! selection) across requests; the wait bound keeps a lone request from
 //! idling in an empty window.
 //!

@@ -29,8 +29,9 @@ pub struct ControllerConfig {
     /// `Baseline2` service.
     pub degrade_watermark: usize,
     /// Queue depth at or below which a window counts as calm. Must sit
-    /// strictly below [`Self::degrade_watermark`] for a meaningful
-    /// hysteresis band.
+    /// strictly below [`Self::degrade_watermark`] (checked by
+    /// [`BackpressureController::new`]): at or above it, one steady depth
+    /// both degrades and counts as calm, so the controller flaps.
     pub recover_watermark: usize,
     /// Consecutive calm windows required before quality returns to full.
     pub recover_windows: usize,
@@ -56,8 +57,21 @@ pub struct BackpressureController {
 
 impl BackpressureController {
     /// A controller starting at [`ServiceQuality::Full`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `config.recover_watermark` is not strictly below
+    /// `config.degrade_watermark`: a queue depth between the two would
+    /// toggle Full ↔ Degraded on alternate windows.
     #[must_use]
     pub fn new(config: ControllerConfig) -> Self {
+        assert!(
+            config.recover_watermark < config.degrade_watermark,
+            "ControllerConfig::recover_watermark ({}) must sit strictly below \
+             degrade_watermark ({})",
+            config.recover_watermark,
+            config.degrade_watermark
+        );
         Self {
             config,
             quality: ServiceQuality::Full,
@@ -164,6 +178,29 @@ mod tests {
         // `recover_windows = 3` ⇒ the third calm window flips to Full, so
         // two observations stay degraded and the third recovers.
         assert_eq!(windows, 2);
+    }
+
+    /// With `recover ≥ degrade` a steady depth in between (here 6) would
+    /// degrade on one window and count as calm on the next, flapping
+    /// Full ↔ Degraded forever; such a config is rejected up front.
+    #[test]
+    #[should_panic(expected = "must sit strictly below")]
+    fn an_inverted_hysteresis_band_is_rejected() {
+        let _ = BackpressureController::new(ControllerConfig {
+            degrade_watermark: 4,
+            recover_watermark: 8,
+            recover_windows: 1,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "must sit strictly below")]
+    fn equal_watermarks_are_rejected() {
+        let _ = BackpressureController::new(ControllerConfig {
+            degrade_watermark: 4,
+            recover_watermark: 4,
+            recover_windows: 1,
+        });
     }
 
     #[test]

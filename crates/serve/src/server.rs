@@ -152,7 +152,8 @@ impl StreamServer {
     /// # Panics
     ///
     /// Panics on the calling thread, before anything is spawned, when the
-    /// admission config is invalid ([`AdmissionWindow::new`]).
+    /// admission config ([`AdmissionWindow::new`]) or the controller config
+    /// ([`BackpressureController::new`]) is invalid.
     #[must_use]
     pub fn start(
         self,
@@ -164,10 +165,12 @@ impl StreamServer {
         let (respond, responses) = mpsc::channel::<StreamResponse>();
         let config = self.config;
         let window = AdmissionWindow::new(config.admission);
+        let controller = BackpressureController::new(config.controller);
         let thread = std::thread::spawn(move || {
             serve_loop(
                 &config,
                 window,
+                controller,
                 &catalog,
                 &models,
                 &availability,
@@ -220,9 +223,13 @@ impl ServerHandle {
     }
 }
 
+// The window and the controller are validated and built by `start` on the
+// calling thread, so they arrive here ready-made beside the config.
+#[allow(clippy::too_many_arguments)]
 fn serve_loop(
     config: &ServeConfig,
     mut window: AdmissionWindow,
+    mut controller: BackpressureController,
     catalog: &ConcurrentCatalog,
     models: &ModelLibrary,
     availability: &AvailabilityPdf,
@@ -230,7 +237,6 @@ fn serve_loop(
     respond: &Sender<StreamResponse>,
 ) -> ServerStats {
     let layer = StratRec::new(config.stratrec);
-    let mut controller = BackpressureController::new(config.controller);
     let mut estimate = config.admission.initial_estimate();
     let mut stats = ServerStats::default();
     let mut open = true;
@@ -532,5 +538,22 @@ mod tests {
         let handle = StreamServer::new(config).start(catalog, models, pdf);
         assert!(handle.submit(stream_request(0, Duration::from_secs(5))));
         let _ = handle.shutdown();
+    }
+
+    #[test]
+    #[should_panic(expected = "must sit strictly below")]
+    fn an_inverted_hysteresis_band_is_rejected_at_start() {
+        // Built on the service thread, the controller's panic would only
+        // surface at `shutdown`; built in `start`, it fails the caller.
+        let (catalog, models, pdf) = fixture();
+        let config = ServeConfig {
+            controller: ControllerConfig {
+                degrade_watermark: 4,
+                recover_watermark: 8,
+                recover_windows: 1,
+            },
+            ..ServeConfig::default()
+        };
+        let _ = StreamServer::new(config).start(catalog, models, pdf);
     }
 }

@@ -27,12 +27,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use stratrec_core::availability::{AvailabilityPdf, WorkerAvailability};
+use stratrec_core::availability::WorkerAvailability;
 use stratrec_core::catalog::{RebuildPolicy, SlotRemap, StrategyCatalog};
-use stratrec_core::error::StratRecError;
 use stratrec_core::model::{DeploymentRequest, Strategy};
 use stratrec_core::modeling::ModelLibrary;
-use stratrec_core::stratrec::{StratRec, StratRecReport, StratRecSession};
 
 use crate::model_gen::generate_models;
 use crate::request_gen::generate_requests;
@@ -264,9 +262,8 @@ pub struct ChurnInstance {
     /// The epoch stream.
     pub epochs: Vec<ChurnEpoch>,
     /// The standing deployment-request batch served across **every** epoch
-    /// by the incremental maintenance loop
-    /// ([`Self::apply_epoch_incremental`]), as opposed to the per-epoch
-    /// [`ChurnEpoch::requests`].
+    /// by long-running serving loops (e.g. [`crate::stress::run_churn_stress`]),
+    /// as opposed to the per-epoch [`ChurnEpoch::requests`].
     pub standing: Vec<DeploymentRequest>,
     /// Models for every strategy that ever exists (initial + inserts).
     pub models: ModelLibrary,
@@ -301,37 +298,6 @@ impl ChurnInstance {
         catalog: &mut StrategyCatalog,
     ) -> (Vec<usize>, Option<SlotRemap>) {
         self.epochs[epoch_index].apply_with_compaction(catalog, self.compact, epoch_index + 1)
-    }
-
-    /// The **incremental** serving-loop step: [`Self::apply_epoch`] followed
-    /// by serving the [`Self::standing`] batch through
-    /// [`StratRec::process_batch_with_session`], so the workforce matrix and
-    /// its aggregation absorb the epoch's churn as a catalog delta —
-    /// inserted-slot columns recomputed, retired columns written to `∞`,
-    /// only churn-affected aggregation rows repaired — instead of being
-    /// rebuilt from scratch. The report is identical to a per-epoch
-    /// [`StratRec::process_batch_with_catalog`] over the post-churn catalog,
-    /// compactions included (the session's delta subscription composes their
-    /// `SlotRemap`s automatically).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StratRec::process_batch_with_session`] errors (e.g. an
-    /// inserted strategy missing from [`Self::models`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `epoch_index >= self.epochs.len()`.
-    pub fn apply_epoch_incremental(
-        &self,
-        epoch_index: usize,
-        catalog: &mut StrategyCatalog,
-        layer: &StratRec,
-        session: &mut StratRecSession,
-    ) -> Result<StratRecReport, StratRecError> {
-        self.apply_epoch(epoch_index, catalog);
-        let pdf = AvailabilityPdf::certain(self.availability.value());
-        layer.process_batch_with_session(&self.standing, catalog, &self.models, &pdf, session)
     }
 }
 
@@ -588,119 +554,6 @@ mod tests {
             "per-epoch compaction sheds all tombstones at each boundary"
         );
         assert!(compacting_peak < never_peak);
-    }
-
-    #[test]
-    fn incremental_epoch_loop_matches_the_full_pipeline_per_epoch() {
-        // The delta-maintained serving loop must produce reports identical
-        // to recomputing the whole pipeline per epoch, across rebuild AND
-        // compaction policies (the session's subscription composes the
-        // compaction remaps into its windows).
-        use stratrec_core::stratrec::{StratRec, StratRecConfig, StratRecSession};
-        use stratrec_core::workforce::AggregationMode;
-
-        for compact in [
-            CompactPolicy::Never,
-            CompactPolicy::EveryNEpochs(2),
-            CompactPolicy::TombstoneRatio(0.05),
-        ] {
-            let instance = ChurnScenario {
-                compact,
-                ..small_scenario()
-            }
-            .materialize();
-            assert_eq!(instance.standing.len(), 6);
-            for policy in [
-                RebuildPolicy::always(),
-                RebuildPolicy::threshold(7),
-                RebuildPolicy::never(),
-            ] {
-                let layer = StratRec::new(StratRecConfig {
-                    k: instance.k,
-                    objective: BatchObjective::Throughput,
-                    aggregation: AggregationMode::Sum,
-                });
-                let mut catalog = instance.catalog(policy);
-                let mut session = StratRecSession::new();
-                for i in 0..instance.epochs.len() {
-                    let incremental = instance
-                        .apply_epoch_incremental(i, &mut catalog, &layer, &mut session)
-                        .unwrap();
-                    let pdf = stratrec_core::availability::AvailabilityPdf::certain(
-                        instance.availability.value(),
-                    );
-                    let full = layer
-                        .process_batch_with_catalog(
-                            &instance.standing,
-                            &catalog,
-                            &instance.models,
-                            &pdf,
-                        )
-                        .unwrap();
-                    assert_eq!(incremental, full, "{compact:?}, {policy:?}, epoch {i}");
-                    if i == 0 {
-                        assert_eq!(session.last_repaired_rows(), instance.standing.len());
-                    }
-                    assert_eq!(
-                        session.matrix().unwrap().cols(),
-                        catalog.slot_count(),
-                        "{compact:?}, {policy:?}, epoch {i}"
-                    );
-                }
-                session.detach(&mut catalog);
-                assert_eq!(catalog.delta_subscriber_count(), 0);
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_epoch_loop_matrix_matches_a_cold_fill_every_epoch() {
-        // Same contract as the test above, plus the matrix itself: the
-        // delta-maintained session must stay bit-identical to an engine
-        // cold fill at every epoch, and the served reports must match the
-        // full per-epoch pipeline under the same engine.
-        use stratrec_core::engine::BatchEngine;
-        use stratrec_core::stratrec::{StratRec, StratRecConfig, StratRecSession};
-
-        let instance = ChurnScenario {
-            compact: CompactPolicy::EveryNEpochs(2),
-            ..small_scenario()
-        }
-        .materialize();
-        let config = StratRecConfig {
-            k: instance.k,
-            objective: BatchObjective::Throughput,
-            aggregation: AggregationMode::Sum,
-        };
-        let layer = StratRec::new(config).with_engine(BatchEngine::new());
-        let mut catalog = instance.catalog(RebuildPolicy::threshold(7));
-        let mut session = StratRecSession::new();
-        let pdf =
-            stratrec_core::availability::AvailabilityPdf::certain(instance.availability.value());
-        for i in 0..instance.epochs.len() {
-            let incremental = instance
-                .apply_epoch_incremental(i, &mut catalog, &layer, &mut session)
-                .unwrap();
-            let full = layer
-                .process_batch_with_catalog(&instance.standing, &catalog, &instance.models, &pdf)
-                .unwrap();
-            assert_eq!(incremental, full, "epoch {i}");
-            let fresh = layer
-                .engine
-                .workforce_matrix(
-                    &instance.standing,
-                    &catalog,
-                    &instance.models,
-                    EligibilityRule::default(),
-                )
-                .unwrap();
-            assert_eq!(
-                session.matrix().unwrap(),
-                &fresh,
-                "delta-maintained matrix drifted from a cold fill, epoch {i}"
-            );
-        }
-        session.detach(&mut catalog);
     }
 
     #[test]

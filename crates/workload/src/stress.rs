@@ -1,16 +1,13 @@
 //! Churn-vs-serve stress harness: one writer, many lock-free readers.
 //!
-//! The sequential churn loop ([`crate::churn`]) interleaves epochs and
-//! serving on one thread. This module drives the same epoch stream through
-//! the concurrent half of the catalog
-//! ([`ConcurrentCatalog`](stratrec_core::catalog::ConcurrentCatalog)): a
+//! This module drives a churn scenario's epoch stream ([`crate::churn`])
+//! through the concurrent half of the catalog ([`ConcurrentCatalog`]): a
 //! **writer thread** folds each [`ChurnEpoch`](crate::ChurnEpoch) into the
 //! next published [`EpochSnapshot`] while **reader threads** keep serving
-//! the scenario's standing batch from whatever snapshot they have pinned,
-//! migrating forward with
-//! [`StratRec::process_batch_with_reader`]. The batch never changes, so
-//! after its opening full compute each reader's [`StratRecSession`] folds
-//! every epoch in on the delta path. Every serve is recorded as a
+//! the scenario's standing batch exactly as the streaming server serves an
+//! admission window: pin the latest published snapshot
+//! ([`ConcurrentCatalog::pin`]) and answer cold from it with
+//! [`StratRec::process_batch_with_catalog`]. Every serve is recorded as a
 //! [`ReadRecord`] — which epoch the reader was pinned at and the exact
 //! report it produced — and the writer records every snapshot it
 //! publishes, so the resulting [`StressHistory`] can be checked for
@@ -32,7 +29,7 @@ use std::sync::{Arc, Barrier};
 use stratrec_core::availability::AvailabilityPdf;
 use stratrec_core::catalog::{CatalogStats, ConcurrentCatalog, EpochSnapshot, RebuildPolicy};
 use stratrec_core::error::StratRecError;
-use stratrec_core::stratrec::{StratRec, StratRecReport, StratRecSession};
+use stratrec_core::stratrec::{StratRec, StratRecReport};
 
 use crate::churn::ChurnInstance;
 
@@ -45,9 +42,6 @@ pub struct ReadRecord {
     /// The report the reader produced — the isolation checker replays the
     /// sequential pipeline at [`Self::epoch`] and demands equality.
     pub report: StratRecReport,
-    /// Aggregation rows the serve re-repaired (full row count on a
-    /// re-prime, churn-proportional on the delta path).
-    pub repaired_rows: usize,
 }
 
 /// Everything a churn-vs-serve run observed: the snapshots the writer
@@ -90,10 +84,9 @@ impl StressHistory {
 /// The writer applies one [`ChurnEpoch`](crate::ChurnEpoch) (plus the
 /// scenario's boundary compaction) per
 /// [`ConcurrentCatalog::update`] — one published snapshot per churn epoch —
-/// and yields between epochs so readers interleave. Each reader owns a
-/// [`SnapshotReader`](stratrec_core::catalog::SnapshotReader) and a
-/// [`StratRecSession`] and keeps serving the standing batch until it has
-/// observed the final epoch; every reader is guaranteed at least one serve
+/// and yields between epochs so readers interleave. Each reader pins the
+/// latest snapshot per serve and keeps serving the standing batch until it
+/// has observed the final epoch; every reader is guaranteed at least one serve
 /// of the initial snapshot *before* the writer starts, and one of the
 /// final snapshot after it finishes, so the history always exercises the
 /// full epoch range.
@@ -102,7 +95,7 @@ impl StressHistory {
 ///
 /// Propagates the first [`StratRecError`] any reader hits (the scenario's
 /// model library covers every strategy, so an error here is a bug in the
-/// snapshot or delta machinery, not an expected outcome).
+/// snapshot machinery, not an expected outcome).
 pub fn run_churn_stress(
     instance: &ChurnInstance,
     layer: &StratRec,
@@ -121,19 +114,18 @@ pub fn run_churn_stress(
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(readers);
         for _ in 0..readers {
-            let mut reader = concurrent.reader();
-            let (done, final_epoch, primed, pdf) = (&done, &final_epoch, &primed, &pdf);
+            let (concurrent, done, final_epoch, primed, pdf) =
+                (&concurrent, &done, &final_epoch, &primed, &pdf);
             handles.push(scope.spawn(move || {
-                let mut session = StratRecSession::new();
                 let mut records = Vec::new();
                 let mut first = true;
                 loop {
-                    let result = layer.process_batch_with_reader(
+                    let snapshot = concurrent.pin();
+                    let result = layer.process_batch_with_catalog(
                         &instance.standing,
-                        &mut reader,
+                        snapshot.catalog(),
                         &instance.models,
                         pdf,
-                        &mut session,
                     );
                     if first {
                         // The writer waits on the same barrier before its
@@ -142,11 +134,9 @@ pub fn run_churn_stress(
                         primed.wait();
                         first = false;
                     }
-                    let (report, snapshot) = result?;
                     records.push(ReadRecord {
                         epoch: snapshot.epoch(),
-                        report,
-                        repaired_rows: session.last_repaired_rows(),
+                        report: result?,
                     });
                     if done.load(Ordering::Acquire)
                         && snapshot.epoch() >= final_epoch.load(Ordering::Acquire)
@@ -158,14 +148,14 @@ pub fn run_churn_stress(
             }));
         }
         // The writer runs on this thread, starting only after every reader
-        // finished its opening serve of the initial snapshot. At this point
-        // every reader's delta subscription is registered and nothing has
-        // been published yet — the stats accessor must agree.
+        // finished its opening serve of the initial snapshot. Cold readers
+        // hold no delta subscription and nothing has been published yet —
+        // the stats accessor must agree.
         primed.wait();
         let opening = concurrent.stats();
         assert_eq!(
-            opening.subscribers, readers,
-            "every reader holds a live delta subscription during the run"
+            opening.subscribers, 0,
+            "cold readers hold no delta subscription while serving"
         );
         assert_eq!(
             opening.published_epochs, 0,
@@ -181,10 +171,10 @@ pub fn run_churn_stress(
         histories = handles.into_iter().map(|h| h.join().unwrap()).collect();
     });
 
-    // Readers are joined and dropped: their subscriptions must be gone, and
-    // the publish counter must show exactly one snapshot per churn epoch.
+    // Readers are joined: still no subscription, and the publish counter
+    // must show exactly one snapshot per churn epoch.
     let stats = concurrent.stats();
-    assert_eq!(stats.subscribers, 0, "dropped readers unsubscribe");
+    assert_eq!(stats.subscribers, 0, "cold readers never subscribe");
     assert_eq!(
         stats.published_epochs,
         instance.epochs.len() as u64,
