@@ -7,6 +7,10 @@
 //! * `engine_workforce_matrix/*`: sequential
 //!   `WorkforceMatrix::compute_with_catalog` vs `BatchEngine::new()` row
 //!   sharding — identical cells, wall-clock divided by the core count.
+//! * `engine_requirements/*`: each request's top-k requirement at the
+//!   serving batch sizes `m ∈ {6, 64}`, streamed from its eligible slots
+//!   (`BatchEngine::requirements`, the serving path) vs the dense matrix
+//!   fill followed by `WorkforceMatrix::aggregate` — identical outputs.
 //! * `engine_adpar_exact/*`: one ADPaR-Exact solve on a plain problem
 //!   (per-problem axis sorts) vs a catalog-backed problem driven through a
 //!   reused `SolveScratch` (catalog-resident orders, zero steady-state
@@ -18,17 +22,19 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use stratrec_core::adpar::{AdparExact, AdparProblem, AdparSolver, SolveScratch};
 use stratrec_core::engine::BatchEngine;
-use stratrec_core::workforce::{EligibilityRule, WorkforceMatrix};
+use stratrec_core::workforce::{AggregationMode, EligibilityRule, WorkforceMatrix};
 use stratrec_workload::scenario::{AdparScenario, BatchScenario, ParameterDistribution};
 
 const STRATEGY_COUNT: usize = 10_000;
 const BATCH_SIZES: [usize; 2] = [64, 512];
+/// Strategies recommended per request.
+const K: usize = 10;
 
 fn batch_instance(m: usize) -> stratrec_workload::scenario::BatchInstance {
     BatchScenario {
         batch_size: m,
         strategy_count: STRATEGY_COUNT,
-        k: 10,
+        k: K,
         availability: 0.5,
         distribution: ParameterDistribution::Uniform,
         seed: 2020,
@@ -67,6 +73,38 @@ fn bench_workforce_matrix(c: &mut Criterion) {
                             EligibilityRule::StrategyParameters,
                         )
                         .expect("models cover the catalog"),
+                )
+            });
+        });
+    }
+    group.finish();
+}
+
+fn bench_requirements(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engine_requirements");
+    group.sample_size(10);
+    let (rule, mode) = (EligibilityRule::StrategyParameters, AggregationMode::Sum);
+    let engine = BatchEngine::new();
+    for m in [6, 64] {
+        let instance = batch_instance(m);
+        let catalog = instance.catalog();
+        let (requests, models) = (&instance.requests, &instance.models);
+        group.bench_with_input(BenchmarkId::new("fused", m), &m, |b, _| {
+            b.iter(|| {
+                black_box(
+                    engine
+                        .requirements(requests, &catalog, models, rule, K, mode)
+                        .expect("models cover the catalog"),
+                )
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("matrix_then_aggregate", m), &m, |b, _| {
+            b.iter(|| {
+                black_box(
+                    engine
+                        .workforce_matrix(requests, &catalog, models, rule)
+                        .expect("models cover the catalog")
+                        .aggregate(K, mode),
                 )
             });
         });
@@ -115,7 +153,7 @@ fn bench_adpar_fanout(c: &mut Criterion) {
     ] {
         group.bench_with_input(BenchmarkId::new(label, m), &m, |b, _| {
             b.iter(|| {
-                black_box(engine.solve_adpar_batch(&instance.requests, &catalog, &indices, 10))
+                black_box(engine.solve_adpar_batch(&instance.requests, &catalog, &indices, K))
             });
         });
     }
@@ -125,6 +163,7 @@ fn bench_adpar_fanout(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_workforce_matrix,
+    bench_requirements,
     bench_adpar_exact,
     bench_adpar_fanout
 );

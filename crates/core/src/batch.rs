@@ -20,6 +20,7 @@ use stratrec_optim::knapsack::{self, KnapsackItem};
 
 use crate::availability::WorkerAvailability;
 use crate::catalog::StrategyCatalog;
+use crate::engine::BatchEngine;
 use crate::error::StratRecError;
 use crate::model::{DeploymentRequest, RequestId, Strategy};
 use crate::modeling::{ModelLibrary, StrategyModel};
@@ -178,9 +179,11 @@ impl BatchStrat {
 
     /// Recommends strategies for a batch against an indexed
     /// [`StrategyCatalog`], answering eligibility through the catalog's
-    /// R-tree instead of scanning every strategy per request. Produces an
-    /// outcome identical to [`Self::recommend_with_models`] over
-    /// `catalog.strategies()`.
+    /// R-tree instead of scanning every strategy per request, and streaming
+    /// each request's eligible cells into its top-k
+    /// ([`BatchEngine::requirements`] on the calling thread) instead of
+    /// building the workforce matrix. Produces an outcome identical to
+    /// [`Self::recommend_with_models`] over `catalog.strategies()`.
     ///
     /// # Errors
     ///
@@ -194,9 +197,15 @@ impl BatchStrat {
         k: usize,
         availability: WorkerAvailability,
     ) -> Result<BatchOutcome, StratRecError> {
-        let matrix =
-            WorkforceMatrix::compute_with_catalog(requests, catalog, models, self.eligibility)?;
-        Ok(self.recommend_from_matrix(requests, &matrix, k, availability))
+        let requirements = BatchEngine::sequential().requirements(
+            requests,
+            catalog,
+            models,
+            self.eligibility,
+            k,
+            self.aggregation,
+        )?;
+        Ok(self.select(requests, &requirements, availability))
     }
 
     /// Recommends strategies given a pre-computed workforce matrix. This is

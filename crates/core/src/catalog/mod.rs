@@ -556,8 +556,21 @@ impl StrategyCatalog {
 
     /// Indices of the live strategies satisfying the request thresholds
     /// `params`, ascending — exactly the set (and order) of
-    /// [`DeploymentRequest::eligible_strategies`] over the live slots, found
-    /// through the index plus the overlay.
+    /// [`DeploymentRequest::eligible_strategies`] over the live slots:
+    /// [`Self::for_each_eligible`], collected and sorted.
+    #[must_use]
+    pub fn eligible_for(&self, params: &DeploymentParameters) -> Vec<usize> {
+        let mut eligible = Vec::new();
+        self.for_each_eligible(params, |slot| eligible.push(slot));
+        eligible.sort_unstable();
+        eligible
+    }
+
+    /// Calls `visit` once with every live slot whose strategy satisfies the
+    /// request thresholds `params`, found through the index plus the
+    /// overlay, in no particular order. This is the catalog's one
+    /// eligibility predicate; the streamed workforce requirement folds it
+    /// without materialising a slot list.
     ///
     /// A strategy satisfies a request when, in the normalized minimization
     /// space, its point is covered by the request's point. That makes
@@ -565,25 +578,24 @@ impl StrategyCatalog {
     /// request point; the box is inflated by [`QUERY_MARGIN`], tombstoned
     /// hits are dropped, the unindexed tail is scanned, and candidates are
     /// confirmed with the exact epsilon-tolerant predicate.
-    #[must_use]
-    pub fn eligible_for(&self, params: &DeploymentParameters) -> Vec<usize> {
+    pub fn for_each_eligible<F: FnMut(usize)>(&self, params: &DeploymentParameters, mut visit: F) {
         let corner = params.to_normalized_point();
         let query = Aabb3::anchored_at_origin(Point3::new(
             corner.x + QUERY_MARGIN,
             corner.y + QUERY_MARGIN,
             corner.z + QUERY_MARGIN,
         ));
-        let mut eligible = self.index.query_box(&query);
-        eligible.retain(|&i| self.live[i] && self.strategies[i].params.satisfies(params));
-        // Tail slots are always newer than every indexed slot, so appending
-        // the (ascending) tail keeps the result sorted.
-        eligible.extend(
-            self.tail
-                .iter()
-                .copied()
-                .filter(|&i| self.strategies[i].params.satisfies(params)),
-        );
-        eligible
+        let satisfies = |slot: usize| self.strategies[slot].params.satisfies(params);
+        self.index.for_each_in_box(&query, |slot| {
+            if self.live[slot] && satisfies(slot) {
+                visit(slot);
+            }
+        });
+        for &slot in &self.tail {
+            if satisfies(slot) {
+                visit(slot);
+            }
+        }
     }
 
     /// [`Self::eligible_for`] over a deployment request.

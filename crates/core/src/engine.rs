@@ -1,19 +1,23 @@
-//! The parallel batch engine: row-sharded workforce matrices and ADPaR
+//! The parallel batch engine: row-sharded workforce requirements and ADPaR
 //! fan-out over a shared [`StrategyCatalog`].
 //!
-//! The paper's hot path is *Aggregator → workforce matrix → ADPaR fan-out*.
-//! Both halves are embarrassingly parallel — workforce-matrix rows are
-//! independent per request, and every unsatisfied request becomes an
-//! independent ADPaR problem — yet the seed ran the matrix sequentially and
-//! scattered ad-hoc scoped threads through `StratRec` for the fan-out. A
-//! [`BatchEngine`] centralizes that parallelism:
+//! The paper's hot path is *Aggregator → workforce requirements → ADPaR
+//! fan-out*. Both halves are embarrassingly parallel — a request's
+//! requirement depends only on its own row, and every unsatisfied request
+//! becomes an independent ADPaR problem. A [`BatchEngine`] centralizes that
+//! parallelism:
 //!
-//! * [`BatchEngine::workforce_matrix`] shards the `m` matrix rows across a
-//!   scoped thread pool in contiguous row chunks. Each thread owns a
-//!   disjoint `&mut` slice of the row-major cell buffer, so no
-//!   synchronization is needed and the output is **byte-identical** to the
-//!   sequential [`WorkforceMatrix::compute_with_catalog`] regardless of
-//!   thread count.
+//! * [`BatchEngine::requirements`] is the serving path. It shards the `m`
+//!   requests across a scoped thread pool in contiguous chunks and streams
+//!   each request's eligible cells into a bounded top-k heap, so it never
+//!   allocates the dense `m × slot_count` matrix. Its output equals
+//!   `workforce_matrix(..).aggregate(k, mode)` bit for bit.
+//! * [`BatchEngine::workforce_matrix`] builds that matrix — the paper's
+//!   §3.2 object, kept as the scan oracle and for replay — sharding rows the
+//!   same way. Each thread owns a disjoint `&mut` slice of the row-major
+//!   cell buffer, so no synchronization is needed and the output is
+//!   **byte-identical** to the sequential
+//!   [`WorkforceMatrix::compute_with_catalog`] regardless of thread count.
 //! * [`BatchEngine::solve_adpar_batch`] fans a batch of unsatisfied
 //!   requests out to [`AdparExact`] with one reusable
 //!   [`SolveScratch`](crate::adpar::SolveScratch) **and** one reused
@@ -28,6 +32,8 @@
 //! parity suites in `tests/catalog_parity.rs` pin the engine against the
 //! sequential paths.
 
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 
 use crate::adpar::{
@@ -37,7 +43,20 @@ use crate::catalog::{CatalogDelta, StrategyCatalog};
 use crate::error::StratRecError;
 use crate::model::DeploymentRequest;
 use crate::modeling::{ModelLibrary, StrategyModel};
-use crate::workforce::{self, EligibilityRule, WorkforceMatrix};
+use crate::workforce::{
+    self, AggregationMode, EligibilityRule, RequestRequirement, RowAggregator, WorkforceMatrix,
+};
+
+/// The machine's core count, resolved once per process: the query is a
+/// syscall, and a `threads == 0` engine asks on every fan-out.
+fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
+}
 
 /// A scoped-thread batch executor. Cheap to copy and hold inside
 /// configuration structs; threads are spawned per call and joined before
@@ -80,13 +99,62 @@ impl BatchEngine {
     #[must_use]
     pub fn effective_threads(&self, work_items: usize) -> usize {
         let cap = if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
+            available_cores()
         } else {
             self.threads
         };
         cap.min(work_items).max(1)
+    }
+
+    /// Each request's workforce requirement over the `k` cheapest
+    /// strategies of a shared catalog, without building the workforce
+    /// matrix: equal to
+    /// [`Self::workforce_matrix`]`(..)`[`.aggregate(k, mode)`](WorkforceMatrix::aggregate)
+    /// bit for bit, for every thread count.
+    ///
+    /// Each row is one pass over the cells that can be finite — the
+    /// request's eligible slots ([`StrategyCatalog::for_each_eligible`]), or
+    /// every live slot under [`EligibilityRule::ModelOnly`] — streamed into
+    /// a bounded top-k heap. So a row costs `O(eligible · log k)` rather
+    /// than the matrix's `O(slot_count)` fill and scan. Rows are sharded
+    /// across scoped threads in contiguous chunks, one heap per worker.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StratRecError::MissingModel`] when a **live** catalog
+    /// strategy has no fitted model in `models`, even one no request is
+    /// eligible for; an empty batch never consults the model library (the
+    /// contract of [`WorkforceMatrix::compute_with_catalog`]).
+    pub fn requirements(
+        &self,
+        requests: &[DeploymentRequest],
+        catalog: &StrategyCatalog,
+        models: &ModelLibrary,
+        rule: EligibilityRule,
+        k: usize,
+        mode: AggregationMode,
+    ) -> Result<Vec<Option<RequestRequirement>>, StratRecError> {
+        if requests.is_empty() {
+            return Ok(Vec::new());
+        }
+        let strategy_models = workforce::collect_live_models(catalog, models)?;
+        let serve_chunk =
+            |first: usize, chunk: &[DeploymentRequest], out: &mut [Option<RequestRequirement>]| {
+                let mut aggregator = RowAggregator::new(k, mode);
+                for (offset, (request, slot)) in chunk.iter().zip(out).enumerate() {
+                    *slot = aggregator.catalog_row(
+                        request,
+                        first + offset,
+                        catalog,
+                        &strategy_models,
+                        rule,
+                    );
+                }
+            };
+        let mut out = vec![None; requests.len()];
+        let threads = self.effective_threads(requests.len());
+        shard(threads, requests, &mut out, 1, serve_chunk);
+        Ok(out)
     }
 
     /// Computes the workforce matrix for a batch over a shared catalog,
@@ -122,20 +190,17 @@ impl BatchEngine {
         // Same start state as the sequential fill: the fill writes only
         // eligible cells, so rows start at `∞`.
         let mut cells = vec![f64::INFINITY; requests.len() * cols];
-        let rows_per_chunk = requests.len().div_ceil(threads);
-        let strategy_models = &strategy_models;
-        std::thread::scope(|scope| {
-            for (chunk_requests, chunk_cells) in requests
-                .chunks(rows_per_chunk)
-                .zip(cells.chunks_mut(rows_per_chunk * cols))
-            {
-                scope.spawn(move || {
-                    for (request, row) in chunk_requests.iter().zip(chunk_cells.chunks_mut(cols)) {
-                        workforce::fill_catalog_row(request, catalog, strategy_models, rule, row);
-                    }
-                });
-            }
-        });
+        shard(
+            threads,
+            requests,
+            &mut cells,
+            cols,
+            |_, chunk, chunk_cells| {
+                for (request, row) in chunk.iter().zip(chunk_cells.chunks_mut(cols)) {
+                    workforce::fill_catalog_row(request, catalog, &strategy_models, rule, row);
+                }
+            },
+        );
         Ok(WorkforceMatrix::from_cells(requests.len(), cols, cells))
     }
 
@@ -175,29 +240,26 @@ impl BatchEngine {
         }
         matrix.apply_delta_structure(delta, requests, catalog, models, model_buf)?;
         let cols = matrix.cols();
-        let rows_per_chunk = requests.len().div_ceil(threads);
         let inserted = &delta.inserted;
         let inserted_models = &*model_buf;
-        let cells = matrix.cells_mut();
-        std::thread::scope(|scope| {
-            for (chunk_requests, chunk_cells) in requests
-                .chunks(rows_per_chunk)
-                .zip(cells.chunks_mut(rows_per_chunk * cols))
-            {
-                scope.spawn(move || {
-                    for (request, row) in chunk_requests.iter().zip(chunk_cells.chunks_mut(cols)) {
-                        workforce::fill_inserted_cells(
-                            request,
-                            catalog,
-                            inserted,
-                            inserted_models,
-                            rule,
-                            row,
-                        );
-                    }
-                });
-            }
-        });
+        shard(
+            threads,
+            requests,
+            matrix.cells_mut(),
+            cols,
+            |_, chunk, chunk_cells| {
+                for (request, row) in chunk.iter().zip(chunk_cells.chunks_mut(cols)) {
+                    workforce::fill_inserted_cells(
+                        request,
+                        catalog,
+                        inserted,
+                        inserted_models,
+                        rule,
+                        row,
+                    );
+                }
+            },
+        );
         Ok(())
     }
 
@@ -276,24 +338,54 @@ impl BatchEngine {
         let mut results: Vec<Option<Result<AdparSolution, StratRecError>>> =
             vec![None; request_indices.len()];
         let threads = self.effective_threads(request_indices.len());
-        if threads < 2 {
-            solve_chunk(request_indices, &mut results);
-        } else {
-            let chunk_size = request_indices.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (indices, slots) in request_indices
-                    .chunks(chunk_size)
-                    .zip(results.chunks_mut(chunk_size))
-                {
-                    scope.spawn(move || solve_chunk(indices, slots));
-                }
-            });
-        }
+        shard(
+            threads,
+            request_indices,
+            &mut results,
+            1,
+            |_, indices, slots| {
+                solve_chunk(indices, slots);
+            },
+        );
         results
             .into_iter()
             .map(|slot| slot.expect("every chunk slot is filled by its thread"))
             .collect()
     }
+}
+
+/// Runs `work(first, chunk, chunk_out)` over `threads` contiguous chunks of
+/// `items`, each paired with its `out_per_item`-wide share of `out` (`first`
+/// is the chunk's offset into `items`). The first chunk runs on the calling
+/// thread and the others on scoped threads, so a fan-out spawns
+/// `threads − 1` threads. Every chunk writes only its own slice of `out`,
+/// so the result does not depend on `threads`.
+fn shard<T: Sync, U: Send>(
+    threads: usize,
+    items: &[T],
+    out: &mut [U],
+    out_per_item: usize,
+    work: impl Fn(usize, &[T], &mut [U]) + Sync,
+) {
+    if threads < 2 {
+        work(0, items, out);
+        return;
+    }
+    let per_chunk = items.len().div_ceil(threads);
+    let work = &work;
+    std::thread::scope(|scope| {
+        let mut chunks = items
+            .chunks(per_chunk)
+            .zip(out.chunks_mut(per_chunk * out_per_item))
+            .enumerate();
+        let first = chunks.next();
+        for (index, (chunk, chunk_out)) in chunks {
+            scope.spawn(move || work(index * per_chunk, chunk, chunk_out));
+        }
+        if let Some((_, (chunk, chunk_out))) = first {
+            work(0, chunk, chunk_out);
+        }
+    });
 }
 
 #[cfg(test)]
@@ -571,6 +663,196 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn effective_threads_resolves_the_core_count_once() {
+        let cores = std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1);
+        for items in 0..2 * cores + 3 {
+            assert_eq!(
+                BatchEngine::new().effective_threads(items),
+                cores.min(items).max(1),
+                "auto cap, {items} items"
+            );
+            for cap in 1..6 {
+                assert_eq!(
+                    BatchEngine::with_threads(cap).effective_threads(items),
+                    cap.min(items).max(1),
+                    "cap {cap}, {items} items"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn requirements_keep_the_missing_model_and_empty_batch_contracts() {
+        let (requests, mut strategies, mut models) = setup();
+        // A live strategy no request is eligible for, with no model.
+        strategies.push(crate::model::Strategy::from_params(
+            77,
+            crate::model::DeploymentParameters::clamped(0.0, 1.0, 1.0),
+        ));
+        let catalog = StrategyCatalog::from_slice(&strategies);
+        let slot = strategies.len() - 1;
+        for request in &requests {
+            assert!(!catalog.eligible_for_request(request).contains(&slot));
+        }
+        let rule = EligibilityRule::StrategyParameters;
+        for threads in 0..=4 {
+            let engine = BatchEngine::with_threads(threads);
+            assert!(matches!(
+                engine.requirements(&requests, &catalog, &models, rule, 3, AggregationMode::Sum),
+                Err(StratRecError::MissingModel { strategy: 77 })
+            ));
+            // An empty batch never consults the library, even an empty one
+            // over an empty catalog.
+            for (catalog, models) in [
+                (&catalog, &models),
+                (&StrategyCatalog::new(Vec::new()), &ModelLibrary::new()),
+            ] {
+                assert_eq!(
+                    engine.requirements(&[], catalog, models, rule, 3, AggregationMode::Sum),
+                    Ok(Vec::new())
+                );
+            }
+        }
+        // Once the model exists the strategy changes nothing: it is never
+        // eligible.
+        models.insert(
+            crate::model::StrategyId(77),
+            crate::modeling::StrategyModel::uniform(1.0, 0.0),
+        );
+        let with_spare = BatchEngine::new()
+            .requirements(&requests, &catalog, &models, rule, 3, AggregationMode::Max)
+            .unwrap();
+        let without = BatchEngine::new()
+            .requirements(
+                &requests,
+                &StrategyCatalog::from_slice(&strategies[..slot]),
+                &models,
+                rule,
+                3,
+                AggregationMode::Max,
+            )
+            .unwrap();
+        assert_eq!(with_spare, without);
+        // An empty catalog leaves every request infeasible.
+        let empty = BatchEngine::new()
+            .requirements(
+                &requests,
+                &StrategyCatalog::new(Vec::new()),
+                &ModelLibrary::new(),
+                rule,
+                1,
+                AggregationMode::Sum,
+            )
+            .unwrap();
+        assert_eq!(empty, vec![None; requests.len()]);
+    }
+
+    fn proptest_strategy(id: u64, (q, c, l): (f64, f64, f64)) -> crate::model::Strategy {
+        crate::model::Strategy::from_params(
+            id,
+            crate::model::DeploymentParameters::clamped(q, c, l),
+        )
+    }
+
+    /// Id-varied models: some cells need no workforce (ties at `0.0`), some
+    /// a fraction of it, some are unreachable (`∞`).
+    fn proptest_model(id: u64) -> crate::modeling::StrategyModel {
+        let alpha = 0.2 + ((id * 37) % 70) as f64 / 100.0;
+        crate::modeling::StrategyModel::uniform(alpha, 1.0 - alpha)
+    }
+
+    /// Asserts the fused requirements equal the matrix oracle for both
+    /// rules, both modes, `k ∈ {0, 1, 3, more than live}` and engine
+    /// threads 0–4, plus the empty batch.
+    fn assert_fused_matches_matrix(
+        requests: &[DeploymentRequest],
+        catalog: &StrategyCatalog,
+        models: &ModelLibrary,
+        stage: &str,
+    ) {
+        for rule in [
+            EligibilityRule::StrategyParameters,
+            EligibilityRule::ModelOnly,
+        ] {
+            let matrix =
+                WorkforceMatrix::compute_with_catalog(requests, catalog, models, rule).unwrap();
+            for mode in [AggregationMode::Sum, AggregationMode::Max] {
+                for k in [0, 1, 3, catalog.len() + 1] {
+                    let expected = matrix.aggregate(k, mode);
+                    for threads in 0..=4 {
+                        let engine = BatchEngine::with_threads(threads);
+                        assert_eq!(
+                            engine
+                                .requirements(requests, catalog, models, rule, k, mode)
+                                .unwrap(),
+                            expected,
+                            "{stage}: {rule:?}, {mode:?}, k = {k}, {threads} threads"
+                        );
+                        assert_eq!(
+                            engine.requirements(&[], catalog, models, rule, k, mode),
+                            Ok(Vec::new()),
+                            "{stage}: empty batch"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn fused_requirements_match_matrix_aggregate_for_every_thread_count(
+            base in proptest::collection::vec((0.0_f64..1.0, 0.0_f64..1.0, 0.0_f64..1.0), 0..40),
+            inserts in proptest::collection::vec((0.0_f64..1.0, 0.0_f64..1.0, 0.0_f64..1.0), 0..12),
+            retires in proptest::collection::vec(0_usize..1000, 0..10),
+            queries in proptest::collection::vec((0.0_f64..1.0, 0.0_f64..1.0, 0.0_f64..1.0), 0..9),
+            merge_threshold in 1_usize..16,
+        ) {
+            let strategies: Vec<crate::model::Strategy> = base
+                .iter()
+                .enumerate()
+                .map(|(i, &params)| proptest_strategy(i as u64, params))
+                .collect();
+            let mut models = ModelLibrary::from_pairs(
+                strategies.iter().map(|s| (s.id, proptest_model(s.id.0))),
+            );
+            let mut catalog = StrategyCatalog::with_policy(
+                strategies,
+                crate::catalog::RebuildPolicy::threshold(merge_threshold),
+            );
+            // Interleave inserts with retires: tombstones in the index, and
+            // an unmerged tail whenever the last merge was recent.
+            for (step, &params) in inserts.iter().enumerate() {
+                let id = (base.len() + step) as u64;
+                models.insert(crate::model::StrategyId(id), proptest_model(id));
+                catalog.insert(proptest_strategy(id, params));
+                if let Some(&pick) = retires.get(step) {
+                    let live = catalog.live_indices();
+                    if !live.is_empty() {
+                        catalog.retire(live[pick % live.len()]);
+                    }
+                }
+            }
+            let requests: Vec<DeploymentRequest> = queries
+                .iter()
+                .enumerate()
+                .map(|(i, &(q, c, l))| {
+                    DeploymentRequest::new(
+                        i as u64,
+                        crate::model::TaskType::SentenceTranslation,
+                        crate::model::DeploymentParameters::clamped(q, c, l),
+                    )
+                })
+                .collect();
+            assert_fused_matches_matrix(&requests, &catalog, &models, "churned");
+            catalog.compact();
+            assert_fused_matches_matrix(&requests, &catalog, &models, "compacted");
         }
     }
 

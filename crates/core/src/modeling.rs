@@ -18,6 +18,7 @@
 //!   consults when a batch of requests arrives.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 use stratrec_optim::regression::{fit_linear, LinearFit};
@@ -242,10 +243,35 @@ impl StrategyModel {
     }
 }
 
+/// Hashes the `u64` strategy ids keying a [`ModelLibrary`] with one
+/// multiply (Fibonacci hashing), folding the high half into the low bits the
+/// table indexes with. Ids are assigned by the platform, not by requesters,
+/// so a keyed SipHash buys no protection here, and the Aggregator looks up
+/// one model per live strategy on every batch.
+#[derive(Debug, Clone, Copy, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        let product = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = product ^ (product >> 32);
+    }
+}
+
 /// A collection of fitted strategy models, keyed by strategy id.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ModelLibrary {
-    models: HashMap<u64, StrategyModel>,
+    models: HashMap<u64, StrategyModel, BuildHasherDefault<IdHasher>>,
 }
 
 impl ModelLibrary {
@@ -476,6 +502,24 @@ mod tests {
             ModelLibrary::from_pairs(vec![(StrategyId(1), StrategyModel::uniform(0.6, 0.4))]);
         assert_eq!(lib2.len(), 1);
         assert!(ModelLibrary::new().is_empty());
+    }
+
+    #[test]
+    fn model_library_finds_strided_and_sparse_ids() {
+        // Ids that share their low bits must still land in distinct
+        // buckets and be found.
+        let ids: Vec<u64> = (0..2_000_u64)
+            .map(|i| i << 20)
+            .chain((0..2_000).map(|i| i * 7 + 3))
+            .chain([u64::MAX, u64::MAX - 1])
+            .collect();
+        let model_for = |id: u64| StrategyModel::uniform((id % 97) as f64 / 100.0, 0.1);
+        let lib = ModelLibrary::from_pairs(ids.iter().map(|&id| (StrategyId(id), model_for(id))));
+        assert_eq!(lib.len(), ids.len());
+        for &id in &ids {
+            assert_eq!(lib.get(StrategyId(id)), Some(&model_for(id)), "id {id}");
+        }
+        assert!(lib.get(StrategyId(1 << 19)).is_none());
     }
 
     #[test]

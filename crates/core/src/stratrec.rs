@@ -8,12 +8,16 @@
 //! alternative deployment parameters for which `k` strategies exist.
 //!
 //! Both stages run over a shared [`StrategyCatalog`] and execute on a
-//! [`BatchEngine`]: eligibility is an R-tree box query instead of an
-//! `O(|S|)` scan per request, the workforce-matrix rows are sharded across
-//! a scoped thread pool, and the independent ADPaR problems of a batch fan
-//! out in parallel with one reusable solver scratch per worker. Outputs are
-//! identical to the sequential scan pipeline (see
-//! `tests/catalog_parity.rs`).
+//! [`BatchEngine`]. Eligibility is an R-tree box query instead of an
+//! `O(|S|)` scan per request. Each request's top-k requirement is streamed
+//! from its eligible cells ([`BatchEngine::requirements`]), with rows
+//! sharded across a scoped thread pool, so the catalog path never builds
+//! the dense workforce matrix: [`WorkforceMatrix`](crate::workforce::WorkforceMatrix)
+//! is the paper's §3.2 object for the slice/scan path and the oracle the
+//! streamed requirements are tested and replayed against. The independent
+//! ADPaR problems of a batch fan out in parallel with one reusable solver
+//! scratch per worker. Outputs are identical to the sequential scan
+//! pipeline (see `tests/catalog_parity.rs`).
 
 use serde::{Deserialize, Serialize};
 
@@ -26,7 +30,7 @@ use crate::error::StratRecError;
 use crate::fairness::FairnessPolicy;
 use crate::model::{DeploymentRequest, Strategy};
 use crate::modeling::ModelLibrary;
-use crate::workforce::{AggregationMode, RequestRequirement, WorkforceMatrix};
+use crate::workforce::{AggregationMode, RequestRequirement};
 
 /// Configuration of the middle layer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -132,9 +136,23 @@ impl StratRec {
         self
     }
 
-    /// Aggregates `matrix` over the configured `k` and aggregation mode.
-    fn aggregate_matrix(&self, matrix: &WorkforceMatrix) -> Vec<Option<RequestRequirement>> {
-        matrix.aggregate(self.config.k, self.config.aggregation)
+    /// Each request's workforce requirement over the configured `k` and
+    /// aggregation mode, streamed from its eligible catalog cells
+    /// ([`BatchEngine::requirements`]).
+    fn requirements(
+        &self,
+        requests: &[DeploymentRequest],
+        catalog: &StrategyCatalog,
+        models: &ModelLibrary,
+    ) -> Result<Vec<Option<RequestRequirement>>, StratRecError> {
+        self.engine.requirements(
+            requests,
+            catalog,
+            models,
+            self.aggregator().eligibility,
+            self.config.k,
+            self.config.aggregation,
+        )
     }
 
     /// The Aggregator configured by this layer.
@@ -166,9 +184,10 @@ impl StratRec {
     }
 
     /// Processes a batch over a shared, pre-indexed [`StrategyCatalog`] on
-    /// the configured [`BatchEngine`]: the Aggregator answers eligibility
-    /// through the catalog's R-tree with the workforce-matrix rows sharded
-    /// across scoped threads, and the unsatisfied requests fan out to ADPaR
+    /// the configured [`BatchEngine`]: the Aggregator streams each request's
+    /// eligible cells (found through the catalog's R-tree) into its top-k,
+    /// with rows sharded across scoped threads, and the unsatisfied requests
+    /// fan out to ADPaR
     /// in parallel with one reusable solver scratch per worker. Results are
     /// identical to the sequential scan pipeline and deterministic
     /// regardless of thread count.
@@ -214,13 +233,7 @@ impl StratRec {
         availability: &AvailabilityPdf,
         quality: ServiceQuality,
     ) -> Result<StratRecReport, StratRecError> {
-        let matrix = self.engine.workforce_matrix(
-            requests,
-            catalog,
-            models,
-            self.aggregator().eligibility,
-        )?;
-        let requirements = self.aggregate_matrix(&matrix);
+        let requirements = self.requirements(requests, catalog, models)?;
         Ok(self.plan(requests, catalog, &requirements, availability, quality))
     }
 
@@ -228,8 +241,8 @@ impl StratRec {
     /// Aggregator's selection over `requirements`, then the ADPaR fan-out
     /// for each unsatisfied request — exact solves at
     /// [`ServiceQuality::Full`], `Baseline2` solves at
-    /// [`ServiceQuality::Degraded`]. Everything upstream (matrix,
-    /// aggregation) is quality-independent.
+    /// [`ServiceQuality::Degraded`]. Everything upstream (the requirements)
+    /// is quality-independent.
     fn plan(
         &self,
         requests: &[DeploymentRequest],
@@ -299,14 +312,10 @@ impl StratRec {
         }
         let budget = availability.expectation().value();
         let aggregator = self.aggregator();
-        let mut requirements: Vec<Vec<Option<RequestRequirement>>> =
-            Vec::with_capacity(batches.len());
-        for batch in batches {
-            let matrix =
-                self.engine
-                    .workforce_matrix(batch, catalog, models, aggregator.eligibility)?;
-            requirements.push(self.aggregate_matrix(&matrix));
-        }
+        let requirements = batches
+            .iter()
+            .map(|batch| self.requirements(batch, catalog, models))
+            .collect::<Result<Vec<_>, _>>()?;
         let demands: Vec<f64> = requirements
             .iter()
             .map(|reqs| {

@@ -9,19 +9,30 @@
 //! run all `k` recommended strategies) or as the `k`-th smallest value
 //! (*max-case*: only one of the `k` will be run).
 //!
-//! The cold fill has one implementation: per request, the catalog's R-tree
-//! answers eligibility and only the eligible cells invert their model in
-//! `f64`. The delta fill of inserted columns evaluates the same per-cell
-//! arithmetic, so a delta-maintained matrix equals a cold fill bit for bit.
+//! On the catalog path a request's row is never materialised. The serving
+//! path ([`crate::engine::BatchEngine::requirements`]) walks the request's
+//! eligible slots through the catalog's R-tree, inverts each slot's model in
+//! `f64` and streams the value into a bounded top-k heap: one
+//! `O(eligible)` pass per row instead of an `O(slot_count)` fill plus an
+//! `O(slot_count)` scan.
 //!
-//! Aggregation has one implementation: a flat per-row top-k over the full
-//! slot range. The cold [`WorkforceMatrix::aggregate`] and the
-//! delta-repaired [`AggregationCache`] both reduce a row through the same
-//! private helper, so a repaired cache equals a fresh aggregate bit for
-//! bit.
+//! The dense [`WorkforceMatrix`] stays as the paper's object: the slice/scan
+//! path builds it ([`WorkforceMatrix::compute_with_rule`]), the catalog fill
+//! ([`WorkforceMatrix::compute_with_catalog`]) evaluates the same cells as
+//! the streamed pass, and it is the oracle the streamed requirements are
+//! tested and replayed against. The delta fill of inserted columns
+//! evaluates the same per-cell arithmetic, so a delta-maintained matrix
+//! equals a cold fill bit for bit.
+//!
+//! Aggregation has one comparator. The streamed path, the cold
+//! [`WorkforceMatrix::aggregate`] and the delta-repaired
+//! [`AggregationCache`] all reduce a row through one private
+//! `RowAggregator` and the same top-k `begin` / `offer` / `finish` stream,
+//! whose `(value, index)` order makes the selection independent of the
+//! order cells are offered in. So all three agree bit for bit.
 
 use serde::{Deserialize, Serialize};
-use stratrec_optim::topk::{self, TopKScratch};
+use stratrec_optim::topk::{self, TopKAggregates, TopKScratch};
 
 use crate::catalog::{CatalogDelta, SlotRemap, StrategyCatalog};
 use crate::error::StratRecError;
@@ -440,42 +451,89 @@ impl WorkforceMatrix {
     /// amount of workforce lets the platform recommend `k` strategies, so the
     /// request must go to ADPaR.
     ///
-    /// The selection heap and index buffer are reused across all `m` rows
-    /// (`topk::k_smallest_aggregates_into`); the only per-row allocation left
-    /// is the `strategy_indices` vector handed to the caller, and rows with
-    /// fewer than `k` feasible strategies allocate nothing at all.
+    /// One `RowAggregator` is reused across all `m` rows; the only per-row
+    /// allocation left is the `strategy_indices` vector handed to the caller,
+    /// and rows with fewer than `k` feasible strategies allocate nothing at
+    /// all.
     #[must_use]
     pub fn aggregate(&self, k: usize, mode: AggregationMode) -> Vec<Option<RequestRequirement>> {
-        let mut scratch = TopKScratch::new();
-        let mut selected: Vec<usize> = Vec::new();
+        let mut aggregator = RowAggregator::new(k, mode);
         (0..self.rows)
-            .map(|i| aggregate_row(self.row(i), i, k, mode, &mut scratch, &mut selected))
+            .map(|i| aggregator.matrix_row(self.row(i), i))
             .collect()
     }
 }
 
-/// Aggregates one matrix row (the shared primitive of
-/// [`WorkforceMatrix::aggregate`] and [`AggregationCache::repair`], so the
-/// full and the repaired paths are the same code — bit-identical by
-/// construction).
-fn aggregate_row(
-    row: &[f64],
-    request_index: usize,
+/// Reduces rows to [`RequestRequirement`]s over the `k` cheapest cells,
+/// reusing one top-k scratch and index buffer across rows.
+///
+/// Both row sources end in the same [`TopKScratch`] `begin` / `offer` /
+/// `finish` stream: a materialised matrix row offers every cell
+/// ([`Self::matrix_row`]), a catalog row offers only the cells that can be
+/// finite ([`Self::catalog_row`]). The skipped cells are `∞`, which the
+/// selection ignores, and the selection does not depend on offer order, so
+/// the two are bit-identical.
+#[derive(Debug, Clone)]
+pub(crate) struct RowAggregator {
     k: usize,
     mode: AggregationMode,
-    scratch: &mut TopKScratch,
-    selected: &mut Vec<usize>,
-) -> Option<RequestRequirement> {
-    let aggregates = topk::k_smallest_aggregates_into(row, k, scratch, selected)?;
-    let workforce = match mode {
-        AggregationMode::Sum => aggregates.sum,
-        AggregationMode::Max => aggregates.kth,
-    };
-    Some(RequestRequirement {
-        request_index,
-        strategy_indices: selected.clone(),
-        workforce,
-    })
+    scratch: TopKScratch,
+    selected: Vec<usize>,
+}
+
+impl RowAggregator {
+    pub(crate) fn new(k: usize, mode: AggregationMode) -> Self {
+        Self {
+            k,
+            mode,
+            scratch: TopKScratch::new(),
+            selected: Vec::new(),
+        }
+    }
+
+    /// The requirement of one materialised matrix row.
+    fn matrix_row(&mut self, row: &[f64], request_index: usize) -> Option<RequestRequirement> {
+        let aggregates =
+            topk::k_smallest_aggregates_into(row, self.k, &mut self.scratch, &mut self.selected);
+        self.requirement(aggregates, request_index)
+    }
+
+    /// The requirement of `request`'s catalog row, streamed from the cells
+    /// [`for_each_catalog_cell`] evaluates without building the row: equal
+    /// to `matrix_row` over the [`fill_catalog_row`] row.
+    pub(crate) fn catalog_row(
+        &mut self,
+        request: &DeploymentRequest,
+        request_index: usize,
+        catalog: &StrategyCatalog,
+        strategy_models: &[Option<&StrategyModel>],
+        rule: EligibilityRule,
+    ) -> Option<RequestRequirement> {
+        let scratch = &mut self.scratch;
+        scratch.begin(self.k);
+        for_each_catalog_cell(request, catalog, strategy_models, rule, |slot, value| {
+            scratch.offer(value, slot);
+        });
+        let aggregates = scratch.finish(&mut self.selected);
+        self.requirement(aggregates, request_index)
+    }
+
+    fn requirement(
+        &self,
+        aggregates: Option<TopKAggregates>,
+        request_index: usize,
+    ) -> Option<RequestRequirement> {
+        let aggregates = aggregates?;
+        let workforce = match self.mode {
+            AggregationMode::Sum => aggregates.sum,
+            AggregationMode::Max => aggregates.kth,
+        };
+        Some(RequestRequirement {
+            request_index,
+            strategy_indices: self.selected.clone(),
+            workforce,
+        })
+    }
 }
 
 /// Cached per-row top-k aggregations of a delta-maintained
@@ -504,14 +562,11 @@ fn aggregate_row(
 /// [`TopKScratch`] reused across every repair.
 #[derive(Debug, Clone)]
 pub struct AggregationCache {
-    k: usize,
-    mode: AggregationMode,
+    aggregator: RowAggregator,
     /// Slot width of the matrix the cache last synchronized with.
     cols: usize,
     primed: bool,
     requirements: Vec<Option<RequestRequirement>>,
-    scratch: TopKScratch,
-    selected: Vec<usize>,
 }
 
 impl AggregationCache {
@@ -520,26 +575,23 @@ impl AggregationCache {
     #[must_use]
     pub fn new(k: usize, mode: AggregationMode) -> Self {
         Self {
-            k,
-            mode,
+            aggregator: RowAggregator::new(k, mode),
             cols: 0,
             primed: false,
             requirements: Vec::new(),
-            scratch: TopKScratch::new(),
-            selected: Vec::new(),
         }
     }
 
     /// The cardinality constraint the cache aggregates with.
     #[must_use]
     pub fn k(&self) -> usize {
-        self.k
+        self.aggregator.k
     }
 
     /// The aggregation mode the cache aggregates with.
     #[must_use]
     pub fn mode(&self) -> AggregationMode {
-        self.mode
+        self.aggregator.mode
     }
 
     /// Whether [`Self::prime`] has run (repairs need a baseline).
@@ -561,14 +613,8 @@ impl AggregationCache {
         self.requirements.clear();
         self.requirements.reserve(matrix.rows());
         for i in 0..matrix.rows() {
-            self.requirements.push(aggregate_row(
-                matrix.row(i),
-                i,
-                self.k,
-                self.mode,
-                &mut self.scratch,
-                &mut self.selected,
-            ));
+            self.requirements
+                .push(self.aggregator.matrix_row(matrix.row(i), i));
         }
         self.cols = matrix.cols();
         self.primed = true;
@@ -646,14 +692,7 @@ impl AggregationCache {
                     }
                 };
             if dirty {
-                self.requirements[i] = aggregate_row(
-                    row,
-                    i,
-                    self.k,
-                    self.mode,
-                    &mut self.scratch,
-                    &mut self.selected,
-                );
+                self.requirements[i] = self.aggregator.matrix_row(row, i);
                 repaired += 1;
             }
         }
@@ -663,18 +702,19 @@ impl AggregationCache {
 }
 
 /// Hoists the per-cell model lookups of the scan path into one id-indexed
-/// pass, returning a buffer parallel to the catalog slots. This also
+/// pass, returning references into `models` parallel to the catalog slots
+/// (8 bytes a slot, so the per-window buffer stays small). This also
 /// enforces the missing-model contract for every **live** slot. Retired
 /// slots keep a `None` placeholder: their model may have been dropped from
 /// the library along with the strategy.
-pub(crate) fn collect_live_models(
+pub(crate) fn collect_live_models<'m>(
     catalog: &StrategyCatalog,
-    models: &ModelLibrary,
-) -> Result<Vec<Option<StrategyModel>>, StratRecError> {
+    models: &'m ModelLibrary,
+) -> Result<Vec<Option<&'m StrategyModel>>, StratRecError> {
     let mut out = Vec::with_capacity(catalog.slot_count());
     for (slot, strategy) in catalog.strategies().iter().enumerate() {
         out.push(if catalog.is_live(slot) {
-            Some(*models.require(strategy.id)?)
+            Some(models.require(strategy.id)?)
         } else {
             None
         });
@@ -705,33 +745,50 @@ pub(crate) fn collect_slot_models_into(
     Ok(())
 }
 
-/// Fills one workforce-matrix row (pre-initialized to `f64::INFINITY`) for
-/// `request`: the unit of work sharded across threads by
-/// [`crate::engine::BatchEngine`] and run in a plain loop by
-/// [`WorkforceMatrix::compute_with_catalog`]. `strategy_models` comes from
-/// [`collect_live_models`] and is parallel to the catalog slots.
-pub(crate) fn fill_catalog_row(
+/// Calls `visit(slot, value)` for every cell of `request`'s catalog row
+/// that can be finite, in no particular order: under
+/// [`EligibilityRule::StrategyParameters`] the eligible slots
+/// ([`StrategyCatalog::for_each_eligible`]), under
+/// [`EligibilityRule::ModelOnly`] every live slot. Each visited cell inverts
+/// its slot's model; every other cell of the row is `f64::INFINITY`.
+/// `strategy_models` comes from [`collect_live_models`] and is parallel to
+/// the catalog slots.
+fn for_each_catalog_cell<F: FnMut(usize, f64)>(
     request: &DeploymentRequest,
     catalog: &StrategyCatalog,
-    strategy_models: &[Option<StrategyModel>],
+    strategy_models: &[Option<&StrategyModel>],
     rule: EligibilityRule,
-    row: &mut [f64],
+    mut visit: F,
 ) {
     match rule {
-        EligibilityRule::StrategyParameters => {
-            for j in catalog.eligible_for(&request.params) {
-                let model = strategy_models[j].expect("eligible slots are live");
-                row[j] = model.required_workforce(&request.params);
-            }
-        }
+        EligibilityRule::StrategyParameters => catalog.for_each_eligible(&request.params, |slot| {
+            let model = strategy_models[slot].expect("eligible slots are live");
+            visit(slot, model.required_workforce(&request.params));
+        }),
         EligibilityRule::ModelOnly => {
-            for (cell, model) in row.iter_mut().zip(strategy_models) {
+            for (slot, model) in strategy_models.iter().enumerate() {
                 if let Some(model) = model {
-                    *cell = model.required_workforce(&request.params);
+                    visit(slot, model.required_workforce(&request.params));
                 }
             }
         }
     }
+}
+
+/// Fills one workforce-matrix row (pre-initialized to `f64::INFINITY`) for
+/// `request` with the cells [`for_each_catalog_cell`] evaluates: the unit
+/// of work sharded across threads by [`crate::engine::BatchEngine`] and run
+/// in a plain loop by [`WorkforceMatrix::compute_with_catalog`].
+pub(crate) fn fill_catalog_row(
+    request: &DeploymentRequest,
+    catalog: &StrategyCatalog,
+    strategy_models: &[Option<&StrategyModel>],
+    rule: EligibilityRule,
+    row: &mut [f64],
+) {
+    for_each_catalog_cell(request, catalog, strategy_models, rule, |slot, value| {
+        row[slot] = value;
+    });
 }
 
 /// Computes the cells of the freshly appended `inserted` columns in one

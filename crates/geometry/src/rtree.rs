@@ -169,9 +169,7 @@ impl RTree {
     #[must_use]
     pub fn count_in_box(&self, query: &Aabb3) -> usize {
         let mut count = 0;
-        if let Some(root) = &self.root {
-            count_in(root, query, &mut count);
-        }
+        self.for_each_in_box(query, |_| count += 1);
         count
     }
 
@@ -180,11 +178,19 @@ impl RTree {
     #[must_use]
     pub fn query_box(&self, query: &Aabb3) -> Vec<usize> {
         let mut out = Vec::new();
-        if let Some(root) = &self.root {
-            collect_in(root, query, &mut out);
-        }
+        self.for_each_in_box(query, |idx| out.push(idx));
         out.sort_unstable();
         out
+    }
+
+    /// Calls `visit` with the original index of every point contained in
+    /// `query` (inclusive bounds), in tree order rather than index order.
+    /// Callers that fold the hits order-independently skip the buffer and
+    /// the sort of [`Self::query_box`].
+    pub fn for_each_in_box<F: FnMut(usize)>(&self, query: &Aabb3, mut visit: F) {
+        if let Some(root) = &self.root {
+            visit_in(root, query, &mut visit);
+        }
     }
 
     /// Visits every node of the tree (pre-order), calling `visit` with the
@@ -223,41 +229,21 @@ fn count_points(node: &Node) -> usize {
     }
 }
 
-fn count_in(node: &Node, query: &Aabb3, count: &mut usize) {
+fn visit_in<F: FnMut(usize)>(node: &Node, query: &Aabb3, visit: &mut F) {
     if !node.mbb.intersects(query) {
         return;
     }
     match &node.content {
         NodeContent::Leaf(entries) => {
-            *count += entries
-                .iter()
-                .filter(|(_, p)| query.contains(p, 0.0))
-                .count();
-        }
-        NodeContent::Internal(children) => {
-            for child in children {
-                count_in(child, query, count);
+            for (idx, point) in entries {
+                if query.contains(point, 0.0) {
+                    visit(*idx);
+                }
             }
         }
-    }
-}
-
-fn collect_in(node: &Node, query: &Aabb3, out: &mut Vec<usize>) {
-    if !node.mbb.intersects(query) {
-        return;
-    }
-    match &node.content {
-        NodeContent::Leaf(entries) => {
-            out.extend(
-                entries
-                    .iter()
-                    .filter(|(_, p)| query.contains(p, 0.0))
-                    .map(|(i, _)| *i),
-            );
-        }
         NodeContent::Internal(children) => {
             for child in children {
-                collect_in(child, query, out);
+                visit_in(child, query, visit);
             }
         }
     }

@@ -28,15 +28,25 @@ impl Ord for OrdF64 {
     }
 }
 
-/// Reusable working memory for [`k_smallest_indices_into`]: the bounded
-/// selection heap and its drain buffer.
+/// Reusable working memory for a bounded top-k selection: the selection
+/// heap and its drain buffer.
 ///
-/// Row-at-a-time callers (the workforce-matrix aggregation walks `m` rows
-/// with the same `k`) keep one scratch and pay for the heap allocation once
-/// instead of per row. A fresh scratch and a reused one produce identical
-/// selections.
+/// A selection is a [`begin`](Self::begin) / [`offer`](Self::offer) /
+/// [`finish`](Self::finish) stream. [`k_smallest_indices_into`] and
+/// [`k_smallest_aggregates_into`] offer a slice's values in index order;
+/// callers that never materialise a row (the catalog path walks only a
+/// request's eligible slots) offer `(value, index)` pairs in any order.
+/// Candidates are ranked by `(value, index)` under `f64::total_cmp`, a total
+/// order with unique keys, so the selection, its sum and its `k`-th value
+/// do not depend on the order of the offers.
+///
+/// Row-at-a-time callers keep one scratch and pay for the heap allocation
+/// once instead of per row. A fresh scratch and a reused one produce
+/// identical selections.
 #[derive(Debug, Clone, Default)]
 pub struct TopKScratch {
+    /// Selection size of the stream in progress.
+    k: usize,
     /// Max-heap of `(value, index)` keeping the `k` smallest seen so far.
     heap: BinaryHeap<(OrdF64, usize)>,
     /// Heap drain-and-sort buffer.
@@ -49,16 +59,70 @@ impl TopKScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Starts a new selection of the `k` smallest finite offered values,
+    /// discarding any unfinished one.
+    pub fn begin(&mut self, k: usize) {
+        self.k = k;
+        self.heap.clear();
+    }
+
+    /// Offers the candidate `value` at `index`. Non-finite values (`NaN`,
+    /// `±∞`) are skipped: in StratRec an infinite workforce requirement means
+    /// the strategy can never reach the requested threshold. Each index must
+    /// be offered at most once per selection.
+    #[inline]
+    pub fn offer(&mut self, value: f64, index: usize) {
+        if !value.is_finite() || self.k == 0 {
+            return;
+        }
+        let candidate = (OrdF64(value), index);
+        if self.heap.len() < self.k {
+            self.heap.push(candidate);
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            if candidate < *worst {
+                *worst = candidate;
+            }
+        }
+    }
+
+    /// Ends the selection: writes the selected indices into `out` (cleared
+    /// first) by ascending `(value, index)` and returns both row aggregates,
+    /// accumulated in that order. Returns `None` when `k == 0` or fewer than
+    /// `k` finite values were offered (`out` then holds the shortfall
+    /// selection).
+    pub fn finish(&mut self, out: &mut Vec<usize>) -> Option<TopKAggregates> {
+        out.clear();
+        self.sorted.clear();
+        self.sorted
+            .extend(self.heap.drain().map(|(value, index)| (value.0, index)));
+        self.sorted
+            .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        out.extend(self.sorted.iter().map(|&(_, index)| index));
+        if self.k == 0 || out.len() < self.k {
+            return None;
+        }
+        let mut sum = 0.0;
+        for &(value, _) in &self.sorted {
+            sum += value;
+        }
+        let kth = self
+            .sorted
+            .last()
+            .expect("k >= 1 so the selection is non-empty")
+            .0;
+        Some(TopKAggregates { sum, kth })
+    }
 }
 
 /// Returns the indices of the `k` smallest values, ordered by ascending
 /// value (ties broken by ascending index), using a bounded max-heap so the
 /// cost is `O(n log k)` rather than `O(n log n)`.
 ///
-/// Non-finite values (`NaN`, `±∞`) are skipped: in StratRec an infinite
-/// workforce requirement means the strategy can never reach the requested
-/// threshold, so it must not be recommended. If fewer than `k` finite values
-/// exist, all of them are returned (callers detect the shortfall by length).
+/// Values are ranked by `f64::total_cmp`, so `-0.0` sorts before `0.0`.
+/// Non-finite values (`NaN`, `±∞`) are skipped. If fewer than `k` finite
+/// values exist, all of them are returned (callers detect the shortfall by
+/// length).
 #[must_use]
 pub fn k_smallest_indices(values: &[f64], k: usize) -> Vec<usize> {
     let mut out = Vec::new();
@@ -75,31 +139,7 @@ pub fn k_smallest_indices_into(
     scratch: &mut TopKScratch,
     out: &mut Vec<usize>,
 ) {
-    out.clear();
-    if k == 0 {
-        return;
-    }
-    let heap = &mut scratch.heap;
-    heap.clear();
-    for (idx, &value) in values.iter().enumerate() {
-        if !value.is_finite() {
-            continue;
-        }
-        if heap.len() < k {
-            heap.push((OrdF64(value), idx));
-        } else if let Some(&(OrdF64(worst), worst_idx)) = heap.peek() {
-            if value < worst || (value == worst && idx < worst_idx) {
-                heap.pop();
-                heap.push((OrdF64(value), idx));
-            }
-        }
-    }
-    scratch.sorted.clear();
-    scratch.sorted.extend(heap.drain().map(|(v, i)| (v.0, i)));
-    scratch
-        .sorted
-        .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    out.extend(scratch.sorted.iter().map(|&(_, i)| i));
+    k_smallest_aggregates_into(values, k, scratch, out);
 }
 
 /// The row aggregates one fused [`k_smallest_aggregates_into`] pass yields
@@ -114,36 +154,27 @@ pub struct TopKAggregates {
     pub kth: f64,
 }
 
-/// Fused top-k selection + aggregation: fills `out` exactly like
-/// [`k_smallest_indices_into`] and computes both row aggregates from the
-/// same drained, sorted buffer — one pass over the row for selection, sum
-/// and k-th value together. Returns `None` when `k == 0` or fewer than `k`
-/// finite values exist (`out` then holds the shortfall selection).
+/// Fused top-k selection + aggregation over a slice: offers every value to
+/// the scratch's selection in index order ([`TopKScratch::offer`]) and
+/// returns [`TopKScratch::finish`]: `out` holds the selection, and the sum
+/// and `k`-th value come from the same sorted buffer. Returns `None` when
+/// `k == 0` or fewer than `k` finite values exist.
 ///
-/// This is **the** aggregation primitive: cold aggregation
-/// (`WorkforceMatrix::aggregate`), cache priming and cache repair all
-/// route through it, so every path sums the same values in the same order
-/// and is bit-identical by construction.
+/// The matrix aggregation (`WorkforceMatrix::aggregate`) and the streamed
+/// catalog path both end in the same `begin` / `offer` / `finish` stream,
+/// so they select, sum and rank with one comparator and are bit-identical
+/// by construction.
 pub fn k_smallest_aggregates_into(
     values: &[f64],
     k: usize,
     scratch: &mut TopKScratch,
     out: &mut Vec<usize>,
 ) -> Option<TopKAggregates> {
-    k_smallest_indices_into(values, k, scratch, out);
-    if k == 0 || out.len() < k {
-        return None;
+    scratch.begin(k);
+    for (index, &value) in values.iter().enumerate() {
+        scratch.offer(value, index);
     }
-    let mut sum = 0.0;
-    for &(value, _) in &scratch.sorted {
-        sum += value;
-    }
-    let kth = scratch
-        .sorted
-        .last()
-        .expect("k >= 1 so the selection is non-empty")
-        .0;
-    Some(TopKAggregates { sum, kth })
+    scratch.finish(out)
 }
 
 /// Sort-based reference implementation of [`k_smallest_indices`], `O(n log n)`.
@@ -285,15 +316,94 @@ mod tests {
         }
     }
 
+    #[test]
+    fn signed_zeros_rank_negative_first() {
+        // Regression: replacement used to be decided with IEEE `<`/`==`,
+        // under which `-0.0 == 0.0`, while the heap ranked by `total_cmp`.
+        assert_eq!(k_smallest_indices(&[0.0, -0.0], 1), vec![1]);
+        assert_eq!(k_smallest_indices_by_sort(&[0.0, -0.0], 1), vec![1]);
+        assert_eq!(k_smallest_indices(&[-0.0, 0.0], 1), vec![0]);
+        assert_eq!(k_smallest_indices(&[0.0, -0.0, 0.0], 2), vec![1, 0]);
+        assert_eq!(
+            kth_smallest(&[0.0, -0.0], 1).map(f64::to_bits),
+            Some((-0.0_f64).to_bits())
+        );
+    }
+
+    #[test]
+    fn offers_stream_in_any_order() {
+        let mut scratch = TopKScratch::new();
+        let mut out = Vec::new();
+        scratch.begin(2);
+        for (value, index) in [(0.3, 4), (f64::NAN, 0), (0.1, 7), (0.3, 2), (0.2, 9)] {
+            scratch.offer(value, index);
+        }
+        let aggregates = scratch.finish(&mut out).unwrap();
+        assert_eq!(out, vec![7, 9]);
+        assert_eq!(aggregates.kth.to_bits(), 0.2_f64.to_bits());
+        // A new `begin` forgets an unfinished selection.
+        scratch.begin(3);
+        scratch.offer(0.5, 1);
+        scratch.begin(1);
+        scratch.offer(0.9, 3);
+        assert_eq!(scratch.finish(&mut out).map(|a| a.sum), Some(0.9));
+        assert_eq!(out, vec![3]);
+        scratch.begin(0);
+        scratch.offer(0.1, 0);
+        assert_eq!(scratch.finish(&mut out), None);
+        assert!(out.is_empty());
+    }
+
+    /// Maps a drawn `(code, x)` pair onto the values a workforce row can
+    /// hold and the ones that trip float comparisons: signed zeros, values
+    /// repeated across the row, `±∞` and `NaN`.
+    fn edgy(code: u8, x: f64) -> f64 {
+        match code {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::INFINITY,
+            3 => f64::NEG_INFINITY,
+            4 => f64::NAN,
+            5 | 6 => (x.abs() % 4.0).floor() * 0.25,
+            _ => x,
+        }
+    }
+
     proptest! {
         #[test]
         fn heap_matches_sort_reference(
-            values in proptest::collection::vec(-1e3_f64..1e3, 0..64),
+            drawn in proptest::collection::vec((0_u8..10, -1e3_f64..1e3), 0..64),
             k in 0_usize..20,
         ) {
+            let values: Vec<f64> = drawn.iter().map(|&(code, x)| edgy(code, x)).collect();
             prop_assert_eq!(
                 k_smallest_indices(&values, k),
                 k_smallest_indices_by_sort(&values, k)
+            );
+        }
+
+        #[test]
+        fn selection_is_invariant_under_offer_order(
+            drawn in proptest::collection::vec((0_u8..10, -1e3_f64..1e3, 0.0_f64..1.0), 0..64),
+            k in 0_usize..20,
+        ) {
+            let values: Vec<f64> = drawn.iter().map(|&(code, x, _)| edgy(code, x)).collect();
+            let mut in_order = Vec::new();
+            let expected = k_smallest_aggregates_into(&values, k, &mut TopKScratch::new(), &mut in_order);
+            // Offer the same (value, index) pairs in a shuffled order.
+            let mut order: Vec<usize> = (0..values.len()).collect();
+            order.sort_by(|&a, &b| drawn[a].2.total_cmp(&drawn[b].2));
+            let mut scratch = TopKScratch::new();
+            scratch.begin(k);
+            for &index in &order {
+                scratch.offer(values[index], index);
+            }
+            let mut shuffled = Vec::new();
+            let got = scratch.finish(&mut shuffled);
+            prop_assert_eq!(&shuffled, &in_order);
+            prop_assert_eq!(
+                got.map(|a| (a.sum.to_bits(), a.kth.to_bits())),
+                expected.map(|a| (a.sum.to_bits(), a.kth.to_bits()))
             );
         }
 

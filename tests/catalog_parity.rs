@@ -384,8 +384,9 @@ fn grid_instance(seed: u64) -> (Vec<DeploymentRequest>, StrategyCatalog, ModelLi
 
 #[test]
 fn batch_engine_outputs_are_identical_for_every_thread_count() {
-    // The parallel engine must produce byte-identical workforce matrices
-    // and ADPaR solutions no matter how the rows / problems are sharded.
+    // The parallel engine must produce byte-identical workforce matrices,
+    // streamed requirements and ADPaR solutions no matter how the rows /
+    // problems are sharded.
     let instances = SEEDS
         .iter()
         .map(|&seed| {
@@ -417,6 +418,18 @@ fn batch_engine_outputs_are_identical_for_every_thread_count() {
                     .workforce_matrix(&requests, &catalog, &models, rule)
                     .unwrap();
                 assert_eq!(sequential, parallel, "{label}, {rule:?}, {threads} threads");
+            }
+            for mode in [AggregationMode::Sum, AggregationMode::Max] {
+                let expected = sequential.aggregate(4, mode);
+                for threads in [1, 2, 3, 5, 0] {
+                    let streamed = BatchEngine::with_threads(threads)
+                        .requirements(&requests, &catalog, &models, rule, 4, mode)
+                        .unwrap();
+                    assert_eq!(
+                        streamed, expected,
+                        "{label}, {rule:?}, {mode:?}, {threads} threads"
+                    );
+                }
             }
         }
 
