@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use stratrec_core::batch::{BatchAlgorithm, BatchObjective, BatchStrat};
-use stratrec_core::workforce::{AggregationMode, WorkforceMatrix};
+use stratrec_core::workforce::{AggregationMode, EligibilityRule, WorkforceMatrix};
 use stratrec_workload::scenario::BatchScenario;
 
 fn bench_batch_recommendation(c: &mut Criterion) {
@@ -67,9 +67,13 @@ fn bench_aggregation_modes(c: &mut Criterion) {
         ..BatchScenario::default()
     };
     let instance = scenario.materialize();
-    let matrix =
-        WorkforceMatrix::compute(&instance.requests, &instance.strategies, &instance.models)
-            .expect("models cover every strategy");
+    let matrix = WorkforceMatrix::compute_with_rule(
+        &instance.requests,
+        &instance.strategies,
+        &instance.models,
+        EligibilityRule::default(),
+    )
+    .expect("models cover every strategy");
     let mut group = c.benchmark_group("workforce_aggregation_ablation");
     group.sample_size(20);
     for (label, mode) in [

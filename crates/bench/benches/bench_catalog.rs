@@ -6,6 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use stratrec_core::batch::{BatchObjective, BatchStrat};
+use stratrec_core::engine::BatchEngine;
 use stratrec_core::workforce::{AggregationMode, EligibilityRule, WorkforceMatrix};
 use stratrec_workload::scenario::BatchScenario;
 
@@ -66,7 +67,7 @@ fn bench_eligibility_primitive(c: &mut Criterion) {
         b.iter(|| black_box(request.eligible_strategies(black_box(&instance.strategies))));
     });
     group.bench_function("rtree_query", |b| {
-        b.iter(|| black_box(catalog.eligible_for_request(black_box(request))));
+        b.iter(|| black_box(catalog.eligible_for(black_box(&request.params))));
     });
     group.finish();
 }
@@ -78,23 +79,25 @@ fn bench_matrix_paths(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("scan", |b| {
         b.iter(|| {
-            WorkforceMatrix::compute(
+            WorkforceMatrix::compute_with_rule(
                 black_box(&instance.requests),
                 black_box(&instance.strategies),
                 &instance.models,
+                EligibilityRule::default(),
             )
             .expect("models cover every strategy")
         });
     });
     group.bench_function("indexed", |b| {
         b.iter(|| {
-            WorkforceMatrix::compute_with_catalog(
-                black_box(&instance.requests),
-                black_box(&catalog),
-                &instance.models,
-                EligibilityRule::default(),
-            )
-            .expect("models cover every strategy")
+            BatchEngine::sequential()
+                .workforce_matrix(
+                    black_box(&instance.requests),
+                    black_box(&catalog),
+                    &instance.models,
+                    EligibilityRule::default(),
+                )
+                .expect("models cover every strategy")
         });
     });
     group.finish();

@@ -26,9 +26,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 use stratrec_core::catalog::{RebuildPolicy, StrategyCatalog};
 use stratrec_core::engine::BatchEngine;
-use stratrec_core::workforce::{
-    AggregationCache, AggregationMode, EligibilityRule, WorkforceMatrix,
-};
+use stratrec_core::workforce::{AggregationCache, AggregationMode, EligibilityRule};
 use stratrec_workload::churn::{ChurnInstance, ChurnScenario, CompactPolicy};
 
 fn paper_scale_scenario(churn_rate: f64) -> ChurnScenario {
@@ -57,9 +55,9 @@ fn bench_rebuild_vs_overlay(c: &mut Criterion) {
                     let mut served = 0usize;
                     for epoch in &instance.epochs {
                         epoch.apply_to_vec(&mut live);
-                        let catalog = StrategyCatalog::from_slice(&live);
+                        let catalog = StrategyCatalog::new(live.as_slice());
                         for request in &epoch.requests {
-                            served += catalog.eligible_for_request(request).len();
+                            served += catalog.eligible_for(&request.params).len();
                         }
                     }
                     black_box(served)
@@ -81,7 +79,7 @@ fn bench_rebuild_vs_overlay(c: &mut Criterion) {
                     for epoch in &instance.epochs {
                         epoch.apply(&mut catalog);
                         for request in &epoch.requests {
-                            served += catalog.eligible_for_request(request).len();
+                            served += catalog.eligible_for(&request.params).len();
                         }
                     }
                     black_box(served)
@@ -105,7 +103,7 @@ fn bench_maintenance_primitive(c: &mut Criterion) {
         b.iter(|| {
             let mut live = instance.initial.clone();
             epoch.apply_to_vec(&mut live);
-            black_box(StrategyCatalog::from_slice(&live).len())
+            black_box(StrategyCatalog::new(live.as_slice()).len())
         });
     });
     for (label, policy) in [
@@ -189,7 +187,7 @@ fn bench_compaction_loop(c: &mut Criterion) {
                         for (i, epoch) in instance.epochs.iter().enumerate() {
                             instance.apply_epoch(i, &mut catalog);
                             for request in &epoch.requests {
-                                served += catalog.eligible_for_request(request).len();
+                                served += catalog.eligible_for(&request.params).len();
                             }
                         }
                         black_box((served, catalog.slot_count()))
@@ -236,13 +234,9 @@ fn measure_incremental(
     for rep in 0..reps {
         // Incremental arm: one long-lived matrix + cache + subscription.
         let mut catalog = base.clone();
-        let mut matrix = WorkforceMatrix::compute_with_catalog(
-            &instance.standing,
-            &catalog,
-            &instance.models,
-            rule,
-        )
-        .expect("churn instances model every strategy");
+        let mut matrix = BatchEngine::sequential()
+            .workforce_matrix(&instance.standing, &catalog, &instance.models, rule)
+            .expect("churn instances model every strategy");
         let mut cache = AggregationCache::new(k, mode);
         cache.prime(&matrix);
         let sub = catalog.subscribe_delta();
@@ -269,13 +263,9 @@ fn measure_incremental(
         // maintained state must equal a fresh recompute, or the comparison
         // is meaningless.
         if rep == 0 {
-            let fresh = WorkforceMatrix::compute_with_catalog(
-                &instance.standing,
-                &catalog,
-                &instance.models,
-                rule,
-            )
-            .unwrap();
+            let fresh = BatchEngine::sequential()
+                .workforce_matrix(&instance.standing, &catalog, &instance.models, rule)
+                .unwrap();
             assert_eq!(matrix, fresh, "incremental matrix diverged");
             assert_eq!(
                 cache.requirements(),
@@ -289,13 +279,9 @@ fn measure_incremental(
         for i in 0..epochs {
             instance.apply_epoch(i, &mut catalog);
             let started = Instant::now();
-            let matrix = WorkforceMatrix::compute_with_catalog(
-                &instance.standing,
-                &catalog,
-                &instance.models,
-                rule,
-            )
-            .unwrap();
+            let matrix = BatchEngine::sequential()
+                .workforce_matrix(&instance.standing, &catalog, &instance.models, rule)
+                .unwrap();
             let requirements = matrix.aggregate(k, mode);
             recompute += started.elapsed();
             black_box(requirements);
@@ -405,13 +391,9 @@ fn bench_incremental_vs_recompute(c: &mut Criterion) {
             BenchmarkId::new("incremental", config.label),
             &instance,
             |b, instance| {
-                let matrix = WorkforceMatrix::compute_with_catalog(
-                    &instance.standing,
-                    &base,
-                    &instance.models,
-                    config.rule,
-                )
-                .unwrap();
+                let matrix = BatchEngine::sequential()
+                    .workforce_matrix(&instance.standing, &base, &instance.models, config.rule)
+                    .unwrap();
                 let mut cache = AggregationCache::new(instance.k, AggregationMode::Sum);
                 cache.prime(&matrix);
                 let mut seeded = base.clone();
@@ -452,13 +434,14 @@ fn bench_incremental_vs_recompute(c: &mut Criterion) {
                     let mut served = 0usize;
                     for i in 0..instance.epochs.len() {
                         instance.apply_epoch(i, &mut catalog);
-                        let matrix = WorkforceMatrix::compute_with_catalog(
-                            &instance.standing,
-                            &catalog,
-                            &instance.models,
-                            config.rule,
-                        )
-                        .unwrap();
+                        let matrix = BatchEngine::sequential()
+                            .workforce_matrix(
+                                &instance.standing,
+                                &catalog,
+                                &instance.models,
+                                config.rule,
+                            )
+                            .unwrap();
                         served += matrix
                             .aggregate(instance.k, AggregationMode::Sum)
                             .iter()

@@ -4,9 +4,9 @@
 //!
 //! The comparisons of record (quoted in the README "Performance" section):
 //!
-//! * `engine_workforce_matrix/*`: sequential
-//!   `WorkforceMatrix::compute_with_catalog` vs `BatchEngine::new()` row
-//!   sharding — identical cells, wall-clock divided by the core count.
+//! * `engine_workforce_matrix/*`: `BatchEngine::sequential()` vs
+//!   `BatchEngine::new()` row sharding — identical cells, wall-clock
+//!   divided by the core count.
 //! * `engine_requirements/*`: each request's top-k requirement at the
 //!   serving batch sizes `m ∈ {6, 64}`, streamed from its eligible slots
 //!   (`BatchEngine::requirements`, the serving path) vs the dense matrix
@@ -22,7 +22,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use stratrec_core::adpar::{AdparExact, AdparProblem, AdparSolver, SolveScratch};
 use stratrec_core::engine::BatchEngine;
-use stratrec_core::workforce::{AggregationMode, EligibilityRule, WorkforceMatrix};
+use stratrec_core::workforce::{AggregationMode, EligibilityRule};
 use stratrec_workload::scenario::{AdparScenario, BatchScenario, ParameterDistribution};
 
 const STRATEGY_COUNT: usize = 10_000;
@@ -51,13 +51,14 @@ fn bench_workforce_matrix(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("sequential", m), &m, |b, _| {
             b.iter(|| {
                 black_box(
-                    WorkforceMatrix::compute_with_catalog(
-                        &instance.requests,
-                        &catalog,
-                        &instance.models,
-                        EligibilityRule::StrategyParameters,
-                    )
-                    .expect("models cover the catalog"),
+                    BatchEngine::sequential()
+                        .workforce_matrix(
+                            &instance.requests,
+                            &catalog,
+                            &instance.models,
+                            EligibilityRule::StrategyParameters,
+                        )
+                        .expect("models cover the catalog"),
                 )
             });
         });

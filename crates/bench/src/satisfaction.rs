@@ -13,7 +13,8 @@
 //! Figures 15 and 16.
 
 use serde::{Deserialize, Serialize};
-use stratrec_core::workforce::{AggregationMode, EligibilityRule, WorkforceMatrix};
+use stratrec_core::engine::BatchEngine;
+use stratrec_core::workforce::{AggregationMode, EligibilityRule};
 use stratrec_workload::scenario::{BatchScenario, ParameterDistribution};
 
 /// Which scenario knob a sweep varies.
@@ -122,13 +123,14 @@ pub fn average_satisfaction(
             // Index the strategy set once per instance; eligibility for all
             // m requests is then answered by R-tree box queries.
             let catalog = instance.catalog();
-            let matrix = WorkforceMatrix::compute_with_catalog(
-                &instance.requests,
-                &catalog,
-                &instance.models,
-                EligibilityRule::default(),
-            )
-            .expect("generated models cover every strategy");
+            let matrix = BatchEngine::sequential()
+                .workforce_matrix(
+                    &instance.requests,
+                    &catalog,
+                    &instance.models,
+                    EligibilityRule::default(),
+                )
+                .expect("generated models cover every strategy");
             let requirements = matrix.aggregate(scenario.k, AggregationMode::Max);
             let satisfied = requirements
                 .iter()

@@ -429,7 +429,7 @@ mod tests {
     fn catalog_problems_solve_identically_to_plain_problems() {
         let strategies = crate::examples_data::running_example_strategies();
         let requests = crate::examples_data::running_example_requests();
-        let catalog = StrategyCatalog::from_slice(&strategies);
+        let catalog = StrategyCatalog::new(strategies.as_slice());
         let mut scratch = SolveScratch::new();
         for request in &requests {
             let plain = AdparProblem::new(request, &strategies, 3);

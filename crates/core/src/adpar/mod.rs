@@ -481,7 +481,7 @@ mod tests {
     fn stale_epoch_pins_fail_validation_with_a_typed_error() {
         let strategies = crate::examples_data::running_example_strategies();
         let request = crate::examples_data::running_example_requests()[1].clone();
-        let mut catalog = crate::catalog::StrategyCatalog::from_slice(&strategies);
+        let mut catalog = crate::catalog::StrategyCatalog::new(strategies.as_slice());
         catalog.insert(Strategy::from_params(
             9,
             DeploymentParameters::clamped(0.8, 0.3, 0.3),
@@ -517,7 +517,7 @@ mod tests {
     fn solutions_remap_through_a_compaction() {
         let strategies = crate::examples_data::running_example_strategies();
         let request = crate::examples_data::running_example_requests()[1].clone();
-        let mut catalog = crate::catalog::StrategyCatalog::from_slice(&strategies);
+        let mut catalog = crate::catalog::StrategyCatalog::new(strategies.as_slice());
         assert!(catalog.retire(0));
         let before = AdparExact
             .solve(&AdparProblem::with_catalog(&request, &catalog, 3))

@@ -174,7 +174,8 @@ impl BatchStrat {
     ) -> Result<BatchOutcome, StratRecError> {
         let matrix =
             WorkforceMatrix::compute_with_rule(requests, strategies, models, self.eligibility)?;
-        Ok(self.recommend_from_matrix(requests, &matrix, k, availability))
+        let requirements = matrix.aggregate(k, self.aggregation);
+        Ok(self.select(requests, &requirements, availability))
     }
 
     /// Recommends strategies for a batch against an indexed
@@ -208,23 +209,13 @@ impl BatchStrat {
         Ok(self.select(requests, &requirements, availability))
     }
 
-    /// Recommends strategies given a pre-computed workforce matrix. This is
-    /// the entry point used by the synthetic experiments, which generate the
-    /// matrix from sampled `(α, β)` pairs directly.
-    #[must_use]
-    pub fn recommend_from_matrix(
-        &self,
-        requests: &[DeploymentRequest],
-        matrix: &WorkforceMatrix,
-        k: usize,
-        availability: WorkerAvailability,
-    ) -> BatchOutcome {
-        let requirements = matrix.aggregate(k, self.aggregation);
-        self.select(requests, &requirements, availability)
-    }
-
     /// Runs the selection step over per-request requirements (`None` entries
     /// are structurally infeasible requests).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `requirements` is not parallel to `requests`: a request
+    /// without a requirement would get no answer and never reach ADPaR.
     #[must_use]
     pub fn select(
         &self,
@@ -232,7 +223,11 @@ impl BatchStrat {
         requirements: &[Option<RequestRequirement>],
         availability: WorkerAvailability,
     ) -> BatchOutcome {
-        debug_assert_eq!(requests.len(), requirements.len());
+        assert_eq!(
+            requests.len(),
+            requirements.len(),
+            "one requirement per request is needed to select a batch"
+        );
         // Feasible candidates become knapsack items.
         let mut candidate_indices = Vec::new();
         let mut items = Vec::new();
@@ -434,6 +429,19 @@ mod tests {
         assert!(outcome.unsatisfied.is_empty());
         assert_eq!(outcome.objective_value, 0.0);
         assert_eq!(outcome.satisfaction_rate(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "one requirement per request is needed to select a batch")]
+    fn select_refuses_requests_without_a_requirement() {
+        // Three requests, one requirement: requests 1 and 2 would be
+        // dropped without an answer.
+        let requests = vec![
+            request(1, 0.5, 0.5, 0.5),
+            request(2, 0.5, 0.5, 0.5),
+            request(3, 0.5, 0.5, 0.5),
+        ];
+        let _ = BatchStrat::default().select(&requests, &[None], avail(0.5));
     }
 
     #[test]

@@ -199,7 +199,7 @@ mod tests {
     #[test]
     fn axis_orders_match_a_sorted_scan() {
         let strategies = crate::examples_data::running_example_strategies();
-        let catalog = StrategyCatalog::from_slice(&strategies);
+        let catalog = StrategyCatalog::new(strategies.as_slice());
         for axis in Axis::ALL {
             assert_eq!(catalog.axis_order(axis), scan_axis_order(&catalog, axis));
         }
@@ -309,7 +309,7 @@ mod tests {
             Strategy::from_params(1, params),
             Strategy::from_params(2, params),
         ];
-        let catalog = StrategyCatalog::from_slice(&strategies);
+        let catalog = StrategyCatalog::new(strategies.as_slice());
         for axis in Axis::ALL {
             assert_eq!(catalog.axis_order(axis), vec![0, 1, 2]);
         }

@@ -279,7 +279,7 @@ mod tests {
             let requests = crate::examples_data::running_example_requests();
             let eligible_before: Vec<Vec<usize>> = requests
                 .iter()
-                .map(|r| catalog.eligible_for_request(r))
+                .map(|r| catalog.eligible_for(&r.params))
                 .collect();
             let axis_before: Vec<Vec<usize>> =
                 Axis::ALL.iter().map(|&a| catalog.axis_order(a)).collect();
@@ -288,7 +288,7 @@ mod tests {
 
             for (request, before) in requests.iter().zip(&eligible_before) {
                 assert_eq!(
-                    catalog.eligible_for_request(request),
+                    catalog.eligible_for(&request.params),
                     remap.remap_slots(before).unwrap(),
                     "{policy:?}, request {:?}",
                     request.id

@@ -9,7 +9,7 @@
 //! **inserted** and **retired** since the subscriber last synchronized, and
 //! [`StrategyCatalog::take_delta`] drains the accumulated window as a
 //! [`CatalogDelta`]. The consumer then touches only the changed columns
-//! ([`crate::workforce::WorkforceMatrix::apply_delta`]) and repairs only the
+//! ([`crate::engine::BatchEngine::apply_matrix_delta`]) and repairs only the
 //! affected aggregation rows
 //! ([`crate::workforce::AggregationCache::repair`]), with work proportional
 //! to the churn instead of `|S|`.

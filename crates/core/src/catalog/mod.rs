@@ -81,7 +81,7 @@ pub use snapshot::{CatalogStats, ConcurrentCatalog, EpochSnapshot, SnapshotReade
 use serde::{Deserialize, Serialize};
 use stratrec_geometry::{Aabb3, Point3, RTree};
 
-use crate::model::{DeploymentParameters, DeploymentRequest, Strategy};
+use crate::model::{DeploymentParameters, Strategy};
 
 use axis::sorted_axis_orders;
 
@@ -408,12 +408,6 @@ impl StrategyCatalog {
         }
     }
 
-    /// Builds a catalog from a borrowed strategy slice (cloning it once).
-    #[must_use]
-    pub fn from_slice(strategies: &[Strategy]) -> Self {
-        Self::new(strategies)
-    }
-
     /// Every slot of the current numbering, in slot order — **including
     /// retired slots**; check [`Self::is_live`] or use
     /// [`Self::live_indices`] when liveness matters. Pristine and
@@ -556,8 +550,8 @@ impl StrategyCatalog {
 
     /// Indices of the live strategies satisfying the request thresholds
     /// `params`, ascending — exactly the set (and order) of
-    /// [`DeploymentRequest::eligible_strategies`] over the live slots:
-    /// [`Self::for_each_eligible`], collected and sorted.
+    /// [`crate::model::DeploymentRequest::eligible_strategies`] over the
+    /// live slots: [`Self::for_each_eligible`], collected and sorted.
     #[must_use]
     pub fn eligible_for(&self, params: &DeploymentParameters) -> Vec<usize> {
         let mut eligible = Vec::new();
@@ -597,18 +591,6 @@ impl StrategyCatalog {
             }
         }
     }
-
-    /// [`Self::eligible_for`] over a deployment request.
-    #[must_use]
-    pub fn eligible_for_request(&self, request: &DeploymentRequest) -> Vec<usize> {
-        self.eligible_for(&request.params)
-    }
-}
-
-impl From<Vec<Strategy>> for StrategyCatalog {
-    fn from(strategies: Vec<Strategy>) -> Self {
-        Self::new(strategies)
-    }
 }
 
 #[cfg(test)]
@@ -618,7 +600,7 @@ mod tests {
     #[test]
     fn catalog_mirrors_the_strategy_set() {
         let strategies = crate::examples_data::running_example_strategies();
-        let catalog = StrategyCatalog::from_slice(&strategies);
+        let catalog = StrategyCatalog::new(strategies.as_slice());
         assert_eq!(catalog.len(), 4);
         assert_eq!(catalog.slot_count(), 4);
         assert_eq!(catalog.retired_count(), 0);
@@ -640,10 +622,10 @@ mod tests {
     fn eligibility_matches_linear_scan_on_running_example() {
         let strategies = crate::examples_data::running_example_strategies();
         let requests = crate::examples_data::running_example_requests();
-        let catalog = StrategyCatalog::from_slice(&strategies);
+        let catalog = StrategyCatalog::new(strategies.as_slice());
         for request in &requests {
             assert_eq!(
-                catalog.eligible_for_request(request),
+                catalog.eligible_for(&request.params),
                 request.eligible_strategies(&strategies),
                 "request {:?}",
                 request.id
@@ -667,22 +649,21 @@ mod tests {
         // lose it.
         let params = DeploymentParameters::clamped(0.7, 0.3, 0.4);
         let strategies = vec![Strategy::from_params(0, params)];
-        let catalog = StrategyCatalog::from_slice(&strategies);
+        let catalog = StrategyCatalog::new(strategies.as_slice());
         assert_eq!(catalog.eligible_for(&params), vec![0]);
     }
 
     #[test]
-    fn from_conversions_agree() {
+    fn borrowed_and_owned_strategies_build_the_same_catalog() {
         let strategies = crate::examples_data::running_example_strategies();
-        let a = StrategyCatalog::from_slice(&strategies);
-        let b: StrategyCatalog = strategies.into();
-        assert_eq!(a, b);
+        let borrowed = StrategyCatalog::new(strategies.as_slice());
+        assert_eq!(borrowed, StrategyCatalog::new(strategies));
     }
 
     #[test]
     fn insert_appends_a_live_slot_and_bumps_the_epoch() {
         let strategies = crate::examples_data::running_example_strategies();
-        let mut catalog = StrategyCatalog::from_slice(&strategies);
+        let mut catalog = StrategyCatalog::new(strategies.as_slice());
         let loosest = DeploymentParameters::default();
         let slot = catalog.insert(Strategy::from_params(
             99,
@@ -702,7 +683,7 @@ mod tests {
     fn retire_tombstones_without_renumbering() {
         let strategies = crate::examples_data::running_example_strategies();
         let requests = crate::examples_data::running_example_requests();
-        let mut catalog = StrategyCatalog::from_slice(&strategies);
+        let mut catalog = StrategyCatalog::new(strategies.as_slice());
         // d3's eligible set is {1, 2, 3}; retiring slot 2 must drop exactly
         // that slot while 1 and 3 keep their numbers.
         assert!(catalog.retire(2));
@@ -712,7 +693,7 @@ mod tests {
         assert_eq!(catalog.slot_count(), 4);
         assert_eq!(catalog.retired_count(), 1);
         assert!(!catalog.is_live(2));
-        assert_eq!(catalog.eligible_for_request(&requests[2]), vec![1, 3]);
+        assert_eq!(catalog.eligible_for(&requests[2].params), vec![1, 3]);
         assert_eq!(catalog.live_indices(), vec![0, 1, 3]);
         assert_eq!(catalog.epoch(), 1);
     }

@@ -247,17 +247,17 @@ mod tests {
         ));
         let before: Vec<Vec<usize>> = requests
             .iter()
-            .map(|r| catalog.eligible_for_request(r))
+            .map(|r| catalog.eligible_for(&r.params))
             .collect();
         catalog.merge_overlay();
         assert!(catalog.overlay_is_empty());
         assert_eq!(catalog.index().len(), 4); // 4 - 1 tombstone + 1 insert
         for (request, expected) in requests.iter().zip(&before) {
-            assert_eq!(&catalog.eligible_for_request(request), expected);
+            assert_eq!(&catalog.eligible_for(&request.params), expected);
         }
         catalog.force_rebuild();
         for (request, expected) in requests.iter().zip(&before) {
-            assert_eq!(&catalog.eligible_for_request(request), expected);
+            assert_eq!(&catalog.eligible_for(&request.params), expected);
         }
         assert!(catalog.is_live(slot));
         assert_eq!(catalog.live_entries().len(), 4);

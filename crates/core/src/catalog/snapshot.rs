@@ -26,7 +26,7 @@
 //! and [`SnapshotReader::migrate`] drains the churn window as a
 //! [`CatalogDelta`] while re-pinning the latest snapshot — the reader then
 //! applies the delta exactly as the sequential incremental path does
-//! ([`crate::workforce::WorkforceMatrix::apply_delta`]). The subscription
+//! ([`crate::engine::BatchEngine::apply_matrix_delta`]). The subscription
 //! is released on drop (an RAII detach guard), so a reader that goes away
 //! without ceremony cannot leak its tracker; a reader that *stalls* past
 //! the catalog's [`StrategyCatalog::delta_lapse_limit`] is evicted and its

@@ -14,10 +14,13 @@
 //!   `workforce_matrix(..).aggregate(k, mode)` bit for bit.
 //! * [`BatchEngine::workforce_matrix`] builds that matrix — the paper's
 //!   §3.2 object, kept as the scan oracle and for replay — sharding rows the
-//!   same way. Each thread owns a disjoint `&mut` slice of the row-major
-//!   cell buffer, so no synchronization is needed and the output is
-//!   **byte-identical** to the sequential
-//!   [`WorkforceMatrix::compute_with_catalog`] regardless of thread count.
+//!   same way, and [`BatchEngine::apply_matrix_delta`] keeps a standing
+//!   matrix in step with catalog churn. They are the only catalog fill and
+//!   the only delta apply: one thread runs the same code as many. Each
+//!   thread owns a disjoint `&mut` slice of the row-major cell buffer, so no
+//!   synchronization is needed and the output is **byte-identical** for
+//!   every thread count, and equal to the linear scan
+//!   [`WorkforceMatrix::compute_with_rule`] over the catalog's strategies.
 //! * [`BatchEngine::solve_adpar_batch`] fans a batch of unsatisfied
 //!   requests out to [`AdparExact`] with one reusable
 //!   [`SolveScratch`](crate::adpar::SolveScratch) **and** one reused
@@ -30,7 +33,7 @@
 //! pure (it reads the shared catalog and writes only its own output slot),
 //! so chunking changes wall-clock time but never a single output bit. The
 //! parity suites in `tests/catalog_parity.rs` pin the engine against the
-//! sequential paths.
+//! linear-scan paths and against [`BatchEngine::sequential`].
 
 use std::sync::OnceLock;
 
@@ -124,7 +127,7 @@ impl BatchEngine {
     /// Returns [`StratRecError::MissingModel`] when a **live** catalog
     /// strategy has no fitted model in `models`, even one no request is
     /// eligible for; an empty batch never consults the model library (the
-    /// contract of [`WorkforceMatrix::compute_with_catalog`]).
+    /// contract of [`Self::workforce_matrix`]).
     pub fn requirements(
         &self,
         requests: &[DeploymentRequest],
@@ -157,16 +160,25 @@ impl BatchEngine {
         Ok(out)
     }
 
-    /// Computes the workforce matrix for a batch over a shared catalog,
-    /// sharding rows across scoped threads. Cells are identical to the
-    /// sequential [`WorkforceMatrix::compute_with_catalog`] (and therefore
-    /// to the linear-scan path) for every thread count.
+    /// Computes the workforce matrix for a batch through a shared catalog,
+    /// sharding rows across scoped threads. Each row's eligibility is an
+    /// R-tree box query instead of a scan over all `|S|` strategies; only
+    /// eligible cells invert their model and every other cell is
+    /// `f64::INFINITY`, so the matrix is **identical** to
+    /// [`WorkforceMatrix::compute_with_rule`] over a pristine catalog's
+    /// strategies, for every thread count.
+    ///
+    /// Columns are catalog **slots** (live and retired), so column numbers
+    /// stay stable across churn; retired slots are infeasible in every row
+    /// and never consult the model library. With
+    /// [`EligibilityRule::ModelOnly`] every live cell is evaluated.
     ///
     /// # Errors
     ///
     /// Returns [`StratRecError::MissingModel`] when a **live** catalog
-    /// strategy has no fitted model in `models`; an empty batch never
-    /// consults the model library (the sequential contract).
+    /// strategy has no fitted model in `models`, even one no request is
+    /// eligible for (the scan path's contract). An empty batch never
+    /// consults the model library and always succeeds.
     pub fn workforce_matrix(
         &self,
         requests: &[DeploymentRequest],
@@ -180,18 +192,20 @@ impl BatchEngine {
         // matrices follow the same compaction through
         // `WorkforceMatrix::remap_columns`.
         let cols = catalog.slot_count();
-        let threads = self.effective_threads(requests.len());
-        if threads < 2 || cols == 0 {
-            // One worker (or nothing to shard): the sequential path IS the
-            // engine's semantics, so delegate rather than duplicate it.
-            return WorkforceMatrix::compute_with_catalog(requests, catalog, models, rule);
+        if requests.is_empty() || cols == 0 {
+            // No cells to fill (and `chunks_mut(0)` would panic); an empty
+            // catalog has no model to miss.
+            return Ok(WorkforceMatrix::from_cells(
+                requests.len(),
+                cols,
+                Vec::new(),
+            ));
         }
         let strategy_models = workforce::collect_live_models(catalog, models)?;
-        // Same start state as the sequential fill: the fill writes only
-        // eligible cells, so rows start at `∞`.
+        // The fill writes only eligible cells, so rows start at `∞`.
         let mut cells = vec![f64::INFINITY; requests.len() * cols];
         shard(
-            threads,
+            self.effective_threads(requests.len()),
             requests,
             &mut cells,
             cols,
@@ -204,24 +218,47 @@ impl BatchEngine {
         Ok(WorkforceMatrix::from_cells(requests.len(), cols, cells))
     }
 
-    /// Applies a [`CatalogDelta`] to a long-lived workforce matrix
-    /// ([`WorkforceMatrix::apply_delta`] semantics, bit-identical result),
-    /// sharding the inserted-column model fill — the only `O(n · churn)`
-    /// model-evaluation work — across scoped threads in contiguous row
-    /// chunks, each thread owning a disjoint `&mut` slice of the cell
-    /// buffer. The structural steps (remap, widening, retired-column `∞`
-    /// writes) are pure `memmove`-class work and stay sequential. The model
-    /// buffer is a reusable scratch (`workforce::collect_slot_models_into`
-    /// over the inserted slots), so steady-state epochs allocate nothing for
+    /// Applies a [`CatalogDelta`] drained from the catalog `matrix` was
+    /// computed over, bringing it to the state a fresh
+    /// [`Self::workforce_matrix`] over the **updated** catalog would
+    /// produce — bit for bit (pinned by the `tests/catalog_churn.rs`
+    /// replay) — while touching only the changed columns:
+    ///
+    /// 1. the window's composed compaction remap (if any) renumbers the
+    ///    columns ([`WorkforceMatrix::remap_columns`], shedding reclaimed
+    ///    slots);
+    /// 2. one column is appended per inserted slot and **only those**
+    ///    columns are computed (eligibility by the exact per-strategy
+    ///    predicate, the model inversion per eligible cell); slots retired
+    ///    again within the window append as all-`∞`;
+    /// 3. `f64::INFINITY` is written into the retired columns in place.
+    ///
+    /// Steps 1 and 3 are `memmove`-class work and run on the calling
+    /// thread. The inserted-column model fill — the only `O(n · churn)`
+    /// model-evaluation work — is sharded across scoped threads in
+    /// contiguous row chunks. `model_buf` is a reusable scratch for the
+    /// inserted slots' models, so steady-state epochs allocate nothing for
     /// model collection.
+    ///
+    /// The missing-model contract is enforced for the **inserted** live
+    /// slots (pre-existing columns were validated when first computed), and
+    /// the check runs before any mutation. An empty request batch never
+    /// consults the model library, exactly like the fresh fill.
     ///
     /// # Errors
     ///
-    /// As [`WorkforceMatrix::apply_delta`]; a failed apply leaves the matrix
+    /// Returns [`StratRecError::StaleCatalog`] when `delta.to_epoch` is not
+    /// the catalog's current epoch (the delta was not drained against this
+    /// catalog state), and [`StratRecError::MissingModel`] when an inserted
+    /// live slot has no fitted model. A failed apply leaves the matrix
     /// unchanged.
-    // One argument per pipeline ingredient, mirroring
-    // `WorkforceMatrix::apply_delta_with_scratch`; bundling them would only
-    // add a struct the two call sites immediately unpack.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the matrix shape does not match `requests` and the
+    /// delta's source slot count.
+    // One argument per pipeline ingredient; bundling them would only add a
+    // struct every call site immediately unpacks.
     #[allow(clippy::too_many_arguments)]
     pub fn apply_matrix_delta(
         &self,
@@ -233,17 +270,16 @@ impl BatchEngine {
         rule: EligibilityRule,
         model_buf: &mut Vec<Option<StrategyModel>>,
     ) -> Result<(), StratRecError> {
-        let threads = self.effective_threads(requests.len());
-        if threads < 2 || delta.inserted.is_empty() {
-            return matrix
-                .apply_delta_with_scratch(delta, requests, catalog, models, rule, model_buf);
+        matrix.absorb_delta_structure(delta, requests, catalog, models, model_buf)?;
+        if delta.inserted.is_empty() {
+            return Ok(());
         }
-        matrix.apply_delta_structure(delta, requests, catalog, models, model_buf)?;
+        // At least one inserted column, so `cols > 0`.
         let cols = matrix.cols();
         let inserted = &delta.inserted;
         let inserted_models = &*model_buf;
         shard(
-            threads,
+            self.effective_threads(requests.len()),
             requests,
             matrix.cells_mut(),
             cols,
@@ -407,60 +443,66 @@ mod tests {
     }
 
     #[test]
-    fn engine_matrix_matches_sequential_for_every_thread_count() {
+    fn engine_matrix_matches_the_scan_for_every_thread_count() {
         let (requests, strategies, models) = setup();
-        let catalog = StrategyCatalog::from_slice(&strategies);
+        let catalog = StrategyCatalog::new(strategies.as_slice());
         for rule in [
             EligibilityRule::StrategyParameters,
             EligibilityRule::ModelOnly,
         ] {
-            let sequential =
-                WorkforceMatrix::compute_with_catalog(&requests, &catalog, &models, rule).unwrap();
+            let scan =
+                WorkforceMatrix::compute_with_rule(&requests, catalog.strategies(), &models, rule)
+                    .unwrap();
             for threads in [0, 1, 2, 3, 7] {
                 let parallel = BatchEngine::with_threads(threads)
                     .workforce_matrix(&requests, &catalog, &models, rule)
                     .unwrap();
-                assert_eq!(sequential, parallel, "{rule:?}, {threads} threads");
+                assert_eq!(scan, parallel, "{rule:?}, {threads} threads");
             }
         }
     }
 
     #[test]
     fn engine_matrix_preserves_the_empty_batch_contract() {
-        let (_, strategies, _) = setup();
-        let catalog = StrategyCatalog::from_slice(&strategies);
+        let (requests, strategies, _) = setup();
+        let catalog = StrategyCatalog::new(strategies.as_slice());
         let empty_models = ModelLibrary::new();
-        let matrix = BatchEngine::new()
-            .workforce_matrix(&[], &catalog, &empty_models, EligibilityRule::default())
-            .unwrap();
-        assert_eq!(matrix.rows(), 0);
-        assert_eq!(matrix.cols(), strategies.len());
-        // Missing models still error for non-empty batches.
-        let (requests, _, _) = setup();
-        assert!(matches!(
-            BatchEngine::new().workforce_matrix(
-                &requests,
-                &catalog,
-                &empty_models,
-                EligibilityRule::default()
-            ),
-            Err(StratRecError::MissingModel { .. })
-        ));
+        let rule = EligibilityRule::default();
+        // The scan never consults the model library for an empty batch; the
+        // catalog fill must not either.
+        let scan =
+            WorkforceMatrix::compute_with_rule(&[], &strategies, &empty_models, rule).unwrap();
+        for threads in 0..=4 {
+            let engine = BatchEngine::with_threads(threads);
+            let matrix = engine
+                .workforce_matrix(&[], &catalog, &empty_models, rule)
+                .unwrap();
+            assert_eq!(matrix, scan, "{threads} threads");
+            assert_eq!(matrix.rows(), 0);
+            assert_eq!(matrix.cols(), strategies.len());
+            // Missing models still error for non-empty batches.
+            assert!(matches!(
+                engine.workforce_matrix(&requests, &catalog, &empty_models, rule),
+                Err(StratRecError::MissingModel { .. })
+            ));
+        }
     }
 
     #[test]
     fn engine_matrix_handles_an_empty_catalog() {
         let (requests, _, models) = setup();
         let catalog = StrategyCatalog::new(Vec::new());
-        let matrix = BatchEngine::new()
-            .workforce_matrix(&requests, &catalog, &models, EligibilityRule::default())
-            .unwrap();
-        assert_eq!(matrix.rows(), requests.len());
-        assert_eq!(matrix.cols(), 0);
-        assert!(matrix
-            .aggregate(1, AggregationMode::Sum)
-            .iter()
-            .all(Option::is_none));
+        for threads in 0..=4 {
+            let matrix = BatchEngine::with_threads(threads)
+                .workforce_matrix(&requests, &catalog, &models, EligibilityRule::default())
+                .unwrap();
+            assert_eq!(matrix.rows(), requests.len(), "{threads} threads");
+            assert_eq!(matrix.cols(), 0);
+            assert!(matrix
+                .aggregate(1, AggregationMode::Sum)
+                .iter()
+                .all(Option::is_none));
+        }
     }
 
     #[test]
@@ -470,7 +512,7 @@ mod tests {
         // live count, not the historical slot count — and the remapped old
         // matrix must equal the freshly computed narrow one.
         let (requests, strategies, _) = setup();
-        let mut catalog = StrategyCatalog::from_slice(&strategies);
+        let mut catalog = StrategyCatalog::new(strategies.as_slice());
         catalog.insert(crate::model::Strategy::from_params(
             10,
             crate::model::DeploymentParameters::clamped(0.85, 0.25, 0.3),
@@ -509,7 +551,7 @@ mod tests {
     #[test]
     fn adpar_batch_matches_standalone_solves_in_order() {
         let (requests, strategies, _) = setup();
-        let catalog = StrategyCatalog::from_slice(&strategies);
+        let catalog = StrategyCatalog::new(strategies.as_slice());
         let indices = [2, 0, 1, 0];
         for threads in [0, 1, 2, 3] {
             let batch = BatchEngine::with_threads(threads)
@@ -526,7 +568,7 @@ mod tests {
     #[test]
     fn degraded_adpar_batch_matches_standalone_baseline2_in_order() {
         let (requests, strategies, _) = setup();
-        let catalog = StrategyCatalog::from_slice(&strategies);
+        let catalog = StrategyCatalog::new(strategies.as_slice());
         let indices = [2, 0, 1, 0];
         for threads in [0, 1, 2, 3] {
             let batch = BatchEngine::with_threads(threads)
@@ -552,7 +594,7 @@ mod tests {
     #[test]
     fn adpar_batch_reports_per_problem_errors() {
         let (requests, strategies, _) = setup();
-        let catalog = StrategyCatalog::from_slice(&strategies);
+        let catalog = StrategyCatalog::new(strategies.as_slice());
         // k larger than the catalog: every problem fails, none panics.
         let results = BatchEngine::new().solve_adpar_batch(&requests, &catalog, &[0, 1, 2], 9);
         assert!(results
@@ -565,11 +607,11 @@ mod tests {
     }
 
     #[test]
-    fn engine_delta_apply_matches_sequential_and_fresh_for_every_thread_count() {
+    fn engine_delta_apply_matches_a_fresh_fill_for_every_thread_count() {
         // Build a wider churn fixture so multiple row chunks exist, churn
-        // it over several windows (one of them compacting), and pin the
-        // engine-applied matrix against both the sequentially-applied one
-        // and a fresh recompute, for every thread count.
+        // it over several windows (one of them compacting, one retiring
+        // only), and pin the engine-applied matrix against a fresh
+        // one-thread fill, for every thread count.
         let strategies: Vec<crate::model::Strategy> = (0..30)
             .map(|i| {
                 crate::model::Strategy::from_params(
@@ -610,14 +652,20 @@ mod tests {
                 strategies.clone(),
                 crate::catalog::RebuildPolicy::threshold(3),
             );
-            let base =
-                WorkforceMatrix::compute_with_catalog(&requests, &catalog, &models, rule).unwrap();
+            let fresh_fill = |catalog: &StrategyCatalog, models: &ModelLibrary| {
+                BatchEngine::sequential()
+                    .workforce_matrix(&requests, catalog, models, rule)
+                    .unwrap()
+            };
+            let base = fresh_fill(&catalog, &models);
             let sub = catalog.subscribe_delta();
             let engines = [0_usize, 1, 2, 3, 7];
             let mut matrices: Vec<WorkforceMatrix> = engines.iter().map(|_| base.clone()).collect();
             let mut next_id = 30_u64;
-            for window in 0..3 {
-                for _ in 0..4 {
+            for window in 0..4 {
+                // The last window only retires: no inserted column to fill.
+                let inserts = if window == 3 { 0 } else { 4 };
+                for _ in 0..inserts {
                     let strategy = crate::model::Strategy::from_params(
                         next_id,
                         crate::model::DeploymentParameters::clamped(
@@ -641,9 +689,7 @@ mod tests {
                     catalog.compact();
                 }
                 let delta = catalog.take_delta(&sub).unwrap();
-                let fresh =
-                    WorkforceMatrix::compute_with_catalog(&requests, &catalog, &models, rule)
-                        .unwrap();
+                let fresh = fresh_fill(&catalog, &models);
                 for (&threads, matrix) in engines.iter().zip(&mut matrices) {
                     let mut model_buf = Vec::new();
                     BatchEngine::with_threads(threads)
@@ -695,10 +741,10 @@ mod tests {
             77,
             crate::model::DeploymentParameters::clamped(0.0, 1.0, 1.0),
         ));
-        let catalog = StrategyCatalog::from_slice(&strategies);
+        let catalog = StrategyCatalog::new(strategies.as_slice());
         let slot = strategies.len() - 1;
         for request in &requests {
-            assert!(!catalog.eligible_for_request(request).contains(&slot));
+            assert!(!catalog.eligible_for(&request.params).contains(&slot));
         }
         let rule = EligibilityRule::StrategyParameters;
         for threads in 0..=4 {
@@ -731,7 +777,7 @@ mod tests {
         let without = BatchEngine::new()
             .requirements(
                 &requests,
-                &StrategyCatalog::from_slice(&strategies[..slot]),
+                &StrategyCatalog::new(&strategies[..slot]),
                 &models,
                 rule,
                 3,
@@ -780,8 +826,9 @@ mod tests {
             EligibilityRule::StrategyParameters,
             EligibilityRule::ModelOnly,
         ] {
-            let matrix =
-                WorkforceMatrix::compute_with_catalog(requests, catalog, models, rule).unwrap();
+            let matrix = BatchEngine::sequential()
+                .workforce_matrix(requests, catalog, models, rule)
+                .unwrap();
             for mode in [AggregationMode::Sum, AggregationMode::Max] {
                 for k in [0, 1, 3, catalog.len() + 1] {
                     let expected = matrix.aggregate(k, mode);

@@ -7,16 +7,25 @@
 //! ([`AdparExact`](crate::adpar::AdparExact)) which recommends the closest
 //! alternative deployment parameters for which `k` strategies exist.
 //!
-//! Both stages run over a shared [`StrategyCatalog`] and execute on a
-//! [`BatchEngine`]. Eligibility is an R-tree box query instead of an
-//! `O(|S|)` scan per request. Each request's top-k requirement is streamed
-//! from its eligible cells ([`BatchEngine::requirements`]), with rows
-//! sharded across a scoped thread pool, so the catalog path never builds
-//! the dense workforce matrix: [`WorkforceMatrix`](crate::workforce::WorkforceMatrix)
-//! is the paper's §3.2 object for the slice/scan path and the oracle the
-//! streamed requirements are tested and replayed against. The independent
-//! ADPaR problems of a batch fan out in parallel with one reusable solver
-//! scratch per worker. Outputs are identical to the sequential scan
+//! Both stages run over a shared [`StrategyCatalog`] and execute on the
+//! layer's [`BatchEngine`] (a pub field: set it to
+//! [`BatchEngine::sequential`] or a thread cap directly). Eligibility is an
+//! R-tree box query instead of an `O(|S|)` scan per request. Each request's
+//! top-k requirement is streamed from its eligible cells
+//! ([`BatchEngine::requirements`]), with rows sharded across a scoped thread
+//! pool, so the catalog path never builds the dense workforce matrix:
+//! [`WorkforceMatrix`](crate::workforce::WorkforceMatrix) is the paper's
+//! §3.2 object for the slice/scan path and the oracle the streamed
+//! requirements are tested and replayed against. The independent ADPaR
+//! problems of a batch fan out in parallel with one reusable solver scratch
+//! per worker.
+//!
+//! A batch enters through one of three calls:
+//! [`StratRec::process_batch`] over a strategy slice (it builds a temporary
+//! catalog), [`StratRec::process_batch_with_catalog_at`] over a shared
+//! catalog at a [`ServiceQuality`], and [`StratRec::process_tenant_batches`]
+//! for several tenants sharing one availability budget. At
+//! [`ServiceQuality::Full`] the reports are identical to the sequential scan
 //! pipeline (see `tests/catalog_parity.rs`).
 
 use serde::{Deserialize, Serialize};
@@ -128,14 +137,6 @@ impl StratRec {
         }
     }
 
-    /// Replaces the batch engine (e.g. [`BatchEngine::sequential`] for
-    /// differential testing or a thread cap for co-tenanted services).
-    #[must_use]
-    pub fn with_engine(mut self, engine: BatchEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Each request's workforce requirement over the configured `k` and
     /// aggregation mode, streamed from its eligible catalog cells
     /// ([`BatchEngine::requirements`]).
@@ -166,7 +167,7 @@ impl StratRec {
     ///
     /// Builds a temporary [`StrategyCatalog`] over `strategies`; callers
     /// serving many batches over the same strategy set should build the
-    /// catalog once and use [`Self::process_batch_with_catalog`].
+    /// catalog once and use [`Self::process_batch_with_catalog_at`].
     ///
     /// # Errors
     ///
@@ -179,47 +180,29 @@ impl StratRec {
         models: &ModelLibrary,
         availability: &AvailabilityPdf,
     ) -> Result<StratRecReport, StratRecError> {
-        let catalog = StrategyCatalog::from_slice(strategies);
-        self.process_batch_with_catalog(requests, &catalog, models, availability)
-    }
-
-    /// Processes a batch over a shared, pre-indexed [`StrategyCatalog`] on
-    /// the configured [`BatchEngine`]: the Aggregator streams each request's
-    /// eligible cells (found through the catalog's R-tree) into its top-k,
-    /// with rows sharded across scoped threads, and the unsatisfied requests
-    /// fan out to ADPaR
-    /// in parallel with one reusable solver scratch per worker. Results are
-    /// identical to the sequential scan pipeline and deterministic
-    /// regardless of thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StratRecError::MissingModel`] when a catalog strategy has
-    /// no fitted model in `models`.
-    pub fn process_batch_with_catalog(
-        &self,
-        requests: &[DeploymentRequest],
-        catalog: &StrategyCatalog,
-        models: &ModelLibrary,
-        availability: &AvailabilityPdf,
-    ) -> Result<StratRecReport, StratRecError> {
         self.process_batch_with_catalog_at(
             requests,
-            catalog,
+            &StrategyCatalog::new(strategies),
             models,
             availability,
             ServiceQuality::Full,
         )
     }
 
-    /// [`Self::process_batch_with_catalog`] at an explicit
-    /// [`ServiceQuality`]: `Full` is the ordinary pipeline, `Degraded`
-    /// answers every unsatisfied request with the cheap `Baseline2` solver
-    /// instead of exact ADPaR. The Aggregator stage is identical at both
-    /// levels, and the degraded alternatives are bit-identical to standalone
-    /// [`crate::adpar::AdparBaseline2`] solves over the same catalog. This
-    /// is the call a streaming front-end serves each admission window with,
-    /// and the reference every served answer is pinned against.
+    /// Processes a batch over a shared, pre-indexed [`StrategyCatalog`] on
+    /// the configured [`BatchEngine`], at an explicit [`ServiceQuality`].
+    /// The Aggregator streams each request's eligible cells (found through
+    /// the catalog's R-tree) into its top-k, with rows sharded across scoped
+    /// threads, and the unsatisfied requests fan out to ADPaR in parallel
+    /// with one reusable solver scratch per worker. `Full` answers them with
+    /// exact ADPaR; `Degraded` with the cheap `Baseline2` solver, whose
+    /// alternatives are bit-identical to standalone
+    /// [`crate::adpar::AdparBaseline2`] solves over the same catalog. The
+    /// Aggregator stage is identical at both levels. At `Full` the report
+    /// is identical to the sequential scan pipeline, and at both levels it
+    /// is deterministic regardless of thread count. This is the call a
+    /// streaming front-end serves each admission window with, and the
+    /// reference every served answer is pinned against.
     ///
     /// # Errors
     ///
@@ -490,18 +473,13 @@ mod tests {
         // fan-out has maximal surface to diverge on.
         let availability = pdf(0.0);
         let layer = StratRec::default();
-        let full = layer
-            .process_batch_with_catalog(&requests, &catalog, &models, &availability)
-            .unwrap();
-        let degraded = layer
-            .process_batch_with_catalog_at(
-                &requests,
-                &catalog,
-                &models,
-                &availability,
-                ServiceQuality::Degraded,
-            )
-            .unwrap();
+        let serve = |quality| {
+            layer
+                .process_batch_with_catalog_at(&requests, &catalog, &models, &availability, quality)
+                .unwrap()
+        };
+        let full = serve(ServiceQuality::Full);
+        let degraded = serve(ServiceQuality::Degraded);
         // The Aggregator stage is quality-independent...
         assert_eq!(degraded.batch, full.batch);
         assert_eq!(degraded.availability, full.availability);
@@ -517,17 +495,11 @@ mod tests {
             ));
             assert_eq!(alternative.solution, expected);
         }
-        // Full at the explicit quality equals the implicit-quality method.
-        let explicit = layer
-            .process_batch_with_catalog_at(
-                &requests,
-                &catalog,
-                &models,
-                &availability,
-                ServiceQuality::Full,
-            )
+        // Full service over the pristine catalog equals the slice path.
+        let sliced = layer
+            .process_batch(&requests, catalog.strategies(), &models, &availability)
             .unwrap();
-        assert_eq!(explicit, full);
+        assert_eq!(sliced, full);
     }
 
     #[test]

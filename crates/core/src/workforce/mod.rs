@@ -18,11 +18,12 @@
 //!
 //! The dense [`WorkforceMatrix`] stays as the paper's object: the slice/scan
 //! path builds it ([`WorkforceMatrix::compute_with_rule`]), the catalog fill
-//! ([`WorkforceMatrix::compute_with_catalog`]) evaluates the same cells as
-//! the streamed pass, and it is the oracle the streamed requirements are
-//! tested and replayed against. The delta fill of inserted columns
-//! evaluates the same per-cell arithmetic, so a delta-maintained matrix
-//! equals a cold fill bit for bit.
+//! ([`crate::engine::BatchEngine::workforce_matrix`]) evaluates the same
+//! cells as the streamed pass, and it is the oracle the streamed
+//! requirements are tested and replayed against. The delta fill of inserted
+//! columns ([`crate::engine::BatchEngine::apply_matrix_delta`]) evaluates
+//! the same per-cell arithmetic, so a delta-maintained matrix equals a cold
+//! fill bit for bit.
 //!
 //! Aggregation has one comparator. The streamed path, the cold
 //! [`WorkforceMatrix::aggregate`] and the delta-repaired
@@ -107,23 +108,9 @@ pub struct WorkforceMatrix {
 }
 
 impl WorkforceMatrix {
-    /// Computes the matrix for a batch of requests against a strategy set,
-    /// consulting `models` for the per-strategy linear models and using the
-    /// default [`EligibilityRule::StrategyParameters`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StratRecError::MissingModel`] when a strategy has no fitted
-    /// model in `models`.
-    pub fn compute(
-        requests: &[DeploymentRequest],
-        strategies: &[Strategy],
-        models: &ModelLibrary,
-    ) -> Result<Self, StratRecError> {
-        Self::compute_with_rule(requests, strategies, models, EligibilityRule::default())
-    }
-
-    /// Computes the matrix with an explicit eligibility rule.
+    /// Computes the matrix for a batch of requests against a strategy set by
+    /// scanning every (request, strategy) pair, consulting `models` for the
+    /// per-strategy linear models and deciding eligibility by `rule`.
     ///
     /// # Errors
     ///
@@ -156,47 +143,6 @@ impl WorkforceMatrix {
             cols: strategies.len(),
             cells,
         })
-    }
-
-    /// Computes the matrix through a [`StrategyCatalog`], answering
-    /// per-request eligibility with an R-tree box query instead of scanning
-    /// all `|S|` strategies. The resulting matrix is **identical** to
-    /// [`Self::compute_with_rule`] on the catalog's strategies: the index
-    /// only prunes which cells need the model inversion; ineligible cells
-    /// stay at `f64::INFINITY` exactly as in the scan path.
-    ///
-    /// Columns are catalog **slots** (live and retired), so column numbers
-    /// stay stable across churn; retired slots are infeasible
-    /// (`f64::INFINITY`) in every row and never consult the model library.
-    ///
-    /// With [`EligibilityRule::ModelOnly`] every **live** cell is feasible
-    /// by definition, so the index offers nothing and all live cells are
-    /// computed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StratRecError::MissingModel`] when any **live** catalog
-    /// strategy has no fitted model in `models` (the scan path's contract,
-    /// preserved even for strategies that are never eligible). As in the
-    /// scan path, an empty batch never consults the model library and always
-    /// succeeds.
-    pub fn compute_with_catalog(
-        requests: &[DeploymentRequest],
-        catalog: &StrategyCatalog,
-        models: &ModelLibrary,
-        rule: EligibilityRule,
-    ) -> Result<Self, StratRecError> {
-        let cols = catalog.slot_count();
-        if requests.is_empty() {
-            return Ok(Self::from_cells(0, cols, Vec::new()));
-        }
-        let strategy_models = collect_live_models(catalog, models)?;
-        // The fill writes only eligible cells, so rows start at `∞`.
-        let mut cells = vec![f64::INFINITY; requests.len() * cols];
-        for (request, row) in requests.iter().zip(cells.chunks_mut(cols.max(1))) {
-            fill_catalog_row(request, catalog, &strategy_models, rule, row);
-        }
-        Ok(Self::from_cells(requests.len(), cols, cells))
     }
 
     /// Builds a matrix directly from row-major cells (used in tests and by
@@ -233,17 +179,12 @@ impl WorkforceMatrix {
     ///
     /// # Panics
     ///
-    /// Panics when `request >= self.rows()` or `strategy >= self.cols()`
-    /// (with full row/column context in debug builds).
+    /// Panics when `request >= self.rows()` or `strategy >= self.cols()`,
+    /// naming the offending row or column.
     #[must_use]
     pub fn get(&self, request: usize, strategy: usize) -> f64 {
-        debug_assert!(
-            request < self.rows,
-            "request row {request} out of bounds for a {}x{} workforce matrix",
-            self.rows,
-            self.cols
-        );
-        debug_assert!(
+        self.check_row(request);
+        assert!(
             strategy < self.cols,
             "strategy column {strategy} out of bounds for a {}x{} workforce matrix",
             self.rows,
@@ -256,17 +197,20 @@ impl WorkforceMatrix {
     ///
     /// # Panics
     ///
-    /// Panics when `request >= self.rows()` (with full row context in debug
-    /// builds).
+    /// Panics when `request >= self.rows()`, naming the offending row.
     #[must_use]
     pub fn row(&self, request: usize) -> &[f64] {
-        debug_assert!(
+        self.check_row(request);
+        &self.cells[request * self.cols..(request + 1) * self.cols]
+    }
+
+    fn check_row(&self, request: usize) {
+        assert!(
             request < self.rows,
             "request row {request} out of bounds for a {}x{} workforce matrix",
             self.rows,
             self.cols
         );
-        &self.cells[request * self.cols..(request + 1) * self.cols]
     }
 
     /// Mutable view of the row-major cell buffer — for
@@ -280,9 +224,10 @@ impl WorkforceMatrix {
     /// columns of reclaimed slots — retired, therefore `f64::INFINITY` in
     /// every row — are shed. A long-lived matrix thus follows its catalog
     /// through [`StrategyCatalog::compact`] instead of being recomputed:
-    /// the result is **identical** to [`Self::compute_with_catalog`] over
-    /// the compacted catalog (same requests, models and rule), which the
-    /// engine regression tests pin.
+    /// the result is **identical** to
+    /// [`crate::engine::BatchEngine::workforce_matrix`] over the compacted
+    /// catalog (same requests, models and rule), which the engine
+    /// regression tests pin.
     ///
     /// # Panics
     ///
@@ -311,79 +256,12 @@ impl WorkforceMatrix {
         }
     }
 
-    /// Applies a [`CatalogDelta`] drained from the catalog this matrix was
-    /// computed over, bringing it to the state a fresh
-    /// [`Self::compute_with_catalog`] over the **updated** catalog would
-    /// produce — bit for bit (pinned by the `tests/catalog_churn.rs`
-    /// replay) — while touching only the changed columns:
-    ///
-    /// 1. the window's composed compaction remap (if any) renumbers the
-    ///    columns ([`Self::remap_columns`], shedding reclaimed slots);
-    /// 2. one column is appended per inserted slot and **only those**
-    ///    columns are computed (eligibility by the exact per-strategy
-    ///    predicate, the model inversion per eligible cell); slots retired
-    ///    again within the window append as all-`∞`;
-    /// 3. `f64::INFINITY` is written into the retired columns in place.
-    ///
-    /// The missing-model contract is enforced for the **inserted** live
-    /// slots (pre-existing columns were validated when first computed), and
-    /// the check runs before any mutation, so a failed apply leaves the
-    /// matrix unchanged. An empty request batch never consults the model
-    /// library, exactly like the fresh-compute path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StratRecError::StaleCatalog`] when `delta.to_epoch` is not
-    /// the catalog's current epoch (the delta was not drained against this
-    /// catalog state), and [`StratRecError::MissingModel`] when an inserted
-    /// live slot has no fitted model.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the matrix shape does not match `requests` and the
-    /// delta's source slot count.
-    pub fn apply_delta(
-        &mut self,
-        delta: &CatalogDelta,
-        requests: &[DeploymentRequest],
-        catalog: &StrategyCatalog,
-        models: &ModelLibrary,
-        rule: EligibilityRule,
-    ) -> Result<(), StratRecError> {
-        let mut model_buf = Vec::new();
-        self.apply_delta_with_scratch(delta, requests, catalog, models, rule, &mut model_buf)
-    }
-
-    /// [`Self::apply_delta`] reusing a caller-provided model buffer
-    /// ([`collect_slot_models_into`] over the inserted slots), so
-    /// steady-state epochs do zero model-collection allocation.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::apply_delta`].
-    pub fn apply_delta_with_scratch(
-        &mut self,
-        delta: &CatalogDelta,
-        requests: &[DeploymentRequest],
-        catalog: &StrategyCatalog,
-        models: &ModelLibrary,
-        rule: EligibilityRule,
-        model_buf: &mut Vec<Option<StrategyModel>>,
-    ) -> Result<(), StratRecError> {
-        self.apply_delta_structure(delta, requests, catalog, models, model_buf)?;
-        let cols = self.cols;
-        for (request, row) in requests.iter().zip(self.cells.chunks_mut(cols.max(1))) {
-            fill_inserted_cells(request, catalog, &delta.inserted, model_buf, rule, row);
-        }
-        Ok(())
-    }
-
-    /// Everything of [`Self::apply_delta`] except the inserted-cell model
-    /// fill: validation, model collection (into `model_buf`, parallel to
-    /// `delta.inserted`), the remap, the widening and the retired-column
-    /// `∞` writes. [`crate::engine::BatchEngine::apply_matrix_delta`] runs
-    /// this sequentially and shards the remaining fill across threads.
-    pub(crate) fn apply_delta_structure(
+    /// Every step of [`crate::engine::BatchEngine::apply_matrix_delta`]
+    /// except the inserted-cell model fill, which the engine shards across
+    /// threads: validation, model collection (into `model_buf`, parallel to
+    /// `delta.inserted`), the remap, the widening and the retired-column `∞`
+    /// writes.
+    pub(crate) fn absorb_delta_structure(
         &mut self,
         delta: &CatalogDelta,
         requests: &[DeploymentRequest],
@@ -407,8 +285,8 @@ impl WorkforceMatrix {
             "matrix width must equal the delta's source slot count"
         );
         // Enforce the missing-model contract before any mutation, so a
-        // failed apply leaves the matrix untouched. The fresh-compute path
-        // never consults the library for an empty batch; neither does this.
+        // failed apply leaves the matrix untouched. The fresh fill never
+        // consults the library for an empty batch; neither does this.
         model_buf.clear();
         if !requests.is_empty() {
             collect_slot_models_into(catalog, models, &delta.inserted, model_buf)?;
@@ -541,7 +419,8 @@ impl RowAggregator {
 ///
 /// [`WorkforceMatrix::aggregate`] walks all `m · |S|` cells; under churn
 /// only a few rows can actually change. After the matrix absorbed a
-/// [`CatalogDelta`] ([`WorkforceMatrix::apply_delta`]), [`Self::repair`]
+/// [`CatalogDelta`] ([`crate::engine::BatchEngine::apply_matrix_delta`]),
+/// [`Self::repair`]
 /// re-aggregates a row **only when the delta can have moved its top-k**:
 ///
 /// * a retired column intersects the row's current top-k (one of its
@@ -621,7 +500,8 @@ impl AggregationCache {
     }
 
     /// Repairs the cache after `matrix` absorbed `delta`
-    /// ([`WorkforceMatrix::apply_delta`] with the same delta), re-aggregating
+    /// ([`crate::engine::BatchEngine::apply_matrix_delta`] with the same
+    /// delta), re-aggregating
     /// only the rows the delta can have changed. Returns the number of rows
     /// re-aggregated — proportional to the churn, not to `m`, in steady
     /// state. An unprimed cache falls back to a full [`Self::prime`].
@@ -777,8 +657,8 @@ fn for_each_catalog_cell<F: FnMut(usize, f64)>(
 
 /// Fills one workforce-matrix row (pre-initialized to `f64::INFINITY`) for
 /// `request` with the cells [`for_each_catalog_cell`] evaluates: the unit
-/// of work sharded across threads by [`crate::engine::BatchEngine`] and run
-/// in a plain loop by [`WorkforceMatrix::compute_with_catalog`].
+/// of work [`crate::engine::BatchEngine::workforce_matrix`] shards across
+/// threads.
 pub(crate) fn fill_catalog_row(
     request: &DeploymentRequest,
     catalog: &StrategyCatalog,
@@ -792,9 +672,9 @@ pub(crate) fn fill_catalog_row(
 }
 
 /// Computes the cells of the freshly appended `inserted` columns in one
-/// (full-width, post-widening) matrix row: the unit of work sharded across
-/// threads by [`crate::engine::BatchEngine::apply_matrix_delta`] and run in
-/// a plain loop by [`WorkforceMatrix::apply_delta`]. `inserted_models` comes
+/// (full-width, post-widening) matrix row: the unit of work
+/// [`crate::engine::BatchEngine::apply_matrix_delta`] shards across threads.
+/// `inserted_models` comes
 /// from [`collect_slot_models_into`] and is parallel to `inserted`; `None`
 /// entries (slots retired again within the window) leave their cell at
 /// `f64::INFINITY`. Eligibility uses the same exact epsilon-tolerant
@@ -828,6 +708,7 @@ pub(crate) fn fill_inserted_cells(
 mod tests {
     use super::*;
     use crate::availability::WorkerAvailability;
+    use crate::engine::BatchEngine;
     use crate::model::{DeploymentParameters, TaskType};
     use crate::modeling::StrategyModel;
 
@@ -836,6 +717,47 @@ mod tests {
             id,
             TaskType::SentenceTranslation,
             DeploymentParameters::new(q, c, l).unwrap(),
+        )
+    }
+
+    /// The scan path under the default eligibility rule.
+    fn scan(
+        requests: &[DeploymentRequest],
+        strategies: &[Strategy],
+        models: &ModelLibrary,
+    ) -> Result<WorkforceMatrix, StratRecError> {
+        WorkforceMatrix::compute_with_rule(requests, strategies, models, EligibilityRule::default())
+    }
+
+    /// The catalog fill on one thread.
+    fn fill(
+        requests: &[DeploymentRequest],
+        catalog: &StrategyCatalog,
+        models: &ModelLibrary,
+        rule: EligibilityRule,
+    ) -> WorkforceMatrix {
+        BatchEngine::sequential()
+            .workforce_matrix(requests, catalog, models, rule)
+            .unwrap()
+    }
+
+    /// The delta apply on one thread, with a throwaway model buffer.
+    fn apply(
+        matrix: &mut WorkforceMatrix,
+        delta: &CatalogDelta,
+        requests: &[DeploymentRequest],
+        catalog: &StrategyCatalog,
+        models: &ModelLibrary,
+        rule: EligibilityRule,
+    ) -> Result<(), StratRecError> {
+        BatchEngine::sequential().apply_matrix_delta(
+            matrix,
+            delta,
+            requests,
+            catalog,
+            models,
+            rule,
+            &mut Vec::new(),
         )
     }
 
@@ -849,7 +771,7 @@ mod tests {
     #[test]
     fn matrix_shape_and_cells() {
         let (requests, strategies, models) = example_setup();
-        let matrix = WorkforceMatrix::compute(&requests, &strategies, &models).unwrap();
+        let matrix = scan(&requests, &strategies, &models).unwrap();
         assert_eq!(matrix.rows(), 3);
         assert_eq!(matrix.cols(), 4);
         assert_eq!(matrix.row(0).len(), 4);
@@ -865,60 +787,13 @@ mod tests {
     }
 
     #[test]
-    fn catalog_path_matches_scan_path_on_running_example() {
-        let (requests, strategies, models) = example_setup();
-        let catalog = crate::catalog::StrategyCatalog::from_slice(&strategies);
-        for rule in [
-            EligibilityRule::StrategyParameters,
-            EligibilityRule::ModelOnly,
-        ] {
-            let scan =
-                WorkforceMatrix::compute_with_rule(&requests, &strategies, &models, rule).unwrap();
-            let indexed =
-                WorkforceMatrix::compute_with_catalog(&requests, &catalog, &models, rule).unwrap();
-            assert_eq!(scan, indexed, "{rule:?}");
-        }
-    }
-
-    #[test]
-    fn catalog_path_empty_batch_matches_scan_even_without_models() {
-        // The scan path never consults the model library when the batch is
-        // empty; the catalog path must not either.
-        let strategies = crate::examples_data::running_example_strategies();
-        let catalog = crate::catalog::StrategyCatalog::from_slice(&strategies);
-        let empty_models = ModelLibrary::new();
-        let scan = WorkforceMatrix::compute(&[], &strategies, &empty_models).unwrap();
-        let indexed = WorkforceMatrix::compute_with_catalog(
-            &[],
-            &catalog,
-            &empty_models,
-            EligibilityRule::default(),
-        )
-        .unwrap();
-        assert_eq!(scan, indexed);
-        assert_eq!(indexed.rows(), 0);
-        assert_eq!(indexed.cols(), strategies.len());
-        // With a non-empty batch the missing-model contract still applies.
-        let requests = crate::examples_data::running_example_requests();
-        assert!(matches!(
-            WorkforceMatrix::compute_with_catalog(
-                &requests,
-                &catalog,
-                &empty_models,
-                EligibilityRule::default(),
-            ),
-            Err(StratRecError::MissingModel { .. })
-        ));
-    }
-
-    #[test]
     fn remapped_columns_match_a_fresh_compute_over_the_compacted_catalog() {
         let (requests, strategies, _) = example_setup();
         for rule in [
             EligibilityRule::StrategyParameters,
             EligibilityRule::ModelOnly,
         ] {
-            let mut catalog = crate::catalog::StrategyCatalog::from_slice(&strategies);
+            let mut catalog = StrategyCatalog::new(strategies.as_slice());
             catalog.insert(Strategy::from_params(
                 9,
                 DeploymentParameters::clamped(0.8, 0.3, 0.3),
@@ -928,8 +803,7 @@ mod tests {
             // The pre-compaction matrix carries the dead columns...
             let models =
                 ModelLibrary::uniform_for(catalog.strategies(), StrategyModel::uniform(1.0, 0.0));
-            let wide =
-                WorkforceMatrix::compute_with_catalog(&requests, &catalog, &models, rule).unwrap();
+            let wide = fill(&requests, &catalog, &models, rule);
             assert_eq!(wide.cols(), 5);
 
             // ...and sheds exactly them through the remap, landing on the
@@ -938,8 +812,7 @@ mod tests {
             let narrow = wide.remap_columns(&remap);
             assert_eq!(narrow.cols(), catalog.len());
             assert_eq!(narrow.rows(), wide.rows());
-            let recomputed =
-                WorkforceMatrix::compute_with_catalog(&requests, &catalog, &models, rule).unwrap();
+            let recomputed = fill(&requests, &catalog, &models, rule);
             assert_eq!(narrow, recomputed, "{rule:?}");
         }
     }
@@ -1004,7 +877,7 @@ mod tests {
         let (requests, strategies, _) = example_setup();
         let empty = ModelLibrary::new();
         assert!(matches!(
-            WorkforceMatrix::compute(&requests, &strategies, &empty),
+            scan(&requests, &strategies, &empty),
             Err(StratRecError::MissingModel { .. })
         ));
     }
@@ -1061,7 +934,7 @@ mod tests {
     #[test]
     fn running_example_d3_is_deployable_within_availability() {
         let (requests, strategies, models) = example_setup();
-        let matrix = WorkforceMatrix::compute(&requests, &strategies, &models).unwrap();
+        let matrix = scan(&requests, &strategies, &models).unwrap();
         let agg = matrix.aggregate(3, AggregationMode::Max);
         // d3 gets exactly {s2, s3, s4} (indices 1, 2, 3) and fits in W = 0.8.
         let d3 = agg[2].as_ref().unwrap();
@@ -1082,37 +955,34 @@ mod tests {
         ];
         let models = ModelLibrary::uniform_for(&strategies, StrategyModel::uniform(1.0, 0.0));
         let requests = vec![request(0, 0.8, 0.5, 0.5)];
-        let matrix = WorkforceMatrix::compute(&requests, &strategies, &models).unwrap();
+        let matrix = scan(&requests, &strategies, &models).unwrap();
         assert!(matrix.get(0, 0).is_finite());
         assert!(matrix.get(0, 1).is_infinite());
     }
 
     #[test]
-    #[cfg_attr(
-        debug_assertions,
-        should_panic(expected = "request row 3 out of bounds")
-    )]
-    #[cfg_attr(not(debug_assertions), should_panic(expected = "index out of bounds"))]
+    #[should_panic(expected = "request row 3 out of bounds for a 2x2 workforce matrix")]
     fn get_reports_the_offending_row() {
         let _ = WorkforceMatrix::from_cells(2, 2, vec![0.0; 4]).get(3, 0);
     }
 
     #[test]
-    #[cfg_attr(
-        debug_assertions,
-        should_panic(expected = "strategy column 5 out of bounds")
-    )]
-    #[cfg_attr(not(debug_assertions), should_panic(expected = "index out of bounds"))]
+    #[should_panic(expected = "strategy column 5 out of bounds for a 2x2 workforce matrix")]
     fn get_reports_the_offending_column() {
         let _ = WorkforceMatrix::from_cells(2, 2, vec![0.0; 4]).get(1, 5);
     }
 
+    /// A column one past the end still lies inside the cell buffer (it is
+    /// the first cell of the next row), so only the explicit check catches
+    /// it.
     #[test]
-    #[cfg_attr(
-        debug_assertions,
-        should_panic(expected = "request row 2 out of bounds")
-    )]
-    #[cfg_attr(not(debug_assertions), should_panic(expected = "out of range"))]
+    #[should_panic(expected = "strategy column 2 out of bounds for a 2x2 workforce matrix")]
+    fn get_rejects_a_column_that_aliases_the_next_row() {
+        let _ = WorkforceMatrix::from_cells(2, 2, vec![1.0, 2.0, 3.0, 4.0]).get(0, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "request row 2 out of bounds for a 2x2 workforce matrix")]
     fn row_reports_the_offending_row() {
         let _ = WorkforceMatrix::from_cells(2, 2, vec![0.0; 4]).row(2);
     }
@@ -1154,7 +1024,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_matches_a_fresh_recompute_across_churn_and_compaction() {
+    fn delta_apply_and_cache_repair_match_a_fresh_fill_across_churn_and_compaction() {
         // The delta-maintained matrix must stay bit-identical to a fresh
         // fill across inserts, retires and compactions, and the caches —
         // which route through the shared fused top-k primitive — must track
@@ -1164,15 +1034,13 @@ mod tests {
             EligibilityRule::ModelOnly,
         ] {
             let (mut catalog, mut models, requests) = churn_fixture();
-            let mut matrix =
-                WorkforceMatrix::compute_with_catalog(&requests, &catalog, &models, rule).unwrap();
+            let mut matrix = fill(&requests, &catalog, &models, rule);
             let mut cache_sum = AggregationCache::new(3, AggregationMode::Sum);
             let mut cache_max = AggregationCache::new(3, AggregationMode::Max);
             cache_sum.prime(&matrix);
             cache_max.prime(&matrix);
             let sub = catalog.subscribe_delta();
             let mut next_id = 24_u64;
-            let mut model_buf = Vec::new();
 
             // Five churn windows; the third and fifth compact mid-window.
             for window in 0..5 {
@@ -1195,19 +1063,8 @@ mod tests {
                 }
 
                 let delta = catalog.take_delta(&sub).unwrap();
-                matrix
-                    .apply_delta_with_scratch(
-                        &delta,
-                        &requests,
-                        &catalog,
-                        &models,
-                        rule,
-                        &mut model_buf,
-                    )
-                    .unwrap();
-                let fresh =
-                    WorkforceMatrix::compute_with_catalog(&requests, &catalog, &models, rule)
-                        .unwrap();
+                apply(&mut matrix, &delta, &requests, &catalog, &models, rule).unwrap();
+                let fresh = fill(&requests, &catalog, &models, rule);
                 assert_eq!(matrix, fresh, "{rule:?}, window {window}");
 
                 let repaired = cache_sum.repair(&matrix, &delta);
@@ -1228,11 +1085,10 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_rejects_a_delta_the_catalog_moved_past() {
+    fn delta_apply_rejects_a_delta_the_catalog_moved_past() {
         let (mut catalog, models, requests) = churn_fixture();
         let rule = EligibilityRule::StrategyParameters;
-        let mut matrix =
-            WorkforceMatrix::compute_with_catalog(&requests, &catalog, &models, rule).unwrap();
+        let mut matrix = fill(&requests, &catalog, &models, rule);
         let sub = catalog.subscribe_delta();
         assert!(catalog.retire(0));
         let delta = catalog.take_delta(&sub).unwrap();
@@ -1240,25 +1096,24 @@ mod tests {
         assert!(catalog.retire(1));
         let before = matrix.clone();
         assert!(matches!(
-            matrix.apply_delta(&delta, &requests, &catalog, &models, rule),
+            apply(&mut matrix, &delta, &requests, &catalog, &models, rule),
             Err(StratRecError::StaleCatalog { .. })
         ));
         assert_eq!(matrix, before, "a failed apply must not mutate the matrix");
     }
 
     #[test]
-    fn apply_delta_missing_inserted_model_fails_before_mutating() {
+    fn delta_apply_missing_inserted_model_fails_before_mutating() {
         let (mut catalog, models, requests) = churn_fixture();
         let rule = EligibilityRule::StrategyParameters;
-        let mut matrix =
-            WorkforceMatrix::compute_with_catalog(&requests, &catalog, &models, rule).unwrap();
+        let mut matrix = fill(&requests, &catalog, &models, rule);
         let sub = catalog.subscribe_delta();
         catalog.insert(varied_strategy(999)); // no model registered
         assert!(catalog.retire(0));
         let delta = catalog.take_delta(&sub).unwrap();
         let before = matrix.clone();
         assert!(matches!(
-            matrix.apply_delta(&delta, &requests, &catalog, &models, rule),
+            apply(&mut matrix, &delta, &requests, &catalog, &models, rule),
             Err(StratRecError::MissingModel { strategy: 999 })
         ));
         assert_eq!(matrix, before);
@@ -1266,28 +1121,22 @@ mod tests {
 
     #[test]
     fn empty_deltas_and_empty_batches_apply_cleanly() {
-        let (mut catalog, models, _) = churn_fixture();
+        let (mut catalog, _, _) = churn_fixture();
         let rule = EligibilityRule::StrategyParameters;
         // Zero-row matrices still track the column count through a delta,
         // without ever consulting the model library.
         let empty_models = ModelLibrary::new();
-        let mut matrix =
-            WorkforceMatrix::compute_with_catalog(&[], &catalog, &empty_models, rule).unwrap();
+        let mut matrix = fill(&[], &catalog, &empty_models, rule);
         let sub = catalog.subscribe_delta();
         let noop = catalog.take_delta(&sub).unwrap();
         assert!(noop.is_empty());
-        matrix
-            .apply_delta(&noop, &[], &catalog, &empty_models, rule)
-            .unwrap();
+        apply(&mut matrix, &noop, &[], &catalog, &empty_models, rule).unwrap();
         catalog.insert(varied_strategy(500));
         assert!(catalog.retire(3));
         let delta = catalog.take_delta(&sub).unwrap();
-        matrix
-            .apply_delta(&delta, &[], &catalog, &empty_models, rule)
-            .unwrap();
+        apply(&mut matrix, &delta, &[], &catalog, &empty_models, rule).unwrap();
         assert_eq!(matrix.rows(), 0);
         assert_eq!(matrix.cols(), catalog.slot_count());
-        let _ = models;
     }
 
     #[test]
@@ -1325,7 +1174,7 @@ mod tests {
             let mut cells = cells;
             cells[2] = f64::INFINITY;
             for (j, v) in cells.into_iter().enumerate() {
-                // Rebuild the matrix cell-by-cell to emulate apply_delta's
+                // Rebuild the matrix cell-by-cell to emulate the delta apply's
                 // retired write without a catalog.
                 let idx = row * 4 + j;
                 matrix.cells_mut()[idx] = v;

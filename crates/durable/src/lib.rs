@@ -78,6 +78,14 @@ pub enum DurableError {
     /// ([`StratRecError::WalCorrupt`]) or replay contradicted the log
     /// ([`StratRecError::RecoveryMismatch`]); the core error is the source.
     Corrupt(StratRecError),
+    /// A WAL record encoded to more bytes than one frame may hold. The
+    /// append wrote nothing, so the log is unchanged.
+    RecordTooLarge {
+        /// The encoded payload length in bytes.
+        len: usize,
+        /// The largest payload a frame may hold.
+        max: usize,
+    },
     /// A previous WAL append failed, so the in-memory catalog may be ahead
     /// of the durable state. The [`DurableCatalog`] fail-stops: every
     /// subsequent mutation is refused until the operator recovers from the
@@ -99,6 +107,10 @@ impl std::fmt::Display for DurableError {
         match self {
             Self::Io { context, .. } => write!(f, "durable catalog I/O failure: {context}"),
             Self::Corrupt(_) => write!(f, "durable catalog log failed validation"),
+            Self::RecordTooLarge { len, max } => write!(
+                f,
+                "write-ahead-log record of {len} bytes exceeds the {max}-byte frame limit"
+            ),
             Self::Poisoned => write!(
                 f,
                 "durable catalog is poisoned by an earlier write-ahead-log failure; \
@@ -113,7 +125,7 @@ impl std::error::Error for DurableError {
         match self {
             Self::Io { source, .. } => Some(source),
             Self::Corrupt(source) => Some(source),
-            Self::Poisoned => None,
+            Self::RecordTooLarge { .. } | Self::Poisoned => None,
         }
     }
 }

@@ -6,7 +6,7 @@
 //! the availability *expectation*, those inputs pin the solve completely:
 //! [`Provenance::reenact`] rebuilds the catalog at the decision's epoch
 //! (checkpoint + bounded log replay) and re-runs
-//! [`StratRec::process_batch_with_catalog`] against it;
+//! [`StratRec::process_batch_with_catalog_at`] against it;
 //! [`Provenance::verify_decision`] then demands the reenacted report equal
 //! the logged one **byte-for-byte** (compared through the record codec, so
 //! even NaN payloads and signed zeros must match). A passing verification
@@ -24,7 +24,7 @@ use stratrec_core::availability::AvailabilityPdf;
 use stratrec_core::catalog::{RebuildPolicy, StrategyCatalog};
 use stratrec_core::error::StratRecError;
 use stratrec_core::modeling::ModelLibrary;
-use stratrec_core::stratrec::{StratRec, StratRecReport};
+use stratrec_core::stratrec::{ServiceQuality, StratRec, StratRecReport};
 
 use crate::checkpoint::{list_checkpoints, read_checkpoint};
 use crate::record::{DecisionRecord, WalRecord};
@@ -114,7 +114,13 @@ impl Provenance {
         let availability = AvailabilityPdf::certain(decision.availability);
         let layer = StratRec::new(decision.config);
         layer
-            .process_batch_with_catalog(&decision.requests, &catalog, models, &availability)
+            .process_batch_with_catalog_at(
+                &decision.requests,
+                &catalog,
+                models,
+                &availability,
+                ServiceQuality::Full,
+            )
             .map_err(DurableError::Corrupt)
     }
 
@@ -180,7 +186,13 @@ mod tests {
         let availability = AvailabilityPdf::certain(0.8);
         let config = StratRecConfig::default();
         let report = StratRec::new(config)
-            .process_batch_with_catalog(&requests, snapshot.catalog(), models, &availability)
+            .process_batch_with_catalog_at(
+                &requests,
+                snapshot.catalog(),
+                models,
+                &availability,
+                ServiceQuality::Full,
+            )
             .unwrap();
         let decision = DecisionRecord {
             epoch: snapshot.epoch(),

@@ -644,7 +644,7 @@ mod tests {
     use stratrec_core::availability::AvailabilityPdf;
     use stratrec_core::catalog::{RebuildPolicy, StrategyCatalog};
     use stratrec_core::modeling::ModelLibrary;
-    use stratrec_core::stratrec::StratRec;
+    use stratrec_core::stratrec::{ServiceQuality, StratRec};
 
     fn sample_strategy(id: u64) -> Strategy {
         Strategy::new(
@@ -721,7 +721,13 @@ mod tests {
         let availability = AvailabilityPdf::certain(0.8);
         let layer = StratRec::new(StratRecConfig::default());
         let report = layer
-            .process_batch_with_catalog(&requests, &catalog, &models, &availability)
+            .process_batch_with_catalog_at(
+                &requests,
+                &catalog,
+                &models,
+                &availability,
+                ServiceQuality::Full,
+            )
             .unwrap();
         assert!(
             !report.alternatives.is_empty(),

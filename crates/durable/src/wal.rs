@@ -4,7 +4,8 @@
 //! frames, each `[payload_len: u32 LE][crc32(payload): u32 LE][payload]`.
 //! Appends go through [`WalWriter::append`] (buffered write + flush;
 //! [`WalWriter::sync`] forces the bytes to stable storage when the caller's
-//! durability contract demands it). The file is **never rewritten**: the
+//! durability contract demands it). A record whose payload exceeds the
+//! frame limit is refused before any byte is written. The file is **never rewritten**: the
 //! log is the system's provenance record, so compaction happens in the
 //! checkpoint files ([`crate::checkpoint`]), not here.
 //!
@@ -91,14 +92,32 @@ impl WalWriter {
     /// Appends one framed record and flushes it to the operating system,
     /// returning the byte offset the frame starts at. Call [`Self::sync`]
     /// afterwards to force it to stable storage.
+    ///
+    /// # Errors
+    ///
+    /// [`DurableError::RecordTooLarge`] when the encoded record exceeds the
+    /// 64 MiB frame limit [`scan`] accepts; nothing is written, so the log
+    /// stays valid. I/O failures otherwise.
     pub fn append(&mut self, record: &WalRecord) -> Result<u64> {
+        self.append_payload(&record.encode())
+    }
+
+    /// Frames and writes one encoded payload, refusing it before any byte
+    /// is written when [`scan`] would reject its length: a frame written
+    /// past the limit would read back as corrupt, and recovery would
+    /// truncate it together with every committed record after it.
+    fn append_payload(&mut self, payload: &[u8]) -> Result<u64> {
         let offset = self.len;
-        let payload = record.encode();
-        debug_assert!(payload.len() <= MAX_PAYLOAD_LEN as usize);
-        let len = u32::try_from(payload.len()).expect("payloads are far below u32::MAX");
+        let len = u32::try_from(payload.len())
+            .ok()
+            .filter(|&len| len <= MAX_PAYLOAD_LEN)
+            .ok_or(DurableError::RecordTooLarge {
+                len: payload.len(),
+                max: MAX_PAYLOAD_LEN as usize,
+            })?;
         self.write_all(&len.to_le_bytes())?;
-        self.write_all(&crc32(&payload).to_le_bytes())?;
-        self.write_all(&payload)?;
+        self.write_all(&crc32(payload).to_le_bytes())?;
+        self.write_all(payload)?;
         self.flush()?;
         Ok(offset)
     }
@@ -366,6 +385,35 @@ mod tests {
             scan.corruption,
             Some(StratRecError::WalCorrupt { offset: 8, ref kind }) if kind == "implausible payload length"
         ));
+    }
+
+    #[test]
+    fn an_oversized_record_is_refused_before_any_byte_is_written() {
+        let dir = TempDir::new("wal-oversized");
+        let path = dir.path().join(WAL_FILE_NAME);
+        let mut writer = WalWriter::create(&path).unwrap();
+        writer.append(&retire(0, 1)).unwrap();
+        let before = writer.len();
+
+        // Zeroed pages are not touched until read, so this stays cheap.
+        let oversized = vec![0_u8; MAX_PAYLOAD_LEN as usize + 1];
+        match writer.append_payload(&oversized) {
+            Err(DurableError::RecordTooLarge { len, max }) => {
+                assert_eq!(len, MAX_PAYLOAD_LEN as usize + 1);
+                assert_eq!(max, MAX_PAYLOAD_LEN as usize);
+            }
+            other => panic!("expected RecordTooLarge, got {other:?}"),
+        }
+        assert_eq!(writer.len(), before);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), before);
+
+        // The log stays valid: a later append is recovered after the first.
+        writer.append(&retire(1, 2)).unwrap();
+        drop(writer);
+        let scan = scan(&path).unwrap();
+        assert!(scan.corruption.is_none());
+        let records: Vec<WalRecord> = scan.records.into_iter().map(|(_, r)| r).collect();
+        assert_eq!(records, vec![retire(0, 1), retire(1, 2)]);
     }
 
     #[test]

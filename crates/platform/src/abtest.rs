@@ -151,7 +151,7 @@ pub fn run_ab_test(task: TaskType, config: &AbTestConfig) -> AbTestResult {
         strategies.push(strategy);
     }
     // One shared indexed catalog serves every deployment of the experiment.
-    let catalog = StrategyCatalog::from_slice(&strategies);
+    let catalog = StrategyCatalog::new(strategies.as_slice());
 
     let engine = BatchStrat::new(BatchObjective::Throughput, AggregationMode::Max);
     let mut guided = Vec::new();

@@ -305,7 +305,8 @@ impl ChurnInstance {
 mod tests {
     use super::*;
     use stratrec_core::batch::{BatchObjective, BatchStrat};
-    use stratrec_core::workforce::{AggregationMode, EligibilityRule, WorkforceMatrix};
+    use stratrec_core::engine::BatchEngine;
+    use stratrec_core::workforce::{AggregationMode, EligibilityRule};
 
     fn small_scenario() -> ChurnScenario {
         ChurnScenario {
@@ -385,7 +386,7 @@ mod tests {
                 // over the live set (mapped through the live slot order).
                 let live_slots = catalog.live_indices();
                 for request in &epoch.requests {
-                    let by_catalog = catalog.eligible_for_request(request);
+                    let by_catalog = catalog.eligible_for(&request.params);
                     let by_scan: Vec<usize> = request
                         .eligible_strategies(&live)
                         .into_iter()
@@ -561,13 +562,14 @@ mod tests {
         let instance = small_scenario().materialize();
         let mut catalog = instance.catalog(RebuildPolicy::threshold(4));
         instance.epochs[0].apply(&mut catalog);
-        let matrix = WorkforceMatrix::compute_with_catalog(
-            &instance.epochs[0].requests,
-            &catalog,
-            &instance.models,
-            EligibilityRule::ModelOnly,
-        )
-        .unwrap();
+        let matrix = BatchEngine::sequential()
+            .workforce_matrix(
+                &instance.epochs[0].requests,
+                &catalog,
+                &instance.models,
+                EligibilityRule::ModelOnly,
+            )
+            .unwrap();
         assert_eq!(matrix.cols(), catalog.slot_count());
         for slot in 0..catalog.slot_count() {
             for row in 0..matrix.rows() {

@@ -62,10 +62,10 @@ pub struct BatchInstance {
 impl BatchInstance {
     /// Builds the shared indexed catalog over this instance's strategies,
     /// for the catalog-backed pipeline (`recommend_with_catalog`,
-    /// `process_batch_with_catalog`).
+    /// `process_batch_with_catalog_at`).
     #[must_use]
     pub fn catalog(&self) -> StrategyCatalog {
-        StrategyCatalog::from_slice(&self.strategies)
+        StrategyCatalog::new(self.strategies.as_slice())
     }
 }
 
@@ -148,7 +148,7 @@ impl AdparInstance {
     /// for catalog-backed ADPaR problems (`AdparProblem::with_catalog`).
     #[must_use]
     pub fn catalog(&self) -> StrategyCatalog {
-        StrategyCatalog::from_slice(&self.strategies)
+        StrategyCatalog::new(self.strategies.as_slice())
     }
 }
 
@@ -280,7 +280,7 @@ mod tests {
         let catalog = adpar.catalog();
         assert_eq!(catalog.len(), 25);
         assert_eq!(
-            catalog.eligible_for_request(&adpar.request),
+            catalog.eligible_for(&adpar.request.params),
             adpar.request.eligible_strategies(&adpar.strategies)
         );
     }

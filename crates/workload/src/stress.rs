@@ -7,7 +7,7 @@
 //! the scenario's standing batch exactly as the streaming server serves an
 //! admission window: pin the latest published snapshot
 //! ([`ConcurrentCatalog::pin`]) and answer cold from it with
-//! [`StratRec::process_batch_with_catalog`]. Every serve is recorded as a
+//! [`StratRec::process_batch_with_catalog_at`]. Every serve is recorded as a
 //! [`ReadRecord`] — which epoch the reader was pinned at and the exact
 //! report it produced — and the writer records every snapshot it
 //! publishes, so the resulting [`StressHistory`] can be checked for
@@ -29,7 +29,7 @@ use std::sync::{Arc, Barrier};
 use stratrec_core::availability::AvailabilityPdf;
 use stratrec_core::catalog::{CatalogStats, ConcurrentCatalog, EpochSnapshot, RebuildPolicy};
 use stratrec_core::error::StratRecError;
-use stratrec_core::stratrec::{StratRec, StratRecReport};
+use stratrec_core::stratrec::{ServiceQuality, StratRec, StratRecReport};
 
 use crate::churn::ChurnInstance;
 
@@ -121,11 +121,12 @@ pub fn run_churn_stress(
                 let mut first = true;
                 loop {
                     let snapshot = concurrent.pin();
-                    let result = layer.process_batch_with_catalog(
+                    let result = layer.process_batch_with_catalog_at(
                         &instance.standing,
                         snapshot.catalog(),
                         &instance.models,
                         pdf,
+                        ServiceQuality::Full,
                     );
                     if first {
                         // The writer waits on the same barrier before its

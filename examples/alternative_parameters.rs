@@ -19,7 +19,7 @@ fn main() {
     let strategies = generate_strategies(30, ParameterDistribution::Uniform, &mut rng);
     // The four solvers share one indexed catalog (Baseline3 reuses its
     // R-tree instead of building one per solve).
-    let catalog = StrategyCatalog::from_slice(&strategies);
+    let catalog = StrategyCatalog::new(strategies.as_slice());
 
     // An over-ambitious request: near-expert quality at almost no cost.
     let request = DeploymentRequest::new(

@@ -26,7 +26,7 @@ fn main() {
 
     // Normalize and index the strategy set once; every triage below shares
     // the same catalog.
-    let catalog = StrategyCatalog::from_slice(&strategies);
+    let catalog = StrategyCatalog::new(strategies.as_slice());
 
     for (label, algorithm) in [
         ("BatchStrat (1/2-approx)", BatchAlgorithm::BatchStrat),

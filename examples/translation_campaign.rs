@@ -17,7 +17,7 @@ use stratrec::core::model::{
 };
 use stratrec::core::modeling::ModelLibrary;
 use stratrec::core::prelude::*;
-use stratrec::core::stratrec::StratRecConfig;
+use stratrec::core::stratrec::{ServiceQuality, StratRecConfig};
 use stratrec::platform::execution::StrategyExecutor;
 use stratrec::platform::experiment::CalibrationExperiment;
 
@@ -80,13 +80,14 @@ fn main() {
     });
     // Index the candidate strategies once; subsequent campaigns over the
     // same platform would reuse this catalog.
-    let catalog = StrategyCatalog::from_slice(&strategies);
+    let catalog = StrategyCatalog::new(strategies.as_slice());
     let report = layer
-        .process_batch_with_catalog(
+        .process_batch_with_catalog_at(
             std::slice::from_ref(&request),
             &catalog,
             &models,
             &availability,
+            ServiceQuality::Full,
         )
         .expect("models cover every strategy");
 

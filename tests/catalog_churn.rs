@@ -16,15 +16,17 @@
 //! The replay also carries the **delta-maintained derived state** through
 //! the same op stream: per policy, a standing-batch workforce matrix and
 //! two aggregation caches (sum- and max-mode) subscribe to the catalog's
-//! delta feed and absorb every step through `take_delta` → `apply_delta` →
+//! delta feed and absorb every step through `take_delta` →
+//! `BatchEngine::apply_matrix_delta` (one worker per core) →
 //! `AggregationCache::repair`, interleaved with `compact()`. After every
 //! step the incrementally maintained matrix must be **bit-identical** to a
-//! fresh `compute_with_catalog` and each cache to a fresh `aggregate` over
-//! the updated matrix.
+//! fresh one-thread fill (`BatchEngine::sequential().workforce_matrix`) and
+//! each cache to a fresh `aggregate` over the updated matrix.
 
 use proptest::prelude::*;
 use stratrec::core::adpar::{AdparBruteForce, AdparExact, AdparProblem, AdparSolver, SolveScratch};
 use stratrec::core::catalog::{RebuildPolicy, StrategyCatalog};
+use stratrec::core::engine::BatchEngine;
 use stratrec::core::model::{DeploymentParameters, DeploymentRequest, Strategy, TaskType};
 use stratrec::core::modeling::{ModelLibrary, StrategyModel};
 use stratrec::core::workforce::{
@@ -99,13 +101,14 @@ impl MaintainedState {
         requests: &[DeploymentRequest],
         models: &ModelLibrary,
     ) -> Self {
-        let matrix = WorkforceMatrix::compute_with_catalog(
-            requests,
-            catalog,
-            models,
-            EligibilityRule::StrategyParameters,
-        )
-        .expect("every replayed strategy has a model");
+        let matrix = BatchEngine::sequential()
+            .workforce_matrix(
+                requests,
+                catalog,
+                models,
+                EligibilityRule::StrategyParameters,
+            )
+            .expect("every replayed strategy has a model");
         let mut cache_sum = AggregationCache::new(MAINTAINED_K, AggregationMode::Sum);
         let mut cache_max = AggregationCache::new(MAINTAINED_K, AggregationMode::Max);
         cache_sum.prime(&matrix);
@@ -206,9 +209,9 @@ proptest! {
             let mut deltas = Vec::new();
             for (catalog, state) in catalogs.iter_mut().zip(&mut maintained) {
                 let delta = catalog.take_delta(&state.subscription).unwrap();
-                state
-                    .matrix
-                    .apply_delta_with_scratch(
+                BatchEngine::new()
+                    .apply_matrix_delta(
+                        &mut state.matrix,
                         &delta,
                         &requests,
                         catalog,
@@ -226,7 +229,7 @@ proptest! {
                 "identical churn must drain identical deltas across policies"
             );
             for (catalog, state) in catalogs.iter().zip(&maintained) {
-                let fresh = WorkforceMatrix::compute_with_catalog(
+                let fresh = BatchEngine::sequential().workforce_matrix(
                     &requests,
                     catalog,
                     &models,
@@ -317,7 +320,7 @@ proptest! {
     /// Aggregation-cache churn parity for **both** `EligibilityRule`s: a
     /// delta-maintained matrix per rule and an `AggregationCache` per mode
     /// (repaired after **every** step, empty windows included) must stay
-    /// bit-identical to a fresh `compute_with_catalog` and to the flat
+    /// bit-identical to a fresh one-thread fill and to the flat
     /// `aggregate` over it, across random insert / retire / compact
     /// interleavings.
     #[test]
@@ -356,7 +359,7 @@ proptest! {
         let mut states: Vec<RuleState> = Vec::new();
         for rule in RULES {
             let matrix =
-                WorkforceMatrix::compute_with_catalog(&requests, &catalog, &models, rule)
+                BatchEngine::sequential().workforce_matrix(&requests, &catalog, &models, rule)
                     .expect("every replayed strategy has a model");
             let caches = MODES
                 .iter()
@@ -394,9 +397,9 @@ proptest! {
 
             for state in &mut states {
                 let delta = catalog.take_delta(&state.subscription).unwrap();
-                state
-                    .matrix
-                    .apply_delta_with_scratch(
+                BatchEngine::new()
+                    .apply_matrix_delta(
+                        &mut state.matrix,
                         &delta,
                         &requests,
                         &catalog,
@@ -406,7 +409,7 @@ proptest! {
                     )
                     .expect("replayed deltas are current and fully modeled");
                 let fresh =
-                    WorkforceMatrix::compute_with_catalog(&requests, &catalog, &models, state.rule)
+                    BatchEngine::sequential().workforce_matrix(&requests, &catalog, &models, state.rule)
                         .expect("every replayed strategy has a model");
                 prop_assert_eq!(
                     &state.matrix,

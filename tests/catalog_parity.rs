@@ -1,7 +1,8 @@
 //! Parity tests: the catalog-backed (R-tree-indexed, parallel) pipeline must
 //! produce results **identical** to the seed's linear-scan pipeline — same
 //! workforce matrices, same `BatchOutcome`s, same `AdparSolution`s — on the
-//! paper's running example and on randomized synthetic scenarios.
+//! paper's running example and on randomized synthetic scenarios, for
+//! every engine thread count.
 
 use stratrec::core::adpar::{
     AdparBaseline2, AdparBaseline3, AdparBruteForce, AdparExact, AdparProblem, AdparSolver,
@@ -17,6 +18,7 @@ use stratrec::core::stratrec::{StratRec, StratRecConfig};
 use stratrec::core::workforce::{EligibilityRule, WorkforceMatrix};
 use stratrec::workload::scenario::{AdparScenario, BatchScenario, ParameterDistribution};
 
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -31,7 +33,9 @@ fn assert_matrices_equal(
     context: &str,
 ) {
     let scan = WorkforceMatrix::compute_with_rule(requests, strategies, models, rule).unwrap();
-    let indexed = WorkforceMatrix::compute_with_catalog(requests, catalog, models, rule).unwrap();
+    let indexed = BatchEngine::sequential()
+        .workforce_matrix(requests, catalog, models, rule)
+        .unwrap();
     assert_eq!(scan, indexed, "workforce matrix diverged: {context}");
 }
 
@@ -51,7 +55,7 @@ fn eligibility_matches_linear_scan_on_random_scenarios() {
             let catalog = instance.catalog();
             for request in &instance.requests {
                 assert_eq!(
-                    catalog.eligible_for_request(request),
+                    catalog.eligible_for(&request.params),
                     request.eligible_strategies(&instance.strategies),
                     "seed {seed}, {distribution:?}, request {:?}",
                     request.id
@@ -67,7 +71,7 @@ fn workforce_matrices_match_on_running_example_and_random_seeds() {
     let strategies = stratrec::core::examples_data::running_example_strategies();
     let requests = stratrec::core::examples_data::running_example_requests();
     let models = stratrec::core::examples_data::running_example_models();
-    let catalog = StrategyCatalog::from_slice(&strategies);
+    let catalog = StrategyCatalog::new(strategies.as_slice());
     for rule in [
         EligibilityRule::StrategyParameters,
         EligibilityRule::ModelOnly,
@@ -379,14 +383,19 @@ fn grid_instance(seed: u64) -> (Vec<DeploymentRequest>, StrategyCatalog, ModelLi
             .iter()
             .map(|s| (s.id, StrategyModel::new(line(rng), line(rng), line(rng)))),
     );
-    (requests, StrategyCatalog::from_slice(&strategies), models)
+    (
+        requests,
+        StrategyCatalog::new(strategies.as_slice()),
+        models,
+    )
 }
 
 #[test]
 fn batch_engine_outputs_are_identical_for_every_thread_count() {
     // The parallel engine must produce byte-identical workforce matrices,
     // streamed requirements and ADPaR solutions no matter how the rows /
-    // problems are sharded.
+    // problems are sharded, equal to the linear scan and to standalone
+    // solves.
     let instances = SEEDS
         .iter()
         .map(|&seed| {
@@ -411,16 +420,19 @@ fn batch_engine_outputs_are_identical_for_every_thread_count() {
             EligibilityRule::StrategyParameters,
             EligibilityRule::ModelOnly,
         ] {
-            let sequential =
-                WorkforceMatrix::compute_with_catalog(&requests, &catalog, &models, rule).unwrap();
+            // Every catalog here is pristine, so the linear scan over its
+            // strategies is the reference.
+            let scan =
+                WorkforceMatrix::compute_with_rule(&requests, catalog.strategies(), &models, rule)
+                    .unwrap();
             for threads in [1, 2, 3, 5, 0] {
                 let parallel = BatchEngine::with_threads(threads)
                     .workforce_matrix(&requests, &catalog, &models, rule)
                     .unwrap();
-                assert_eq!(sequential, parallel, "{label}, {rule:?}, {threads} threads");
+                assert_eq!(scan, parallel, "{label}, {rule:?}, {threads} threads");
             }
             for mode in [AggregationMode::Sum, AggregationMode::Max] {
-                let expected = sequential.aggregate(4, mode);
+                let expected = scan.aggregate(4, mode);
                 for threads in [1, 2, 3, 5, 0] {
                     let streamed = BatchEngine::with_threads(threads)
                         .requirements(&requests, &catalog, &models, rule, 4, mode)
@@ -523,5 +535,106 @@ fn middle_layer_reports_match_the_sequential_scan_pipeline() {
             .map(|a| a.request_index)
             .collect();
         assert_eq!(order, report.batch.unsatisfied, "case {i}");
+    }
+}
+
+/// One grid step: `n / 64`, exact in f64 for the ranges drawn here.
+fn grid(n: u32) -> f64 {
+    f64::from(n) / 64.0
+}
+
+/// A line with slope `±n/64` (`|α| ≥ 1/4`) and intercept on the wider
+/// `[-1/2, 3/2]` grid, so lines rise, fall, overshoot and undershoot.
+type LineSpec = (u32, bool, u32);
+
+fn line(spec: LineSpec) -> LinearModel {
+    let (alpha_num, negative, beta_num) = spec;
+    let alpha = if negative {
+        -grid(alpha_num)
+    } else {
+        grid(alpha_num)
+    };
+    let beta = (f64::from(beta_num) - 32.0) / 64.0;
+    LinearModel::new(alpha, beta)
+}
+
+type StrategySpec = ((u32, u32, u32), (LineSpec, LineSpec, LineSpec));
+
+fn build_grid_instance(
+    specs: &[StrategySpec],
+    request_specs: &[(u32, u32, u32)],
+) -> (StrategyCatalog, ModelLibrary, Vec<DeploymentRequest>) {
+    let strategies: Vec<Strategy> = specs
+        .iter()
+        .enumerate()
+        .map(|(i, &((q, c, l), _))| {
+            Strategy::from_params(
+                i as u64,
+                DeploymentParameters::clamped(grid(q), grid(c), grid(l)),
+            )
+        })
+        .collect();
+    let models =
+        ModelLibrary::from_pairs(specs.iter().enumerate().map(|(i, &(_, (lq, lc, ll)))| {
+            (
+                strategies[i].id,
+                StrategyModel::new(line(lq), line(lc), line(ll)),
+            )
+        }));
+    let requests = request_specs
+        .iter()
+        .enumerate()
+        .map(|(i, &(q, c, l))| {
+            DeploymentRequest::new(
+                i as u64,
+                TaskType::SentenceTranslation,
+                DeploymentParameters::clamped(grid(q), grid(c), grid(l)),
+            )
+        })
+        .collect();
+    (StrategyCatalog::new(strategies), models, requests)
+}
+
+proptest! {
+    /// Inputs on the 1/64 grid are exact in f64: every satisfaction
+    /// comparison is then either an exact tie or separated by at least
+    /// 1/64, so the instances exercise the fill's boundary cases and index
+    /// tie-breaking rather than only generic positions. The engine fills
+    /// rows independently through the R-tree, so at every thread count its
+    /// matrix must equal the linear scan over the same strategies bit for
+    /// bit.
+    #[test]
+    fn engine_matrix_matches_the_scan_on_the_grid_for_every_thread_count(
+        specs in proptest::collection::vec(
+            (
+                (0_u32..=64, 0_u32..=64, 0_u32..=64),
+                (
+                    (16_u32..=63, proptest::bool::ANY, 0_u32..=128),
+                    (16_u32..=63, proptest::bool::ANY, 0_u32..=128),
+                    (16_u32..=63, proptest::bool::ANY, 0_u32..=128),
+                ),
+            ),
+            1..24,
+        ),
+        request_specs in proptest::collection::vec(
+            (0_u32..=64, 0_u32..=64, 0_u32..=64),
+            1..6,
+        ),
+    ) {
+        let (catalog, models, requests) = build_grid_instance(&specs, &request_specs);
+        for rule in [
+            EligibilityRule::StrategyParameters,
+            EligibilityRule::ModelOnly,
+        ] {
+            let scan =
+                WorkforceMatrix::compute_with_rule(&requests, catalog.strategies(), &models, rule)
+                    .unwrap();
+            for threads in 0..=4 {
+                let sharded = BatchEngine::with_threads(threads)
+                    .workforce_matrix(&requests, &catalog, &models, rule)
+                    .unwrap();
+                prop_assert_eq!(&scan, &sharded, "{:?}, {} threads", rule, threads);
+            }
+        }
     }
 }

@@ -40,7 +40,7 @@ use stratrec::core::batch::BatchObjective;
 use stratrec::core::catalog::{RebuildPolicy, StrategyCatalog};
 use stratrec::core::engine::BatchEngine;
 use stratrec::core::error::StratRecError;
-use stratrec::core::stratrec::{StratRec, StratRecConfig, StratRecReport};
+use stratrec::core::stratrec::{ServiceQuality, StratRec, StratRecConfig, StratRecReport};
 use stratrec::core::workforce::AggregationMode;
 use stratrec::workload::churn::{ChurnInstance, ChurnScenario, CompactPolicy};
 use stratrec::workload::stress::{run_churn_stress, StressHistory};
@@ -86,17 +86,24 @@ fn check_history(
     let mut expected: BTreeMap<u64, StratRecReport> = BTreeMap::new();
     for (&epoch, state) in &states {
         let report = layer
-            .process_batch_with_catalog(&instance.standing, state, &instance.models, &pdf)
+            .process_batch_with_catalog_at(
+                &instance.standing,
+                state,
+                &instance.models,
+                &pdf,
+                ServiceQuality::Full,
+            )
             .expect("the scenario models every strategy");
         let snapshot = history
             .snapshot_at(epoch)
             .expect("every sequential boundary was published");
         let from_snapshot = layer
-            .process_batch_with_catalog(
+            .process_batch_with_catalog_at(
                 &instance.standing,
                 snapshot.catalog(),
                 &instance.models,
                 &pdf,
+                ServiceQuality::Full,
             )
             .expect("the scenario models every strategy");
         assert_eq!(
@@ -168,12 +175,14 @@ fn check_history(
 }
 
 fn layer_for(instance: &ChurnInstance, aggregation: AggregationMode, threads: usize) -> StratRec {
-    StratRec::new(StratRecConfig {
-        k: instance.k,
-        objective: BatchObjective::Throughput,
-        aggregation,
-    })
-    .with_engine(BatchEngine::with_threads(threads))
+    StratRec {
+        config: StratRecConfig {
+            k: instance.k,
+            objective: BatchObjective::Throughput,
+            aggregation,
+        },
+        engine: BatchEngine::with_threads(threads),
+    }
 }
 
 /// The acceptance-criterion run: ≥ 4 reader threads racing 1 churn writer,

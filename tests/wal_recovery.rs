@@ -33,10 +33,11 @@ use proptest::prelude::*;
 use stratrec::core::availability::AvailabilityPdf;
 use stratrec::core::batch::BatchObjective;
 use stratrec::core::catalog::{RebuildPolicy, StrategyCatalog};
+use stratrec::core::engine::BatchEngine;
 use stratrec::core::error::StratRecError;
 use stratrec::core::model::{DeploymentParameters, DeploymentRequest, Strategy, TaskType};
 use stratrec::core::modeling::{ModelLibrary, StrategyModel};
-use stratrec::core::stratrec::{StratRec, StratRecConfig, StratRecReport};
+use stratrec::core::stratrec::{ServiceQuality, StratRec, StratRecConfig, StratRecReport};
 use stratrec::core::workforce::{AggregationMode, EligibilityRule, WorkforceMatrix};
 use stratrec::durable::recovery::recover_catalog;
 use stratrec::durable::testutil::TempDir;
@@ -115,13 +116,14 @@ fn observe(catalog: &StrategyCatalog, models: &ModelLibrary) -> Observed {
             .iter()
             .map(|&axis| catalog.axis_order(axis))
             .collect(),
-        matrix: WorkforceMatrix::compute_with_catalog(
-            &requests,
-            catalog,
-            models,
-            EligibilityRule::StrategyParameters,
-        )
-        .expect("every replayed strategy has a model"),
+        matrix: BatchEngine::sequential()
+            .workforce_matrix(
+                &requests,
+                catalog,
+                models,
+                EligibilityRule::StrategyParameters,
+            )
+            .expect("every replayed strategy has a model"),
     }
 }
 
@@ -134,11 +136,12 @@ fn pipeline_report(catalog: &StrategyCatalog, models: &ModelLibrary) -> Option<S
         aggregation: AggregationMode::Sum,
     });
     layer
-        .process_batch_with_catalog(
+        .process_batch_with_catalog_at(
             &standing_requests(),
             catalog,
             models,
             &AvailabilityPdf::certain(0.8),
+            ServiceQuality::Full,
         )
         .ok()
 }
@@ -496,11 +499,12 @@ fn five_epoch_churn_decisions_reenact_byte_identically() {
             .unwrap();
         let snapshot = durable.pin();
         let report = layer
-            .process_batch_with_catalog(
+            .process_batch_with_catalog_at(
                 &instance.standing,
                 snapshot.catalog(),
                 &instance.models,
                 &pdf,
+                ServiceQuality::Full,
             )
             .unwrap();
         durable
