@@ -5,7 +5,10 @@
 //! 1. **Max sustainable throughput** — closed-loop flights of `max_batch`
 //!    requests (each flight submitted only after the previous one fully
 //!    resolved), so the server runs flat out without ever building a
-//!    backlog. This is the capacity number the overload soak multiplies.
+//!    backlog beyond one flight. The admission queue is work-conserving,
+//!    so a flight is not one window: the server takes whatever has arrived
+//!    as soon as it is free, and the rest of the flight forms the next
+//!    window. This is the capacity number the overload soak multiplies.
 //! 2. **Admitted-request latency** — an open-loop Poisson stream at ~30 %
 //!    of the measured capacity (the generator shares the CPU with the
 //!    server, so this stays calm even on one hardware thread); p50/p99/p999
@@ -241,14 +244,13 @@ fn bench_streaming(c: &mut Criterion) {
 
     let json = format!(
         "{{\n  \"bench\": \"streaming\",\n  \"scenario\": {{\"strategies\": {STRATEGIES}, \
-         \"k\": {K}, \"max_batch\": {flight}, \"max_wait_ms\": {}, \"queue_capacity\": {}}},\n  \
+         \"k\": {K}, \"max_batch\": {flight}, \"queue_capacity\": {}}},\n  \
          \"smoke\": {smoke},\n  \"available_parallelism\": {cores},\n  \
          \"max_sustainable_hz\": {sustainable_hz:.1},\n  \"latency_at_0_3x\": {{\"served\": {}, \
          \"p50_ms\": {p50:.3}, \"p99_ms\": {p99:.3}, \"p999_ms\": {p999:.3}}},\n  \
          \"overload_at_2x\": {{\"arrivals\": {}, \"served_full\": {}, \"served_degraded\": {}, \
          \"shed_admission\": {}, \"shed_deadline\": {}, \"failed\": {}, \"degraded_windows\": {}, \
          \"peak_queue_depth\": {}, \"recovered\": {}}}\n}}\n",
-        config.admission.max_wait_ms,
         config.admission.queue_capacity,
         latency_run.served_nanos.len(),
         overload_run.arrivals,

@@ -16,7 +16,8 @@
 //! so every later mutation is refused with [`DurableError::Poisoned`]
 //! rather than silently widening the gap. Readers keep serving the last
 //! durable snapshot; the operator recovers by reopening the directory
-//! ([`DurableCatalog::recover`]).
+//! ([`DurableCatalog::recover`]). A decision the log refuses as too large
+//! ([`DurableError::RecordTooLarge`]) wrote nothing and does not poison.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -176,7 +177,9 @@ impl DurableCatalog {
     /// # Errors
     ///
     /// [`DurableError::Poisoned`] after an earlier logging failure, or the
-    /// append/sync failure itself (which also poisons the handle).
+    /// append/sync failure itself, which also poisons the handle.
+    /// [`DurableError::RecordTooLarge`] is the exception: the log refused
+    /// the record before writing a byte, so the handle stays usable.
     pub fn log_decision(&self, decision: &DecisionRecord) -> Result<u64> {
         if self.poisoned.load(Ordering::Acquire) {
             return Err(DurableError::Poisoned);
@@ -191,8 +194,12 @@ impl DurableCatalog {
                 }
                 Ok(offset)
             });
-        if appended.is_err() {
-            self.poisoned.store(true, Ordering::Release);
+        // A record refused as too large wrote no byte, so the log is still
+        // whole; any other failure may have left a partial frame behind.
+        if let Err(error) = &appended {
+            if !matches!(error, DurableError::RecordTooLarge { .. }) {
+                self.poisoned.store(true, Ordering::Release);
+            }
         }
         appended
     }
@@ -347,6 +354,54 @@ mod tests {
         assert!(durable.is_poisoned());
         // Reads still serve the last durable snapshot.
         assert_eq!(durable.pin().epoch(), published.epoch());
+    }
+
+    #[test]
+    fn an_oversized_decision_is_refused_without_poisoning_the_handle() {
+        let dir = TempDir::new("store-oversized");
+        let durable = seeded(dir.path(), options());
+        let decision = DecisionRecord {
+            epoch: durable.epoch(),
+            config: stratrec_core::stratrec::StratRecConfig::default(),
+            availability: 0.8,
+            requests: stratrec_core::examples_data::running_example_requests(),
+            report: stratrec_core::stratrec::StratRecReport {
+                availability: stratrec_core::availability::WorkerAvailability::new(0.8).unwrap(),
+                batch: stratrec_core::batch::BatchOutcome::default(),
+                alternatives: Vec::new(),
+            },
+        };
+        let encoded = WalRecord::Decision(decision.clone()).encode().len();
+        let before = durable.wal_len().unwrap();
+        // A limit one byte below the decision meets the same refusal a
+        // decision over 64 MiB does, without building one. A catalog
+        // mutation's record stays well below it.
+        let limit = u32::try_from(encoded - 1).unwrap();
+        durable.lock_state().wal.set_max_payload(limit);
+        match durable.log_decision(&decision) {
+            Err(DurableError::RecordTooLarge { len, max }) => {
+                assert_eq!(len, encoded);
+                assert_eq!(max, encoded - 1);
+            }
+            other => panic!("expected RecordTooLarge, got {other:?}"),
+        }
+        assert!(!durable.is_poisoned(), "nothing was written");
+        assert_eq!(durable.wal_len().unwrap(), before);
+
+        // The handle still commits, and recovery replays the commit.
+        let ((), committed) = durable
+            .update(|catalog| {
+                catalog.insert(strategy(10));
+            })
+            .unwrap();
+        drop(durable);
+        let (recovered, report, decisions) =
+            DurableCatalog::recover(dir.path(), RebuildPolicy::threshold(3), options()).unwrap();
+        assert!(report.corruption.is_none());
+        assert_eq!(report.records_applied, 1);
+        assert!(decisions.is_empty(), "the refused decision left no record");
+        assert_eq!(recovered.epoch(), committed.epoch());
+        assert_eq!(recovered.pin().strategies(), committed.strategies());
     }
 
     #[test]

@@ -50,6 +50,9 @@ pub struct WalWriter {
     file: BufWriter<File>,
     path: PathBuf,
     len: u64,
+    /// Largest payload an append accepts: [`MAX_PAYLOAD_LEN`], the limit
+    /// [`scan`] enforces. Tests lower it to reach the refusal cheaply.
+    max_payload: u32,
 }
 
 impl WalWriter {
@@ -62,6 +65,7 @@ impl WalWriter {
             file: BufWriter::new(file),
             path: path.to_path_buf(),
             len: 0,
+            max_payload: MAX_PAYLOAD_LEN,
         };
         writer.write_all(WAL_MAGIC)?;
         writer.flush()?;
@@ -86,6 +90,7 @@ impl WalWriter {
             file: BufWriter::new(file),
             path: path.to_path_buf(),
             len: valid_len,
+            max_payload: MAX_PAYLOAD_LEN,
         })
     }
 
@@ -110,16 +115,24 @@ impl WalWriter {
         let offset = self.len;
         let len = u32::try_from(payload.len())
             .ok()
-            .filter(|&len| len <= MAX_PAYLOAD_LEN)
+            .filter(|&len| len <= self.max_payload)
             .ok_or(DurableError::RecordTooLarge {
                 len: payload.len(),
-                max: MAX_PAYLOAD_LEN as usize,
+                max: self.max_payload as usize,
             })?;
         self.write_all(&len.to_le_bytes())?;
         self.write_all(&crc32(payload).to_le_bytes())?;
         self.write_all(payload)?;
         self.flush()?;
         Ok(offset)
+    }
+
+    /// Lowers the payload limit to `max`, so a test can provoke
+    /// [`DurableError::RecordTooLarge`] without a 64 MiB record.
+    #[cfg(test)]
+    pub(crate) fn set_max_payload(&mut self, max: u32) {
+        assert!(max <= MAX_PAYLOAD_LEN, "the limit may only be lowered");
+        self.max_payload = max;
     }
 
     /// Forces everything appended so far to stable storage (`fdatasync`).

@@ -1,28 +1,30 @@
-//! The admission window: batching, capacity control and deadline shedding.
+//! The admission queue: batching, capacity control and deadline shedding.
 //!
-//! Requests are grouped into **windows** that close on whichever comes
-//! first: the window reaches [`AdmissionConfig::max_batch`] requests, or the
-//! oldest queued request has waited [`AdmissionConfig::max_wait`]. Batching
+//! The queue is **work-conserving**: the service loop takes a window the
+//! moment it is free and anything is pending, and never waits for more
+//! arrivals. A window is the oldest pending requests, up to
+//! [`AdmissionConfig::max_batch`] of them. Under light load a window holds
+//! the one request that just arrived. Under load the backlog that builds
+//! while a window is served becomes the next window, so batching still
 //! amortizes the per-window pipeline cost (snapshot pin, engine fan-out,
-//! selection) across requests; the wait bound keeps a lone request from
-//! idling in an empty window.
+//! selection) exactly when there is a backlog to amortize it over.
 //!
-//! Two typed shed decisions guard the window, and both produce responses —
+//! Two typed shed decisions guard the queue, and both produce responses —
 //! never silent drops:
 //!
 //! * **Capacity**: beyond [`AdmissionConfig::queue_capacity`] pending
 //!   requests, [`offer`](AdmissionWindow::offer) refuses with
-//!   [`StratRecError::AdmissionRejected`]. Shedding at the door keeps the
-//!   backlog — and therefore the worst-case response latency of everything
-//!   behind it — bounded.
-//! * **Deadline**: when a window closes,
+//!   [`StratRecError::AdmissionRejected`] and hands the request back.
+//!   Shedding at the door keeps the backlog — and therefore the worst-case
+//!   response latency of everything behind it — bounded.
+//! * **Deadline**: when a window is taken,
 //!   [`take_batch`](AdmissionWindow::take_batch) sheds every request whose
 //!   remaining budget is smaller than the current service-time estimate
 //!   with [`StratRecError::DeadlineExceeded`] — a request that cannot make
 //!   its deadline only wastes the budget of those that still can.
 //!
-//! The window is pure data plus explicit `now: Instant` parameters, so the
-//! close/shed logic is unit-testable on a virtual clock.
+//! The queue is pure data plus an explicit `now: Instant` parameter, so the
+//! shed logic is unit-testable on a virtual clock.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -32,14 +34,12 @@ use stratrec_core::prelude::StratRecError;
 
 use crate::request::StreamRequest;
 
-/// Sizing and timing of the admission window.
+/// Sizing of the admission queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AdmissionConfig {
-    /// A window closes as soon as it holds this many requests.
+    /// A window holds at most this many requests; a larger backlog is
+    /// served across consecutive windows, oldest first.
     pub max_batch: usize,
-    /// A window closes once its oldest request has waited this long
-    /// (milliseconds), full or not.
-    pub max_wait_ms: u64,
     /// Pending requests beyond this depth are refused with
     /// [`StratRecError::AdmissionRejected`].
     pub queue_capacity: usize,
@@ -52,7 +52,6 @@ impl Default for AdmissionConfig {
     fn default() -> Self {
         Self {
             max_batch: 16,
-            max_wait_ms: 5,
             queue_capacity: 1_024,
             initial_estimate_ms: 1,
         }
@@ -60,12 +59,6 @@ impl Default for AdmissionConfig {
 }
 
 impl AdmissionConfig {
-    /// [`Self::max_wait_ms`] as a [`Duration`].
-    #[must_use]
-    pub fn max_wait(&self) -> Duration {
-        Duration::from_millis(self.max_wait_ms)
-    }
-
     /// [`Self::initial_estimate_ms`] as a [`Duration`].
     #[must_use]
     pub fn initial_estimate(&self) -> Duration {
@@ -93,7 +86,7 @@ impl QueuedRequest {
     }
 }
 
-/// The admission queue and its window-close logic.
+/// The admission queue and its window logic.
 #[derive(Debug)]
 pub struct AdmissionWindow {
     config: AdmissionConfig,
@@ -101,12 +94,12 @@ pub struct AdmissionWindow {
 }
 
 impl AdmissionWindow {
-    /// An empty window under `config`.
+    /// An empty queue under `config`.
     ///
     /// # Panics
     ///
-    /// Panics when `config.max_batch` is 0: such a window would count as
-    /// closed while empty, so a serving loop could never admit a request.
+    /// Panics when `config.max_batch` is 0: such a window would take
+    /// nothing from the backlog, so a serving loop could never drain it.
     #[must_use]
     pub fn new(config: AdmissionConfig) -> Self {
         assert!(
@@ -132,55 +125,35 @@ impl AdmissionWindow {
     }
 
     /// Offers one request to the queue. Refuses with
-    /// [`StratRecError::AdmissionRejected`] when the queue is at capacity —
-    /// the caller must turn that into a typed response.
+    /// [`StratRecError::AdmissionRejected`] when the queue is at capacity,
+    /// handing the request back so the caller can turn the refusal into a
+    /// typed response.
     ///
     /// # Errors
     ///
-    /// Returns [`StratRecError::AdmissionRejected`] at capacity.
-    pub fn offer(&mut self, item: QueuedRequest) -> Result<(), StratRecError> {
+    /// Returns the refused request and [`StratRecError::AdmissionRejected`]
+    /// at capacity.
+    // The refused request moves back by value: boxing it would allocate on
+    // exactly the overload path where refusals happen.
+    #[allow(clippy::result_large_err)]
+    pub fn offer(&mut self, item: QueuedRequest) -> Result<(), (QueuedRequest, StratRecError)> {
         if self.pending.len() >= self.config.queue_capacity {
-            return Err(StratRecError::AdmissionRejected {
+            let error = StratRecError::AdmissionRejected {
                 queue_depth: self.pending.len(),
                 capacity: self.config.queue_capacity,
-            });
+            };
+            return Err((item, error));
         }
         self.pending.push_back(item);
         Ok(())
     }
 
-    /// Whether the current window is closed at `now`: full, or the oldest
-    /// request has waited past the wait bound.
-    #[must_use]
-    pub fn is_closed(&self, now: Instant) -> bool {
-        if self.pending.len() >= self.config.max_batch {
-            return true;
-        }
-        self.pending.front().is_some_and(|oldest| {
-            now.saturating_duration_since(oldest.enqueued) >= self.config.max_wait()
-        })
-    }
-
-    /// How long the service loop may block for more arrivals before the
-    /// window must close: `None` when it is already closed (or nothing is
-    /// pending — then there is no window to close).
-    #[must_use]
-    pub fn wait_budget(&self, now: Instant) -> Option<Duration> {
-        if self.is_closed(now) {
-            return None;
-        }
-        self.pending.front().map(|oldest| {
-            self.config
-                .max_wait()
-                .saturating_sub(now.saturating_duration_since(oldest.enqueued))
-        })
-    }
-
-    /// Closes the window: pops up to `max_batch` requests in arrival order,
-    /// shedding every one whose remaining budget at `now` is below
+    /// Takes the next window: pops up to `max_batch` requests in arrival
+    /// order, shedding every one whose remaining budget at `now` is below
     /// `estimate` (the current per-window service-time estimate) with a
-    /// typed [`StratRecError::DeadlineExceeded`]. Returns the admitted
-    /// batch and the shed requests with their errors.
+    /// typed [`StratRecError::DeadlineExceeded`]. Shed requests take no
+    /// batch slot. Returns the admitted batch and the shed requests with
+    /// their errors.
     #[must_use]
     pub fn take_batch(
         &mut self,
@@ -233,38 +206,13 @@ mod tests {
     fn config() -> AdmissionConfig {
         AdmissionConfig {
             max_batch: 3,
-            max_wait_ms: 10,
             queue_capacity: 5,
             initial_estimate_ms: 1,
         }
     }
 
-    #[test]
-    fn windows_close_on_size_or_wait_whichever_first() {
-        let start = Instant::now();
-        let mut window = AdmissionWindow::new(config());
-        assert!(!window.is_closed(start), "empty windows never close");
-        assert_eq!(window.wait_budget(start), None, "nothing to wait for");
-        window
-            .offer(queued(0, start, Duration::from_millis(100)))
-            .unwrap();
-        assert!(!window.is_closed(start));
-        // The wait budget counts down from the oldest request's arrival.
-        let later = start + Duration::from_millis(4);
-        assert_eq!(window.wait_budget(later), Some(Duration::from_millis(6)));
-        assert!(
-            window.is_closed(start + Duration::from_millis(10)),
-            "wait bound"
-        );
-        // Or: the window fills to max_batch and closes immediately.
-        window
-            .offer(queued(1, start, Duration::from_millis(100)))
-            .unwrap();
-        window
-            .offer(queued(2, start, Duration::from_millis(100)))
-            .unwrap();
-        assert!(window.is_closed(start), "size bound");
-        assert_eq!(window.wait_budget(start), None);
+    fn ids(batch: &[QueuedRequest]) -> Vec<u64> {
+        batch.iter().map(|q| q.request.id).collect()
     }
 
     #[test]
@@ -276,15 +224,40 @@ mod tests {
                 .offer(queued(id, start, Duration::from_millis(100)))
                 .unwrap();
         }
-        let refused = window.offer(queued(5, start, Duration::from_millis(100)));
+        let Err((refused, error)) = window.offer(queued(5, start, Duration::from_millis(100)))
+        else {
+            panic!("a full queue must refuse");
+        };
+        assert_eq!(refused.request.id, 5, "the refused request is handed back");
         assert!(matches!(
-            refused,
-            Err(StratRecError::AdmissionRejected {
+            error,
+            StratRecError::AdmissionRejected {
                 queue_depth: 5,
                 capacity: 5,
-            })
+            }
         ));
         assert_eq!(window.depth(), 5, "the refused request was never queued");
+    }
+
+    #[test]
+    fn take_batch_on_an_empty_queue_takes_nothing() {
+        let mut window = AdmissionWindow::new(config());
+        let (admitted, shed) = window.take_batch(Instant::now(), Duration::from_millis(1));
+        assert!(admitted.is_empty() && shed.is_empty());
+    }
+
+    #[test]
+    fn take_batch_takes_a_lone_request_at_once() {
+        // A single pending request is a whole window.
+        let start = Instant::now();
+        let mut window = AdmissionWindow::new(config());
+        window
+            .offer(queued(0, start, Duration::from_millis(100)))
+            .unwrap();
+        let (admitted, shed) = window.take_batch(start, Duration::from_millis(1));
+        assert_eq!(ids(&admitted), vec![0]);
+        assert!(shed.is_empty());
+        assert!(window.is_empty());
     }
 
     #[test]
@@ -304,8 +277,7 @@ mod tests {
             .unwrap();
         let now = start + Duration::from_millis(20);
         let (admitted, shed) = window.take_batch(now, Duration::from_millis(10));
-        assert_eq!(admitted.len(), 1);
-        assert_eq!(admitted[0].request.id, 0);
+        assert_eq!(ids(&admitted), vec![0]);
         assert_eq!(shed.len(), 2);
         assert!(matches!(
             shed[0].1,
@@ -325,7 +297,7 @@ mod tests {
     }
 
     #[test]
-    fn take_batch_respects_the_batch_bound_and_arrival_order() {
+    fn take_batch_caps_at_max_batch_and_serves_the_backlog_oldest_first() {
         let start = Instant::now();
         let mut window = AdmissionWindow::new(config());
         for id in 0..5 {
@@ -333,10 +305,35 @@ mod tests {
                 .offer(queued(id, start, Duration::from_secs(1)))
                 .unwrap();
         }
-        let (admitted, shed) = window.take_batch(start, Duration::from_millis(1));
+        let (first, shed) = window.take_batch(start, Duration::from_millis(1));
         assert!(shed.is_empty());
-        let ids: Vec<u64> = admitted.iter().map(|q| q.request.id).collect();
-        assert_eq!(ids, vec![0, 1, 2], "max_batch oldest-first");
+        assert_eq!(ids(&first), vec![0, 1, 2], "max_batch oldest-first");
         assert_eq!(window.depth(), 2, "the rest stays queued");
+        // The next window takes the remainder, still in arrival order.
+        let (second, shed) = window.take_batch(start, Duration::from_millis(1));
+        assert!(shed.is_empty());
+        assert_eq!(ids(&second), vec![3, 4]);
+        assert!(window.is_empty());
+    }
+
+    #[test]
+    fn shed_requests_take_no_batch_slot() {
+        let start = Instant::now();
+        let mut window = AdmissionWindow::new(config());
+        // Two expired requests ahead of three live ones: the window sheds
+        // both and still admits a full batch of three.
+        for id in 0..2 {
+            window.offer(queued(id, start, Duration::ZERO)).unwrap();
+        }
+        for id in 2..5 {
+            window
+                .offer(queued(id, start, Duration::from_secs(1)))
+                .unwrap();
+        }
+        let (admitted, shed) = window.take_batch(start, Duration::from_millis(1));
+        assert_eq!(ids(&admitted), vec![2, 3, 4]);
+        let shed_ids: Vec<u64> = shed.iter().map(|(q, _)| q.request.id).collect();
+        assert_eq!(shed_ids, vec![0, 1]);
+        assert!(window.is_empty());
     }
 }

@@ -6,7 +6,9 @@
 //!
 //! 1. **Calibrate** — closed-loop flights of `max_batch` requests measure
 //!    the sustainable serving throughput on this machine (skipped when
-//!    `--rate-hz` pins the offered rate explicitly).
+//!    `--rate-hz` pins the offered rate explicitly). The server takes a
+//!    window whenever it is free, so a flight may be served as several
+//!    windows: whatever had arrived when it started, then the rest.
 //! 2. **Soak** — an open-loop Poisson stream at `--overload-factor` times
 //!    the sustainable rate is replayed against the server for
 //!    `--duration-ms`, while a churn writer publishes catalog epochs
@@ -113,7 +115,8 @@ fn stream_request(
 
 /// Closed-loop throughput measurement: flights of `max_batch` requests with
 /// generous deadlines, each flight submitted only after the previous one
-/// fully resolved, so the server is busy but never backlogged.
+/// fully resolved, so the server is busy but never backlogged beyond one
+/// flight.
 fn calibrate(args: &Args, instance: &ChurnInstance, config: ServeConfig) -> f64 {
     let catalog = Arc::new(ConcurrentCatalog::new(
         instance.catalog(RebuildPolicy::default()),

@@ -2,9 +2,10 @@
 //!
 //! The batch pipeline of `stratrec-core` answers pre-assembled batches; this
 //! crate turns it into a long-running **service**. Requests arrive on an
-//! MPSC queue tagged with tenant and deadline, an **admission window**
-//! groups them into batches (closing on size or wait, whichever first), and
-//! a single service thread serves each window cold — the sequential
+//! MPSC queue tagged with tenant and deadline, a work-conserving
+//! **admission queue** hands the service thread up to `max_batch` of the
+//! pending requests as one window the moment the thread is free, and the
+//! thread serves each window cold — the sequential
 //! pipeline, `StratRec::process_batch_with_catalog_at` — on the latest
 //! snapshot pinned from the live
 //! [`ConcurrentCatalog`](stratrec_core::catalog::ConcurrentCatalog) while a

@@ -1,25 +1,31 @@
 //! The streaming service loop: MPSC ingest, windowed serving, typed sheds.
 //!
 //! [`StreamServer::start`] spawns one **service thread** that serves from
-//! the shared [`ConcurrentCatalog`]. The loop alternates two phases:
+//! the shared [`ConcurrentCatalog`]. The loop is work-conserving and
+//! alternates two phases:
 //!
-//! 1. **Ingest** — block on the submission channel until the admission
-//!    window closes (size or wait bound, see [`crate::admission`]),
-//!    shedding arrivals beyond the queue capacity with a typed
+//! 1. **Ingest** — block on the submission channel only while nothing is
+//!    pending, then drain whatever the channel already holds into the
+//!    admission queue (see [`crate::admission`]), shedding arrivals beyond
+//!    the queue capacity with a typed
 //!    [`AdmissionRejected`](stratrec_core::error::StratRecError::AdmissionRejected)
-//!    response.
+//!    response. The loop never waits for a window to fill.
 //! 2. **Serve** — observe the queue depth through the
-//!    [`BackpressureController`], close the window (deadline-shedding
-//!    requests whose budget is below the running service-time estimate),
-//!    pin the latest published snapshot and serve the admitted batch cold
-//!    through `StratRec::process_batch_with_catalog_at` on it at the
-//!    controller's quality.
+//!    [`BackpressureController`], take the oldest `max_batch` pending
+//!    requests as the window (deadline-shedding requests whose budget is
+//!    below the running service-time estimate), pin the latest published
+//!    snapshot and serve the admitted batch cold through
+//!    `StratRec::process_batch_with_catalog_at` on it at the controller's
+//!    quality.
 //!
-//! Every served answer is therefore exactly the sequential pipeline's
-//! answer on the snapshot its `(window, epoch)` tag names. Windows carry
-//! different requests, so no per-request state survives a window: the
-//! server holds no delta subscription and never takes the catalog's writer
-//! lock.
+//! A lone request is therefore served as soon as the thread is free, and
+//! under load each window is the backlog that built up while the previous
+//! one was served.
+//!
+//! Every served answer is exactly the sequential pipeline's answer on the
+//! snapshot its `(window, epoch)` tag names. Windows carry different
+//! requests, so no per-request state survives a window: the server holds
+//! no delta subscription and never takes the catalog's writer lock.
 //!
 //! The service-time estimate is an exponentially weighted moving average of
 //! measured window service times (`estimate ← (3·estimate + measured) / 4`),
@@ -31,7 +37,7 @@
 //! request already queued — the exactly-one-response invariant holds
 //! through shutdown.
 
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -87,7 +93,7 @@ pub struct WindowRecord {
 /// Counters the service thread returns on shutdown.
 #[derive(Debug, Clone, Default)]
 pub struct ServerStats {
-    /// Windows closed (served or fully shed).
+    /// Windows taken (served or fully shed).
     pub windows: u64,
     /// Requests served at [`ServiceQuality::Full`].
     pub served_full: u64,
@@ -101,7 +107,7 @@ pub struct ServerStats {
     pub failed: u64,
     /// Windows the controller held at [`ServiceQuality::Degraded`].
     pub degraded_windows: u64,
-    /// Largest queue depth observed at a window close.
+    /// Largest queue depth observed when a window was taken.
     pub peak_queue_depth: usize,
     /// The controller's quality when the loop exited.
     pub final_quality: ServiceQuality,
@@ -239,40 +245,25 @@ fn serve_loop(
     let layer = StratRec::new(config.stratrec);
     let mut estimate = config.admission.initial_estimate();
     let mut stats = ServerStats::default();
-    let mut open = true;
 
     loop {
-        // Phase 1: ingest until the window closes or the channel drops.
-        while open && !window.is_closed(Instant::now()) {
-            let received = if window.is_empty() {
-                // Nothing pending: no window to close, block for the next
-                // arrival.
-                ingest.recv().map_err(|_| RecvTimeoutError::Disconnected)
-            } else {
-                let budget = window.wait_budget(Instant::now()).unwrap_or(Duration::ZERO);
-                ingest.recv_timeout(budget)
+        // Phase 1: block only while nothing is pending, then take whatever
+        // the channel already holds so queue depth reflects the backlog.
+        if window.is_empty() {
+            let Ok(arrival) = ingest.recv() else {
+                // The sender dropped and every queued request is answered.
+                break;
             };
-            match received {
-                Ok(arrival) => {
-                    offer(&mut window, arrival, &mut stats, respond);
-                    // Opportunistically drain everything already buffered so
-                    // queue depth reflects the true backlog.
-                    while let Ok(arrival) = ingest.try_recv() {
-                        offer(&mut window, arrival, &mut stats, respond);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => open = false,
-            }
+            offer(&mut window, arrival, &mut stats, respond);
+        }
+        while let Ok(arrival) = ingest.try_recv() {
+            offer(&mut window, arrival, &mut stats, respond);
         }
         if window.is_empty() {
-            if open {
-                continue;
-            }
-            break;
+            continue;
         }
 
-        // Phase 2: observe, close, shed, serve.
+        // Phase 2: observe, take the window, shed, serve.
         let depth = window.depth();
         stats.peak_queue_depth = stats.peak_queue_depth.max(depth);
         let quality = controller.observe(depth);
@@ -281,8 +272,7 @@ fn serve_loop(
             stats.degraded_windows += 1;
         }
         let seq = stats.windows;
-        let close = Instant::now();
-        let (admitted, shed) = window.take_batch(close, estimate);
+        let (admitted, shed) = window.take_batch(Instant::now(), estimate);
         for (item, error) in shed {
             stats.shed_deadline += 1;
             deliver(respond, &item, seq, StreamOutcome::Shed(error));
@@ -306,12 +296,17 @@ fn serve_loop(
 
         match result {
             Ok(report) => {
+                // The answers move out of the report; it is cloned only
+                // when the trace keeps it.
+                let kept = config.record_windows.then(|| report.clone());
                 let mut answers: Vec<Option<ServedAnswer>> = vec![None; requests.len()];
-                for rec in &report.batch.satisfied {
-                    answers[rec.request_index] = Some(ServedAnswer::Recommended(rec.clone()));
+                for rec in report.batch.satisfied {
+                    let index = rec.request_index;
+                    answers[index] = Some(ServedAnswer::Recommended(rec));
                 }
-                for alt in &report.alternatives {
-                    answers[alt.request_index] = Some(ServedAnswer::Alternative(alt.clone()));
+                for alt in report.alternatives {
+                    let index = alt.request_index;
+                    answers[index] = Some(ServedAnswer::Alternative(alt));
                 }
                 for (item, answer) in admitted.iter().zip(answers) {
                     let answer = answer
@@ -327,7 +322,7 @@ fn serve_loop(
                     };
                     deliver(respond, item, seq, outcome);
                 }
-                if config.record_windows {
+                if let Some(report) = kept {
                     stats.trace.push(WindowRecord {
                         window: seq,
                         quality,
@@ -361,11 +356,10 @@ fn offer(
     stats: &mut ServerStats,
     respond: &Sender<StreamResponse>,
 ) {
-    let item = QueuedRequest { request, enqueued };
-    if let Err(error) = window.offer(item.clone()) {
+    if let Err((item, error)) = window.offer(QueuedRequest { request, enqueued }) {
         stats.shed_admission += 1;
-        // The refused request belongs to the window currently filling —
-        // the one that will close as `windows + 1`.
+        // The refused request belongs to the next window to be taken —
+        // the one that will be numbered `windows + 1`.
         deliver(
             respond,
             &item,
@@ -478,12 +472,83 @@ mod tests {
     }
 
     #[test]
+    fn a_lone_request_is_served_without_waiting_for_company() {
+        // No timer linger: each request is served the moment it arrives,
+        // as a window of its own. A 5 ms wait bound alone would make these
+        // 50 round trips take at least 250 ms.
+        let (catalog, models, pdf) = fixture();
+        let handle = StreamServer::new(ServeConfig::default()).start(catalog, models, pdf);
+        let start = Instant::now();
+        for id in 0..50 {
+            assert!(handle.submit(stream_request(id, Duration::from_secs(5))));
+            let response = handle
+                .recv_timeout(Duration::from_secs(5))
+                .expect("a lone request is answered");
+            assert_eq!(response.id, id);
+            assert_eq!(response.window, id + 1, "one window per lone request");
+            assert!(response.outcome.is_served());
+        }
+        let elapsed = start.elapsed();
+        let (stats, _) = handle.shutdown();
+        assert_eq!(stats.windows, 50);
+        assert!(
+            elapsed < Duration::from_millis(250),
+            "50 lone round trips took {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn a_backlog_beyond_max_batch_is_served_across_windows_oldest_first() {
+        let (catalog, models, pdf) = fixture();
+        let config = ServeConfig {
+            admission: AdmissionConfig {
+                max_batch: 4,
+                ..AdmissionConfig::default()
+            },
+            record_windows: true,
+            ..ServeConfig::default()
+        };
+        // Queue the whole backlog and close the channel before the loop
+        // runs, so its first ingest drains all ten requests at once.
+        let (submit, ingest) = mpsc::channel();
+        let now = Instant::now();
+        for id in 0..10 {
+            submit
+                .send((stream_request(id, Duration::from_secs(5)), now))
+                .unwrap();
+        }
+        drop(submit);
+        let (respond, responses) = mpsc::channel();
+        let stats = serve_loop(
+            &config,
+            AdmissionWindow::new(config.admission),
+            BackpressureController::new(config.controller),
+            &catalog,
+            &models,
+            &pdf,
+            &ingest,
+            &respond,
+        );
+        let windows: Vec<Vec<u64>> = stats.trace.iter().map(|w| w.ids.clone()).collect();
+        assert_eq!(
+            windows,
+            vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7], vec![8, 9]],
+            "max_batch per window, oldest first"
+        );
+        assert_eq!(stats.peak_queue_depth, 10);
+        let responses: Vec<StreamResponse> = responses.try_iter().collect();
+        assert!(responses.iter().all(|r| r.outcome.is_served()));
+        let served: Vec<(u64, u64)> = responses.iter().map(|r| (r.id, r.window)).collect();
+        let expected: Vec<(u64, u64)> = (0..10).map(|id| (id, id / 4 + 1)).collect();
+        assert_eq!(served, expected, "every request answered once, in order");
+    }
+
+    #[test]
     fn capacity_overflow_is_shed_typed_at_the_door() {
         let (catalog, models, pdf) = fixture();
         let config = ServeConfig {
             admission: AdmissionConfig {
                 max_batch: 2,
-                max_wait_ms: 50,
                 queue_capacity: 4,
                 initial_estimate_ms: 1,
             },
@@ -524,9 +589,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "max_batch must be at least 1")]
     fn a_zero_max_batch_is_rejected_at_start() {
-        // A zero batch bound makes every window count as closed while
-        // empty: the loop would spin without ever receiving, never see the
-        // sender drop, and `shutdown` would never return.
+        // A zero batch bound takes nothing from the backlog: the loop would
+        // spin on a queue it can never drain, and `shutdown` would never
+        // return.
         let (catalog, models, pdf) = fixture();
         let config = ServeConfig {
             admission: AdmissionConfig {

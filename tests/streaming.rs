@@ -58,7 +58,6 @@ fn overload_config() -> ServeConfig {
     ServeConfig {
         admission: AdmissionConfig {
             max_batch: 8,
-            max_wait_ms: 2,
             queue_capacity: 24,
             initial_estimate_ms: 1,
         },
@@ -76,9 +75,9 @@ fn overload_config() -> ServeConfig {
 }
 
 /// A burst-then-calm schedule: the 80× burst (24 000 req/s) is far beyond
-/// what windows of 8 closing every ~2 ms can drain on any machine, so the
-/// 24-deep queue must overflow; the calm tail gives the controller room to
-/// recover before shutdown.
+/// what windows of at most 8 drain in a debug build, where CI runs this
+/// suite, so the 24-deep queue must overflow; the calm tail gives the
+/// controller room to recover before shutdown.
 ///
 /// The generator's requests (the paper's `[0.625, 1]³` range) are all
 /// unsatisfiable on this catalog, so about half are redrawn from an easy
@@ -214,7 +213,7 @@ fn overload_resolves_every_request_to_exactly_one_typed_outcome() {
 
     // The burst actually overloaded the server: the controller degraded and
     // shedding engaged. (The burst rate is sized far above what windows of
-    // 8 closing every ~2 ms can drain, so this holds on any machine.)
+    // at most 8 drain in a debug build; see `overload_schedule`.)
     let summary = format!(
         "windows={} full={} degraded={} shed_deadline={} shed_admission={} failed={} peak={}",
         stats.windows,
