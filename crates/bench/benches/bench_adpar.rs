@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the ADPaR solvers (Figures 17–18
 //! counterparts): ADPaR-Exact scaling in |S| and k, and the baseline solvers
-//! on a fixed instance.
+//! on a fixed instance. Every problem is posed over the instance's
+//! `StrategyCatalog`, as the serving path poses it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -19,12 +20,8 @@ fn bench_exact_vs_strategy_count(c: &mut Criterion) {
             ..AdparScenario::default()
         }
         .materialize();
-        group.bench_with_input(BenchmarkId::from_parameter(s), &s, |b, _| {
-            let problem = AdparProblem::new(&instance.request, &instance.strategies, instance.k);
-            b.iter(|| black_box(AdparExact.solve(black_box(&problem)).expect("|S| >= k")));
-        });
-        // Catalog-backed problems sweep the catalog's pre-sorted axis
-        // orders through a reused scratch: no per-problem sort at all.
+        // The sweep walks the catalog's pre-sorted axis orders through a
+        // reused scratch: no per-problem sort at all.
         let catalog = instance.catalog();
         group.bench_with_input(BenchmarkId::new("catalog", s), &s, |b, _| {
             let problem = AdparProblem::with_catalog(&instance.request, &catalog, instance.k);
@@ -51,8 +48,9 @@ fn bench_exact_vs_k(c: &mut Criterion) {
             ..AdparScenario::default()
         }
         .materialize();
+        let catalog = instance.catalog();
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, _| {
-            let problem = AdparProblem::new(&instance.request, &instance.strategies, instance.k);
+            let problem = AdparProblem::with_catalog(&instance.request, &catalog, instance.k);
             b.iter(|| black_box(AdparExact.solve(black_box(&problem)).expect("|S| >= k")));
         });
     }
@@ -61,7 +59,8 @@ fn bench_exact_vs_k(c: &mut Criterion) {
 
 fn bench_solver_comparison(c: &mut Criterion) {
     let instance = AdparScenario::default().materialize();
-    let problem = AdparProblem::new(&instance.request, &instance.strategies, instance.k);
+    let catalog = instance.catalog();
+    let problem = AdparProblem::with_catalog(&instance.request, &catalog, instance.k);
     let mut group = c.benchmark_group("adpar_solver_comparison");
     group.sample_size(20);
     group.bench_function("adpar_exact", |b| {
@@ -71,13 +70,7 @@ fn bench_solver_comparison(c: &mut Criterion) {
         b.iter(|| black_box(AdparBaseline2.solve(black_box(&problem)).expect("feasible")));
     });
     group.bench_function("baseline3", |b| {
-        b.iter(|| {
-            black_box(
-                AdparBaseline3::default()
-                    .solve(black_box(&problem))
-                    .expect("feasible"),
-            )
-        });
+        b.iter(|| black_box(AdparBaseline3.solve(black_box(&problem)).expect("feasible")));
     });
     group.finish();
 }

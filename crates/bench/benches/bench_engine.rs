@@ -11,16 +11,15 @@
 //!   serving batch sizes `m ∈ {6, 64}`, streamed from its eligible slots
 //!   (`BatchEngine::requirements`, the serving path) vs the dense matrix
 //!   fill followed by `WorkforceMatrix::aggregate` — identical outputs.
-//! * `engine_adpar_exact/*`: one ADPaR-Exact solve on a plain problem
-//!   (per-problem axis sorts) vs a catalog-backed problem driven through a
-//!   reused `SolveScratch` (catalog-resident orders, zero steady-state
+//! * `engine_adpar_exact/*`: one ADPaR-Exact solve driven through a reused
+//!   `SolveScratch` (catalog-resident orders, zero steady-state
 //!   allocation).
 //! * `engine_adpar_fanout/*`: a whole unsatisfied-request fan-out,
 //!   sequential vs parallel engine.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use stratrec_core::adpar::{AdparExact, AdparProblem, AdparSolver, SolveScratch};
+use stratrec_core::adpar::{AdparExact, AdparProblem, SolveScratch};
 use stratrec_core::engine::BatchEngine;
 use stratrec_core::workforce::{AggregationMode, EligibilityRule};
 use stratrec_workload::scenario::{AdparScenario, BatchScenario, ParameterDistribution};
@@ -123,10 +122,6 @@ fn bench_adpar_exact(c: &mut Criterion) {
     }
     .materialize();
     let catalog = instance.catalog();
-    group.bench_function("plain_per_problem_sorts", |b| {
-        let problem = AdparProblem::new(&instance.request, &instance.strategies, instance.k);
-        b.iter(|| black_box(AdparExact.solve(black_box(&problem)).expect("|S| >= k")));
-    });
     group.bench_function("catalog_orders_reused_scratch", |b| {
         let problem = AdparProblem::with_catalog(&instance.request, &catalog, instance.k);
         let mut scratch = SolveScratch::new();

@@ -97,10 +97,7 @@ pub fn run_panel(
                 let problem = AdparProblem::with_catalog(&instance.request, &catalog, instance.k);
                 exact += AdparExact.solve(&problem).expect("|S| >= k").distance;
                 baseline2 += AdparBaseline2.solve(&problem).expect("|S| >= k").distance;
-                baseline3 += AdparBaseline3::default()
-                    .solve(&problem)
-                    .expect("|S| >= k")
-                    .distance;
+                baseline3 += AdparBaseline3.solve(&problem).expect("|S| >= k").distance;
                 if with_brute_force {
                     brute += AdparBruteForce.solve(&problem).expect("|S| >= k").distance;
                 }

@@ -6,6 +6,7 @@ use stratrec_core::adpar::trace::AdparTrace;
 use stratrec_core::adpar::AdparProblem;
 use stratrec_core::availability::AvailabilityPdf;
 use stratrec_core::batch::BatchObjective;
+use stratrec_core::catalog::StrategyCatalog;
 use stratrec_core::stratrec::{StratRec, StratRecConfig};
 use stratrec_core::workforce::AggregationMode;
 
@@ -92,7 +93,8 @@ fn main() {
 
     if trace_requested {
         println!("\nADPaR-Exact trace for d2 (Tables 2-5):");
-        let problem = AdparProblem::new(&requests[1], &strategies, 3);
+        let catalog = StrategyCatalog::new(strategies.as_slice());
+        let problem = AdparProblem::with_catalog(&requests[1], &catalog, 3);
         let trace = AdparTrace::compute(&problem).expect("valid instance");
         println!("{}", trace.render());
     }

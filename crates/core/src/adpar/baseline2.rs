@@ -106,8 +106,9 @@ fn with_axis(mut p: Point3, axis: usize, value: f64) -> Point3 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adpar::tests::{catalog_from, running_example_catalog};
     use crate::adpar::AdparExact;
-    use crate::model::{DeploymentParameters, DeploymentRequest, Strategy, TaskType};
+    use crate::model::{DeploymentParameters, DeploymentRequest, TaskType};
     use proptest::prelude::*;
 
     fn request(q: f64, c: f64, l: f64) -> DeploymentRequest {
@@ -118,23 +119,13 @@ mod tests {
         )
     }
 
-    fn strategies_from(params: &[(f64, f64, f64)]) -> Vec<Strategy> {
-        params
-            .iter()
-            .enumerate()
-            .map(|(i, &(q, c, l))| {
-                Strategy::from_params(i as u64, DeploymentParameters::clamped(q, c, l))
-            })
-            .collect()
-    }
-
     #[test]
     fn single_axis_relaxation_when_it_suffices() {
         // Running example d1 only needs a cost relaxation: Baseline2 matches
         // the exact solver here.
-        let strategies = crate::examples_data::running_example_strategies();
+        let catalog = running_example_catalog();
         let requests = crate::examples_data::running_example_requests();
-        let problem = AdparProblem::new(&requests[0], &strategies, 3);
+        let problem = AdparProblem::with_catalog(&requests[0], &catalog, 3);
         let solution = AdparBaseline2.solve(&problem).unwrap();
         assert!((solution.alternative.cost - 0.5).abs() < 1e-9);
         assert!((solution.alternative.quality - 0.4).abs() < 1e-9);
@@ -144,9 +135,9 @@ mod tests {
     #[test]
     fn falls_back_to_sequential_relaxation_when_one_axis_is_not_enough() {
         // Running example d2 needs both quality and cost relaxed.
-        let strategies = crate::examples_data::running_example_strategies();
+        let catalog = running_example_catalog();
         let requests = crate::examples_data::running_example_requests();
-        let problem = AdparProblem::new(&requests[1], &strategies, 3);
+        let problem = AdparProblem::with_catalog(&requests[1], &catalog, 3);
         let solution = AdparBaseline2.solve(&problem).unwrap();
         assert!(solution.is_feasible_for(&problem));
         // It is never better than the exact optimum.
@@ -158,14 +149,14 @@ mod tests {
     fn picks_the_cheapest_single_axis() {
         // Either relax quality by 0.4 (covering s0, s1) or latency by 0.1
         // (covering s2, s3): latency is cheaper.
-        let strategies = strategies_from(&[
+        let catalog = catalog_from(&[
             (0.4, 0.1, 0.1),
             (0.4, 0.1, 0.1),
             (0.9, 0.1, 0.3),
             (0.9, 0.1, 0.3),
         ]);
         let r = request(0.8, 0.2, 0.2);
-        let problem = AdparProblem::new(&r, &strategies, 2);
+        let problem = AdparProblem::with_catalog(&r, &catalog, 2);
         let solution = AdparBaseline2.solve(&problem).unwrap();
         assert!((solution.relaxation.z - 0.1).abs() < 1e-9);
         assert!(solution.relaxation.x.abs() < 1e-12);
@@ -174,10 +165,10 @@ mod tests {
 
     #[test]
     fn errors_are_propagated() {
-        let strategies = strategies_from(&[(0.5, 0.5, 0.5)]);
+        let catalog = catalog_from(&[(0.5, 0.5, 0.5)]);
         let r = request(0.9, 0.1, 0.1);
         assert!(AdparBaseline2
-            .solve(&AdparProblem::new(&r, &strategies, 2))
+            .solve(&AdparProblem::with_catalog(&r, &catalog, 2))
             .is_err());
         assert_eq!(AdparBaseline2.name(), "Baseline2");
     }
@@ -193,9 +184,9 @@ mod tests {
             k in 1_usize..5,
         ) {
             prop_assume!(k <= raw.len());
-            let strategies = strategies_from(&raw);
+            let catalog = catalog_from(&raw);
             let request = request(req.0, req.1, req.2);
-            let problem = AdparProblem::new(&request, &strategies, k);
+            let problem = AdparProblem::with_catalog(&request, &catalog, k);
             let baseline = AdparBaseline2.solve(&problem).unwrap();
             let exact = AdparExact.solve(&problem).unwrap();
             prop_assert!(baseline.strategy_indices.len() >= k);

@@ -14,62 +14,46 @@
 //! fallback node and of the `k` strategies is made deterministic: the node
 //! with the fewest points (ties: smallest MBB volume) wins, and the first `k`
 //! covered strategies in index order are reported.
+//!
+//! The points come from the problem's [`StrategyCatalog`], already
+//! normalized into the minimization space. The R-tree is the catalog's own
+//! index whenever that is a packed bulk load of exactly the live slots; on a
+//! churned catalog the baseline bulk-loads the live slots at the catalog's
+//! node capacity, so catalogs with the same live slots yield the same tree.
+//!
+//! [`StrategyCatalog`]: crate::catalog::StrategyCatalog
 
 use stratrec_geometry::{Aabb3, Point3, RTree};
 
 use crate::adpar::{AdparProblem, AdparSolution, AdparSolver};
 use crate::error::StratRecError;
-use crate::model::{DeploymentParameters, Strategy};
+use crate::model::DeploymentParameters;
 
-/// The R-tree MBB baseline solver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdparBaseline3 {
-    /// Node capacity used when bulk-loading the R-tree. The paper does not
-    /// specify one; 8 is the library default.
-    pub node_capacity: usize,
-}
-
-impl Default for AdparBaseline3 {
-    fn default() -> Self {
-        Self { node_capacity: 8 }
-    }
-}
+/// The R-tree MBB baseline solver. The paper does not specify the R-tree's
+/// node capacity; the baseline uses the catalog's own.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AdparBaseline3;
 
 impl AdparSolver for AdparBaseline3 {
     fn solve(&self, problem: &AdparProblem<'_>) -> Result<AdparSolution, StratRecError> {
         problem.validate()?;
         let k = problem.k;
 
-        // Index strategies as points in the normalized minimization space.
-        // Problems built over a shared `StrategyCatalog` carry its index;
-        // reuse it whenever it is still a deterministic STR bulk load over
-        // exactly the live slots (pristine, or re-packed by
-        // `force_rebuild`). A churned catalog's tree may contain tombstoned
-        // slots, miss the tail, or have an incrementally merged structure
-        // that is not the packing this baseline is pinned to — then
-        // bulk-load the live slots instead; entries keep their stable slot
-        // indices via `bulk_load_entries`.
+        // Reuse the catalog's R-tree whenever it is still a deterministic
+        // STR bulk load over exactly the live slots (pristine, or re-packed
+        // by `force_rebuild`). A churned catalog's tree may contain
+        // tombstoned slots, miss the tail, or have an incrementally merged
+        // structure that is not the packing this baseline is pinned to —
+        // then bulk-load the live slots at the same node capacity instead;
+        // entries keep their stable slot indices via `bulk_load_entries`.
+        let catalog = problem.catalog();
         let owned;
-        let tree: &RTree = match problem.catalog() {
-            Some(catalog)
-                if catalog.index_is_packed_live()
-                    && catalog.index().node_capacity() == self.node_capacity =>
-            {
-                catalog.index()
-            }
-            Some(catalog) => {
-                owned = RTree::bulk_load_entries(catalog.live_entries(), self.node_capacity);
-                &owned
-            }
-            None => {
-                let points: Vec<Point3> = problem
-                    .strategies
-                    .iter()
-                    .map(Strategy::to_normalized_point)
-                    .collect();
-                owned = RTree::bulk_load_with_capacity(&points, self.node_capacity);
-                &owned
-            }
+        let tree: &RTree = if catalog.index_is_packed_live() {
+            catalog.index()
+        } else {
+            owned =
+                RTree::bulk_load_entries(catalog.live_entries(), catalog.index().node_capacity());
+            &owned
         };
 
         // Scan all node MBBs: prefer one containing exactly k points,
@@ -118,8 +102,9 @@ impl AdparSolver for AdparBaseline3 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adpar::tests::{catalog_from, running_example_catalog};
     use crate::adpar::AdparExact;
-    use crate::model::{DeploymentRequest, Strategy, TaskType};
+    use crate::model::{DeploymentRequest, TaskType};
     use proptest::prelude::*;
 
     fn request(q: f64, c: f64, l: f64) -> DeploymentRequest {
@@ -130,31 +115,24 @@ mod tests {
         )
     }
 
-    fn strategies_from(params: &[(f64, f64, f64)]) -> Vec<Strategy> {
-        params
-            .iter()
-            .enumerate()
-            .map(|(i, &(q, c, l))| {
-                Strategy::from_params(i as u64, DeploymentParameters::clamped(q, c, l))
-            })
-            .collect()
-    }
-
     #[test]
     fn produces_an_alternative_admitting_k_strategies() {
-        let strategies = crate::examples_data::running_example_strategies();
+        let catalog = running_example_catalog();
         let requests = crate::examples_data::running_example_requests();
-        let problem = AdparProblem::new(&requests[1], &strategies, 3);
-        let solution = AdparBaseline3::default().solve(&problem).unwrap();
+        let problem = AdparProblem::with_catalog(&requests[1], &catalog, 3);
+        let solution = AdparBaseline3.solve(&problem).unwrap();
         assert_eq!(solution.strategy_indices.len(), 3);
         for &idx in &solution.strategy_indices {
-            assert!(strategies[idx].params.satisfies(&solution.alternative));
+            assert!(catalog
+                .strategy(idx)
+                .params
+                .satisfies(&solution.alternative));
         }
     }
 
     #[test]
     fn is_generally_worse_than_exact() {
-        let strategies = strategies_from(&[
+        let catalog = catalog_from(&[
             (0.9, 0.1, 0.1),
             (0.85, 0.15, 0.2),
             (0.6, 0.5, 0.6),
@@ -163,44 +141,23 @@ mod tests {
             (0.95, 0.05, 0.05),
         ]);
         let r = request(0.99, 0.01, 0.01);
-        let problem = AdparProblem::new(&r, &strategies, 2);
+        let problem = AdparProblem::with_catalog(&r, &catalog, 2);
         let exact = AdparExact.solve(&problem).unwrap();
-        let baseline = AdparBaseline3::default().solve(&problem).unwrap();
+        let baseline = AdparBaseline3.solve(&problem).unwrap();
         assert!(baseline.distance + 1e-12 >= exact.distance);
     }
 
     #[test]
-    fn small_node_capacity_still_works() {
-        let strategies = strategies_from(&[
-            (0.9, 0.1, 0.1),
-            (0.8, 0.2, 0.2),
-            (0.7, 0.3, 0.3),
-            (0.6, 0.4, 0.4),
-            (0.5, 0.5, 0.5),
-            (0.4, 0.6, 0.6),
-            (0.3, 0.7, 0.7),
-            (0.2, 0.8, 0.8),
-            (0.1, 0.9, 0.9),
-        ]);
-        let r = request(0.95, 0.05, 0.05);
-        let solver = AdparBaseline3 { node_capacity: 2 };
-        let solution = solver
-            .solve(&AdparProblem::new(&r, &strategies, 3))
-            .unwrap();
-        assert_eq!(solution.strategy_indices.len(), 3);
-        assert_eq!(solver.name(), "Baseline3");
-    }
-
-    #[test]
     fn errors_are_propagated() {
-        let strategies = strategies_from(&[(0.5, 0.5, 0.5)]);
+        let catalog = catalog_from(&[(0.5, 0.5, 0.5)]);
         let r = request(0.9, 0.1, 0.1);
-        assert!(AdparBaseline3::default()
-            .solve(&AdparProblem::new(&r, &strategies, 0))
+        assert!(AdparBaseline3
+            .solve(&AdparProblem::with_catalog(&r, &catalog, 0))
             .is_err());
-        assert!(AdparBaseline3::default()
-            .solve(&AdparProblem::new(&r, &strategies, 3))
+        assert!(AdparBaseline3
+            .solve(&AdparProblem::with_catalog(&r, &catalog, 3))
             .is_err());
+        assert_eq!(AdparBaseline3.name(), "Baseline3");
     }
 
     proptest! {
@@ -212,17 +169,15 @@ mod tests {
             ),
             req in (0.0_f64..1.0, 0.0_f64..1.0, 0.0_f64..1.0),
             k in 1_usize..6,
-            capacity in 2_usize..10,
         ) {
             prop_assume!(k <= raw.len());
-            let strategies = strategies_from(&raw);
+            let catalog = catalog_from(&raw);
             let request = request(req.0, req.1, req.2);
-            let problem = AdparProblem::new(&request, &strategies, k);
-            let solver = AdparBaseline3 { node_capacity: capacity };
-            let solution = solver.solve(&problem).unwrap();
+            let problem = AdparProblem::with_catalog(&request, &catalog, k);
+            let solution = AdparBaseline3.solve(&problem).unwrap();
             prop_assert_eq!(solution.strategy_indices.len(), k);
             for &idx in &solution.strategy_indices {
-                prop_assert!(strategies[idx].params.satisfies(&solution.alternative));
+                prop_assert!(catalog.strategy(idx).params.satisfies(&solution.alternative));
             }
             // Never better than the true optimum.
             let exact = AdparExact.solve(&problem).unwrap();

@@ -97,8 +97,9 @@ fn enumerate_subsets(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adpar::tests::{catalog_from, running_example_catalog};
     use crate::adpar::AdparExact;
-    use crate::model::{DeploymentParameters, DeploymentRequest, Strategy, TaskType};
+    use crate::model::{DeploymentParameters, DeploymentRequest, TaskType};
     use proptest::prelude::*;
 
     fn request(q: f64, c: f64, l: f64) -> DeploymentRequest {
@@ -109,26 +110,16 @@ mod tests {
         )
     }
 
-    fn strategies_from(params: &[(f64, f64, f64)]) -> Vec<Strategy> {
-        params
-            .iter()
-            .enumerate()
-            .map(|(i, &(q, c, l))| {
-                Strategy::from_params(i as u64, DeploymentParameters::clamped(q, c, l))
-            })
-            .collect()
-    }
-
     #[test]
     fn matches_paper_running_example() {
-        let strategies = crate::examples_data::running_example_strategies();
+        let catalog = running_example_catalog();
         let requests = crate::examples_data::running_example_requests();
         for (request, expected_distance) in [
             (&requests[0], 0.33),
             (&requests[1], (0.05_f64.powi(2) + 0.38_f64.powi(2)).sqrt()),
             (&requests[2], 0.0),
         ] {
-            let problem = AdparProblem::new(request, &strategies, 3);
+            let problem = AdparProblem::with_catalog(request, &catalog, 3);
             let solution = AdparBruteForce.solve(&problem).unwrap();
             assert!(
                 (solution.distance - expected_distance).abs() < 1e-9,
@@ -141,13 +132,13 @@ mod tests {
 
     #[test]
     fn errors_are_propagated() {
-        let strategies = strategies_from(&[(0.5, 0.5, 0.5)]);
+        let catalog = catalog_from(&[(0.5, 0.5, 0.5)]);
         let r = request(0.9, 0.1, 0.1);
         assert!(AdparBruteForce
-            .solve(&AdparProblem::new(&r, &strategies, 0))
+            .solve(&AdparProblem::with_catalog(&r, &catalog, 0))
             .is_err());
         assert!(AdparBruteForce
-            .solve(&AdparProblem::new(&r, &strategies, 5))
+            .solve(&AdparProblem::with_catalog(&r, &catalog, 5))
             .is_err());
         assert_eq!(AdparBruteForce.name(), "ADPaRB");
     }
@@ -165,9 +156,9 @@ mod tests {
             k in 1_usize..5,
         ) {
             prop_assume!(k <= raw.len());
-            let strategies = strategies_from(&raw);
+            let catalog = catalog_from(&raw);
             let request = request(req.0, req.1, req.2);
-            let problem = AdparProblem::new(&request, &strategies, k);
+            let problem = AdparProblem::with_catalog(&request, &catalog, k);
             let exact = AdparExact.solve(&problem).unwrap();
             let brute = AdparBruteForce.solve(&problem).unwrap();
             prop_assert!(
@@ -188,14 +179,14 @@ mod tests {
             k in 1_usize..4,
         ) {
             prop_assume!(k <= raw.len());
-            let strategies = strategies_from(&raw);
+            let catalog = catalog_from(&raw);
             let request = request(req.0, req.1, req.2);
-            let problem = AdparProblem::new(&request, &strategies, k);
+            let problem = AdparProblem::with_catalog(&request, &catalog, k);
             let solution = AdparBruteForce.solve(&problem).unwrap();
             prop_assert!(solution.strategy_indices.len() >= k);
             // The alternative parameters really do admit the reported strategies.
             for &idx in &solution.strategy_indices {
-                prop_assert!(strategies[idx].params.satisfies(&solution.alternative));
+                prop_assert!(catalog.strategy(idx).params.satisfies(&solution.alternative));
             }
         }
     }

@@ -17,9 +17,9 @@
 //!
 //! The sweep needs the strategies in ascending quality- and cost-relaxation
 //! order. Those orders are obtained through
-//! [`AdparProblem::axis_order_into`]: catalog-backed problems **walk the
-//! catalog's pre-sorted axis permutations** (relaxation is monotone in the
-//! normalized coordinate) instead of sorting per problem, and the cost order
+//! [`AdparProblem::axis_order_into`], which **walks the catalog's pre-sorted
+//! axis permutations** (relaxation is monotone in the normalized coordinate)
+//! instead of sorting per problem, and the cost order
 //! is computed **once** per solve — strategies admitted by the current
 //! quality prefix are selected with an admission bitmask while walking it,
 //! replacing the seed's per-quality-candidate `clone() + sort`
@@ -94,7 +94,7 @@ impl AdparExact {
         let relaxations = problem.relaxations();
         let k = problem.k;
 
-        // Sweep orders: catalog-resident (no sort) or sorted once here.
+        // Sweep orders: catalog-resident, no sort.
         problem.axis_order_into(Axis::X, &mut scratch.by_quality);
         problem.axis_order_into(Axis::Y, &mut scratch.by_cost);
 
@@ -213,7 +213,7 @@ impl AdparSolver for AdparExact {
 /// scan — a value of exactly `0.0` (a strategy already satisfying the axis)
 /// collapses into the leading zero by the same rule, rather than relying on
 /// the ordering quirks of an epsilon `dedup_by`. Non-finite values — the
-/// retired-slot sentinel of catalog-backed problems — are discarded: a
+/// retired-slot sentinel — are discarded: a
 /// retired strategy can never sit on an optimal boundary.
 fn fill_candidate_values(out: &mut Vec<f64>, values: impl Iterator<Item = f64>) {
     out.clear();
@@ -249,8 +249,8 @@ impl Ord for OrdF64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::StrategyCatalog;
-    use crate::model::{DeploymentParameters, DeploymentRequest, Strategy, TaskType};
+    use crate::adpar::tests::{catalog_from, running_example_catalog};
+    use crate::model::{DeploymentParameters, DeploymentRequest, TaskType};
 
     fn request(q: f64, c: f64, l: f64) -> DeploymentRequest {
         DeploymentRequest::new(
@@ -260,23 +260,13 @@ mod tests {
         )
     }
 
-    fn strategies_from(params: &[(f64, f64, f64)]) -> Vec<Strategy> {
-        params
-            .iter()
-            .enumerate()
-            .map(|(i, &(q, c, l))| {
-                Strategy::from_params(i as u64, DeploymentParameters::clamped(q, c, l))
-            })
-            .collect()
-    }
-
     #[test]
     fn running_example_d1_matches_paper() {
         // Paper §2.3: for d1 = (0.4, 0.17, 0.28) the alternative should be
         // (0.4, 0.5, 0.28) with strategies s1, s2, s3.
-        let strategies = crate::examples_data::running_example_strategies();
+        let catalog = running_example_catalog();
         let requests = crate::examples_data::running_example_requests();
-        let problem = AdparProblem::new(&requests[0], &strategies, 3);
+        let problem = AdparProblem::with_catalog(&requests[0], &catalog, 3);
         let solution = AdparExact.solve(&problem).unwrap();
         assert!((solution.alternative.quality - 0.4).abs() < 1e-9);
         assert!((solution.alternative.cost - 0.5).abs() < 1e-9);
@@ -293,9 +283,9 @@ mod tests {
         // covers only two of its own strategies per its Table 3 relaxation
         // values; the relaxation below is the true optimum of Equation 3 and
         // is verified against exhaustive search in the property tests.)
-        let strategies = crate::examples_data::running_example_strategies();
+        let catalog = running_example_catalog();
         let requests = crate::examples_data::running_example_requests();
-        let problem = AdparProblem::new(&requests[1], &strategies, 3);
+        let problem = AdparProblem::with_catalog(&requests[1], &catalog, 3);
         let solution = AdparExact.solve(&problem).unwrap();
         assert!((solution.alternative.quality - 0.75).abs() < 1e-9);
         assert!((solution.alternative.cost - 0.58).abs() < 1e-9);
@@ -307,10 +297,10 @@ mod tests {
 
     #[test]
     fn zero_relaxation_when_request_is_already_satisfiable() {
-        let strategies = crate::examples_data::running_example_strategies();
+        let catalog = running_example_catalog();
         let requests = crate::examples_data::running_example_requests();
         // d3 is already satisfiable by 3 strategies: the alternative is d3 itself.
-        let problem = AdparProblem::new(&requests[2], &strategies, 3);
+        let problem = AdparProblem::with_catalog(&requests[2], &catalog, 3);
         let solution = AdparExact.solve(&problem).unwrap();
         assert!(solution.distance < 1e-12);
         assert_eq!(solution.relaxation, Point3::origin());
@@ -319,9 +309,9 @@ mod tests {
 
     #[test]
     fn k_equal_to_strategy_count_requires_covering_everything() {
-        let strategies = strategies_from(&[(0.9, 0.3, 0.2), (0.5, 0.6, 0.9), (0.7, 0.1, 0.5)]);
+        let catalog = catalog_from(&[(0.9, 0.3, 0.2), (0.5, 0.6, 0.9), (0.7, 0.1, 0.5)]);
         let request = request(0.8, 0.2, 0.3);
-        let problem = AdparProblem::new(&request, &strategies, 3);
+        let problem = AdparProblem::with_catalog(&request, &catalog, 3);
         let solution = AdparExact.solve(&problem).unwrap();
         assert_eq!(solution.strategy_indices, vec![0, 1, 2]);
         // Required relaxation is the component-wise max over all strategies.
@@ -332,9 +322,9 @@ mod tests {
 
     #[test]
     fn latency_only_relaxation_is_found() {
-        let strategies = strategies_from(&[(0.9, 0.1, 0.6), (0.9, 0.1, 0.7), (0.9, 0.1, 0.4)]);
+        let catalog = catalog_from(&[(0.9, 0.1, 0.6), (0.9, 0.1, 0.7), (0.9, 0.1, 0.4)]);
         let request = request(0.8, 0.5, 0.3);
-        let problem = AdparProblem::new(&request, &strategies, 2);
+        let problem = AdparProblem::with_catalog(&request, &catalog, 2);
         let solution = AdparExact.solve(&problem).unwrap();
         assert!((solution.relaxation.x).abs() < 1e-12);
         assert!((solution.relaxation.y).abs() < 1e-12);
@@ -346,13 +336,13 @@ mod tests {
     fn trade_off_between_axes_picks_the_cheaper_combination() {
         // Covering two strategies either needs a large cost relaxation (0.5)
         // with zero quality, or a small quality (0.1) + small cost (0.1).
-        let strategies = strategies_from(&[
+        let catalog = catalog_from(&[
             (0.8, 0.7, 0.1), // needs cost +0.5
             (0.7, 0.3, 0.1), // needs quality 0.1 and cost 0.1
             (0.8, 0.2, 0.1), // free
         ]);
         let request = request(0.8, 0.2, 0.3);
-        let problem = AdparProblem::new(&request, &strategies, 2);
+        let problem = AdparProblem::with_catalog(&request, &catalog, 2);
         let solution = AdparExact.solve(&problem).unwrap();
         assert!((solution.relaxation.x - 0.1).abs() < 1e-9);
         assert!((solution.relaxation.y - 0.1).abs() < 1e-9);
@@ -361,14 +351,14 @@ mod tests {
 
     #[test]
     fn errors_are_propagated() {
-        let strategies = strategies_from(&[(0.5, 0.5, 0.5)]);
+        let catalog = catalog_from(&[(0.5, 0.5, 0.5)]);
         let r = request(0.9, 0.1, 0.1);
         assert!(matches!(
-            AdparExact.solve(&AdparProblem::new(&r, &strategies, 0)),
+            AdparExact.solve(&AdparProblem::with_catalog(&r, &catalog, 0)),
             Err(StratRecError::ZeroCardinality)
         ));
         assert!(matches!(
-            AdparExact.solve(&AdparProblem::new(&r, &strategies, 2)),
+            AdparExact.solve(&AdparProblem::with_catalog(&r, &catalog, 2)),
             Err(StratRecError::NotEnoughStrategies { .. })
         ));
     }
@@ -413,35 +403,15 @@ mod tests {
         // Solving different problems through one scratch must give the same
         // solutions as fresh scratches (and as the plain trait entry point).
         let mut scratch = SolveScratch::new();
-        let strategies = crate::examples_data::running_example_strategies();
+        let catalog = running_example_catalog();
         let requests = crate::examples_data::running_example_requests();
         for request in &requests {
-            let problem = AdparProblem::new(request, &strategies, 3);
+            let problem = AdparProblem::with_catalog(request, &catalog, 3);
             let reused = AdparExact
                 .solve_with_scratch(&problem, &mut scratch)
                 .unwrap();
             let fresh = AdparExact.solve(&problem).unwrap();
             assert_eq!(reused, fresh, "request {:?}", request.id);
-        }
-    }
-
-    #[test]
-    fn catalog_problems_solve_identically_to_plain_problems() {
-        let strategies = crate::examples_data::running_example_strategies();
-        let requests = crate::examples_data::running_example_requests();
-        let catalog = StrategyCatalog::new(strategies.as_slice());
-        let mut scratch = SolveScratch::new();
-        for request in &requests {
-            let plain = AdparProblem::new(request, &strategies, 3);
-            let indexed = AdparProblem::with_catalog(request, &catalog, 3);
-            let expected = AdparExact.solve(&plain).unwrap();
-            assert_eq!(AdparExact.solve(&indexed).unwrap(), expected);
-            assert_eq!(
-                AdparExact
-                    .solve_with_scratch(&indexed, &mut scratch)
-                    .unwrap(),
-                expected
-            );
         }
     }
 }

@@ -32,78 +32,45 @@ use stratrec_geometry::{Axis, Point3};
 
 use crate::catalog::StrategyCatalog;
 use crate::error::StratRecError;
-use crate::model::{DeploymentParameters, DeploymentRequest, Strategy};
+use crate::model::{DeploymentParameters, DeploymentRequest};
 
-/// An ADPaR problem instance: one unsatisfied request, the strategy set and
-/// the cardinality constraint `k`.
+/// An ADPaR problem instance: one unsatisfied request, the strategy
+/// catalog and the cardinality constraint `k`.
 ///
-/// The per-strategy relaxation vectors are computed **once** at construction
-/// and cached (the seed recomputed them on every [`Self::relaxations`] /
-/// [`Self::covered_by`] call). Problems built with [`Self::with_catalog`]
-/// additionally share the catalog's pre-normalized points and R-tree, which
-/// lets [`AdparBaseline3`] skip its per-solve bulk load.
+/// The catalog is the paper's point set (§4): every strategy normalized into
+/// the minimization space, indexed by an R-tree and pre-sorted per axis. The
+/// per-strategy relaxation vectors are computed **once** at construction;
+/// the sweeps walk the catalog's axis orders instead of sorting, and
+/// [`AdparBaseline3`] reuses its R-tree instead of bulk-loading one per
+/// solve.
 ///
-/// Over a churned catalog, retired slots carry the [`retired_relaxation`]
-/// sentinel (infinite on every axis), so no solver can ever cover or report
-/// them; [`Self::validate`] counts live strategies only. The cached
-/// relaxations are valid for exactly one catalog [`epoch`]: the problem
-/// borrows the catalog, so Rust's borrow rules already prevent mutation
-/// while the problem is alive, and [`Self::catalog_epoch`] lets any derived
-/// cache that outlives the borrow invalidate on the next epoch bump. A
-/// problem re-pinned at an older epoch ([`Self::pinned_at_epoch`], the
-/// cache-replay path) fails [`Self::validate`] with the typed
-/// [`StratRecError::StaleCatalog`] instead of silently reusing stale slot
-/// references; solutions that outlive a
-/// [`compact()`](StrategyCatalog::compact) are renumbered with
-/// [`AdparSolution::remap`].
-///
-/// [`epoch`]: StrategyCatalog::epoch
+/// Over a churned catalog, retired slots carry an infinite relaxation on
+/// every axis, so no solver can ever cover or report them;
+/// [`Self::validate`] counts live strategies only. The problem borrows the
+/// catalog, so the catalog cannot change while the problem is alive.
 #[derive(Debug, Clone)]
 pub struct AdparProblem<'a> {
     /// The request whose parameters need relaxing.
     pub request: &'a DeploymentRequest,
-    /// All strategy slots of the platform (retired slots included when built
-    /// over a churned catalog — their relaxations are the infinite
-    /// sentinel).
-    pub strategies: &'a [Strategy],
     /// Number of strategies the alternative parameters must admit.
     pub k: usize,
-    /// Cached per-strategy relaxation vectors (paper §4.1, step 1).
+    /// Cached per-slot relaxation vectors (paper §4.1, step 1).
     relaxations: Vec<Point3>,
-    /// Shared catalog, when the problem was built from one.
-    catalog: Option<&'a StrategyCatalog>,
-    /// Catalog epoch the relaxations were computed at (0 without a catalog).
-    catalog_epoch: u64,
+    /// The strategy catalog the problem is posed over.
+    catalog: &'a StrategyCatalog,
 }
 
 /// Relaxation sentinel for retired catalog slots: infinite on every axis, so
 /// it is never covered by any finite relaxation and never admitted by any
 /// sweep.
-#[must_use]
-pub fn retired_relaxation() -> Point3 {
+fn retired_relaxation() -> Point3 {
     Point3::new(f64::INFINITY, f64::INFINITY, f64::INFINITY)
 }
 
 impl<'a> AdparProblem<'a> {
-    /// Creates a problem instance over a plain strategy slice.
-    #[must_use]
-    pub fn new(request: &'a DeploymentRequest, strategies: &'a [Strategy], k: usize) -> Self {
-        let relaxations = compute_relaxations(request, strategies);
-        Self {
-            request,
-            strategies,
-            k,
-            relaxations,
-            catalog: None,
-            catalog_epoch: 0,
-        }
-    }
-
-    /// Creates a problem instance over a shared [`StrategyCatalog`],
-    /// reusing its pre-normalized points and R-tree index. The solution of
-    /// every solver is identical to the plain [`Self::new`] construction
-    /// over the catalog's **live** strategies (retired slots get the
-    /// infinite sentinel and are transparent to every solver).
+    /// Creates a problem instance over a [`StrategyCatalog`], reusing its
+    /// pre-normalized points, axis orders and R-tree index. Retired slots
+    /// get the infinite sentinel and are transparent to every solver.
     #[must_use]
     pub fn with_catalog(
         request: &'a DeploymentRequest,
@@ -125,10 +92,9 @@ impl<'a> AdparProblem<'a> {
         k: usize,
         mut relaxations: Vec<Point3>,
     ) -> Self {
-        let strategies = catalog.strategies();
         let d = &request.params;
         relaxations.clear();
-        relaxations.extend(strategies.iter().enumerate().map(|(slot, s)| {
+        relaxations.extend(catalog.strategies().iter().enumerate().map(|(slot, s)| {
             if catalog.is_live(slot) {
                 relaxation_of(&s.params, d)
             } else {
@@ -137,11 +103,9 @@ impl<'a> AdparProblem<'a> {
         }));
         Self {
             request,
-            strategies,
             k,
             relaxations,
-            catalog: Some(catalog),
-            catalog_epoch: catalog.epoch(),
+            catalog,
         }
     }
 
@@ -152,67 +116,24 @@ impl<'a> AdparProblem<'a> {
         self.relaxations
     }
 
-    /// The shared catalog this problem was built from, if any.
+    /// The catalog this problem is posed over.
     #[must_use]
-    pub fn catalog(&self) -> Option<&'a StrategyCatalog> {
+    pub fn catalog(&self) -> &'a StrategyCatalog {
         self.catalog
     }
 
-    /// The catalog epoch the cached relaxations were computed at (0 for
-    /// plain-slice problems). Caches keyed by this value must be discarded
-    /// once [`StrategyCatalog::epoch`] moves past it.
-    #[must_use]
-    pub fn catalog_epoch(&self) -> u64 {
-        self.catalog_epoch
-    }
-
-    /// Re-pins the problem's cached state at `epoch` — for caches that
-    /// replay relaxations or slot sets captured at an earlier catalog epoch.
-    /// If the catalog has moved past that epoch (any insert, retire or
-    /// compaction since), [`Self::validate`] — and therefore every solver —
-    /// fails with the typed [`StratRecError::StaleCatalog`] instead of
-    /// silently reporting slot numbers the catalog may have renumbered.
-    #[must_use]
-    pub fn pinned_at_epoch(mut self, epoch: u64) -> Self {
-        if self.catalog.is_some() {
-            self.catalog_epoch = epoch;
-        }
-        self
-    }
-
-    /// Number of strategies a relaxation could ever cover: the catalog's
-    /// live count, or the full slice length for plain problems.
-    #[must_use]
-    pub fn available_strategies(&self) -> usize {
-        self.catalog
-            .map_or(self.strategies.len(), StrategyCatalog::len)
-    }
-
-    /// Validates the instance: the cached state matches the catalog's
-    /// current epoch, `k ≥ 1` and at least `k` **live** strategies exist.
+    /// Validates the instance: `k ≥ 1` and at least `k` **live** strategies
+    /// exist.
     ///
     /// # Errors
     ///
-    /// Returns [`StratRecError::StaleCatalog`] when the problem is pinned at
-    /// an epoch the catalog has moved past (only reachable through the
-    /// [`Self::pinned_at_epoch`] cache-replay path — a freshly built problem
-    /// freezes the catalog through its borrow),
-    /// [`StratRecError::ZeroCardinality`] or
+    /// Returns [`StratRecError::ZeroCardinality`] or
     /// [`StratRecError::NotEnoughStrategies`].
     pub fn validate(&self) -> Result<(), StratRecError> {
-        if let Some(catalog) = self.catalog {
-            let found = catalog.epoch();
-            if found != self.catalog_epoch {
-                return Err(StratRecError::StaleCatalog {
-                    expected: self.catalog_epoch,
-                    found,
-                });
-            }
-        }
         if self.k == 0 {
             return Err(StratRecError::ZeroCardinality);
         }
-        let available = self.available_strategies();
+        let available = self.catalog.len();
         if available < self.k {
             return Err(StratRecError::NotEnoughStrategies {
                 available,
@@ -249,32 +170,17 @@ impl<'a> AdparProblem<'a> {
         )
     }
 
-    /// Writes into `out` the strategy indices a sweep may ever admit, in
-    /// ascending order of their relaxation on `axis` (ties broken
-    /// deterministically).
+    /// Writes into `out` the live slots in ascending order of their
+    /// relaxation on `axis` (ties broken deterministically).
     ///
-    /// Catalog-backed problems **walk the catalog's pre-sorted axis order**
-    /// instead of sorting: the relaxation `max(0, coord − threshold)` is
-    /// monotone in the normalized coordinate, so the catalog's
-    /// coordinate-ascending live order is a relaxation-ascending order of
-    /// exactly the admissible (live) slots — the zero-clamped prefix only
-    /// collapses distinct coordinates into ties, which sweeps are
-    /// insensitive to. Plain-slice problems fall back to an `O(|S| log
-    /// |S|)` sort; retired-slot sentinels (infinite relaxations) sort last
-    /// there and are never admitted by a finite sweep position.
+    /// This **walks the catalog's pre-sorted axis order** instead of
+    /// sorting: the relaxation `max(0, coord − threshold)` is monotone in
+    /// the normalized coordinate, so the catalog's coordinate-ascending live
+    /// order is a relaxation-ascending order of exactly the admissible
+    /// slots — the zero-clamped prefix only collapses distinct coordinates
+    /// into ties, which sweeps are insensitive to.
     pub fn axis_order_into(&self, axis: Axis, out: &mut Vec<usize>) {
-        if let Some(catalog) = self.catalog {
-            catalog.axis_order_into(axis, out);
-            return;
-        }
-        out.clear();
-        out.extend(0..self.relaxations.len());
-        out.sort_unstable_by(|&a, &b| {
-            self.relaxations[a]
-                .coord(axis)
-                .total_cmp(&self.relaxations[b].coord(axis))
-                .then(a.cmp(&b))
-        });
+        self.catalog.axis_order_into(axis, out);
     }
 
     /// Indices of the strategies covered by a relaxation vector (those whose
@@ -289,15 +195,6 @@ impl<'a> AdparProblem<'a> {
             .map(|(i, _)| i)
             .collect()
     }
-}
-
-/// Computes the per-strategy relaxation vectors of a request.
-fn compute_relaxations(request: &DeploymentRequest, strategies: &[Strategy]) -> Vec<Point3> {
-    let d = &request.params;
-    strategies
-        .iter()
-        .map(|s| relaxation_of(&s.params, d))
-        .collect()
 }
 
 /// The relaxation vector needed for a strategy with parameters `s` to become
@@ -349,25 +246,6 @@ impl AdparSolution {
     pub fn is_feasible_for(&self, problem: &AdparProblem<'_>) -> bool {
         self.strategy_indices.len() >= problem.k
     }
-
-    /// Renumbers `strategy_indices` through a catalog compaction's
-    /// [`SlotRemap`](crate::catalog::SlotRemap): a solution computed before
-    /// the compaction stays valid under the new dense numbering (the
-    /// parameters, relaxation and distance are untouched — compaction never
-    /// changes the live set). Returns `None` when any admitted slot was
-    /// reclaimed, i.e. the solution predates a retirement and must be
-    /// re-solved; the indices stay ascending because the renumbering is
-    /// order-preserving.
-    #[must_use]
-    pub fn remap(&self, remap: &crate::catalog::SlotRemap) -> Option<Self> {
-        let strategy_indices = remap.remap_slots(&self.strategy_indices)?;
-        Some(Self {
-            alternative: self.alternative,
-            relaxation: self.relaxation,
-            strategy_indices,
-            distance: self.distance,
-        })
-    }
 }
 
 /// A solver for the ADPaR problem.
@@ -389,26 +267,44 @@ pub trait AdparSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::TaskType;
+    use crate::model::{Strategy, TaskType};
 
-    fn problem_fixture() -> (DeploymentRequest, Vec<Strategy>) {
-        let strategies = crate::examples_data::running_example_strategies();
+    /// A catalog over strategies with the given `(quality, cost, latency)`
+    /// parameters, in slot order.
+    pub(crate) fn catalog_from(params: &[(f64, f64, f64)]) -> StrategyCatalog {
+        StrategyCatalog::new(
+            params
+                .iter()
+                .enumerate()
+                .map(|(i, &(q, c, l))| {
+                    Strategy::from_params(i as u64, DeploymentParameters::clamped(q, c, l))
+                })
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    /// The catalog of the paper's running example (Table 1: s1–s4).
+    pub(crate) fn running_example_catalog() -> StrategyCatalog {
+        StrategyCatalog::new(crate::examples_data::running_example_strategies())
+    }
+
+    fn problem_fixture() -> (DeploymentRequest, StrategyCatalog) {
         let request = crate::examples_data::running_example_requests()[1].clone(); // d2
-        (request, strategies)
+        (request, running_example_catalog())
     }
 
     #[test]
     fn validation_catches_bad_instances() {
-        let (request, strategies) = problem_fixture();
-        assert!(AdparProblem::new(&request, &strategies, 3)
+        let (request, catalog) = problem_fixture();
+        assert!(AdparProblem::with_catalog(&request, &catalog, 3)
             .validate()
             .is_ok());
         assert!(matches!(
-            AdparProblem::new(&request, &strategies, 0).validate(),
+            AdparProblem::with_catalog(&request, &catalog, 0).validate(),
             Err(StratRecError::ZeroCardinality)
         ));
         assert!(matches!(
-            AdparProblem::new(&request, &strategies, 9).validate(),
+            AdparProblem::with_catalog(&request, &catalog, 9).validate(),
             Err(StratRecError::NotEnoughStrategies {
                 available: 4,
                 requested: 9
@@ -417,12 +313,35 @@ mod tests {
     }
 
     #[test]
+    fn validation_counts_live_strategies_only() {
+        let (request, mut catalog) = problem_fixture();
+        assert!(catalog.retire(0));
+        assert!(AdparProblem::with_catalog(&request, &catalog, 3)
+            .validate()
+            .is_ok());
+        assert!(matches!(
+            AdparProblem::with_catalog(&request, &catalog, 4).validate(),
+            Err(StratRecError::NotEnoughStrategies {
+                available: 3,
+                requested: 4
+            })
+        ));
+        // The retired slot keeps its index but can never be covered.
+        let problem = AdparProblem::with_catalog(&request, &catalog, 3);
+        assert_eq!(problem.relaxations()[0], retired_relaxation());
+        assert_eq!(
+            problem.covered_by(Point3::new(1.0, 1.0, 1.0)),
+            vec![1, 2, 3]
+        );
+    }
+
+    #[test]
     fn relaxations_match_paper_step_1() {
         // For d2 = (0.8, 0.2, 0.28) the paper's step-1 relaxation values are
         // {0.3, 0.05, 0, 0} on one axis and {0.05, 0.13, 0.3, 0.38} on the
         // other (Table 3), with zero latency relaxations.
-        let (request, strategies) = problem_fixture();
-        let problem = AdparProblem::new(&request, &strategies, 3);
+        let (request, catalog) = problem_fixture();
+        let problem = AdparProblem::with_catalog(&request, &catalog, 3);
         let rel = problem.relaxations();
         let quality: Vec<f64> = rel.iter().map(|r| (r.x * 100.0).round() / 100.0).collect();
         let cost: Vec<f64> = rel.iter().map(|r| (r.y * 100.0).round() / 100.0).collect();
@@ -434,8 +353,8 @@ mod tests {
 
     #[test]
     fn apply_relaxation_moves_each_bound_in_the_right_direction() {
-        let (request, strategies) = problem_fixture();
-        let problem = AdparProblem::new(&request, &strategies, 3);
+        let (request, catalog) = problem_fixture();
+        let problem = AdparProblem::with_catalog(&request, &catalog, 3);
         let alt = problem.apply_relaxation(Point3::new(0.05, 0.38, 0.0));
         assert!((alt.quality - 0.75).abs() < 1e-9);
         assert!((alt.cost - 0.58).abs() < 1e-9);
@@ -444,8 +363,8 @@ mod tests {
 
     #[test]
     fn coverage_grows_with_relaxation() {
-        let (request, strategies) = problem_fixture();
-        let problem = AdparProblem::new(&request, &strategies, 3);
+        let (request, catalog) = problem_fixture();
+        let problem = AdparProblem::with_catalog(&request, &catalog, 3);
         assert!(problem.covered_by(Point3::origin()).is_empty());
         assert_eq!(problem.covered_by(Point3::new(0.0, 0.3, 0.0)), vec![2]);
         assert_eq!(
@@ -454,14 +373,14 @@ mod tests {
         );
         assert_eq!(
             problem.covered_by(Point3::new(1.0, 1.0, 1.0)).len(),
-            strategies.len()
+            catalog.len()
         );
     }
 
     #[test]
     fn solution_from_relaxation_is_consistent() {
-        let (request, strategies) = problem_fixture();
-        let problem = AdparProblem::new(&request, &strategies, 3);
+        let (request, catalog) = problem_fixture();
+        let problem = AdparProblem::with_catalog(&request, &catalog, 3);
         let solution = AdparSolution::from_relaxation(&problem, Point3::new(0.05, 0.38, 0.0));
         assert!(solution.is_feasible_for(&problem));
         assert_eq!(solution.strategy_indices, vec![1, 2, 3]);
@@ -478,83 +397,14 @@ mod tests {
     }
 
     #[test]
-    fn stale_epoch_pins_fail_validation_with_a_typed_error() {
-        let strategies = crate::examples_data::running_example_strategies();
-        let request = crate::examples_data::running_example_requests()[1].clone();
-        let mut catalog = crate::catalog::StrategyCatalog::new(strategies.as_slice());
-        catalog.insert(Strategy::from_params(
-            9,
-            DeploymentParameters::clamped(0.8, 0.3, 0.3),
-        ));
-        assert_eq!(catalog.epoch(), 1);
-
-        // Fresh problems validate; re-pinning at the current epoch is a
-        // no-op; re-pinning at an older epoch (a cache replaying state from
-        // before the insert) surfaces the typed error through validate and
-        // through every solver.
-        let fresh = AdparProblem::with_catalog(&request, &catalog, 3);
-        assert!(fresh.validate().is_ok());
-        let repinned = AdparProblem::with_catalog(&request, &catalog, 3).pinned_at_epoch(1);
-        assert!(repinned.validate().is_ok());
-        let stale = AdparProblem::with_catalog(&request, &catalog, 3).pinned_at_epoch(0);
-        assert_eq!(
-            stale.validate(),
-            Err(StratRecError::StaleCatalog {
-                expected: 0,
-                found: 1
-            })
-        );
-        assert!(matches!(
-            AdparExact.solve(&stale),
-            Err(StratRecError::StaleCatalog { .. })
-        ));
-        // Plain-slice problems have no catalog to go stale against.
-        let plain = AdparProblem::new(&request, &strategies, 3).pinned_at_epoch(42);
-        assert!(plain.validate().is_ok());
-    }
-
-    #[test]
-    fn solutions_remap_through_a_compaction() {
-        let strategies = crate::examples_data::running_example_strategies();
-        let request = crate::examples_data::running_example_requests()[1].clone();
-        let mut catalog = crate::catalog::StrategyCatalog::new(strategies.as_slice());
-        assert!(catalog.retire(0));
-        let before = AdparExact
-            .solve(&AdparProblem::with_catalog(&request, &catalog, 3))
-            .unwrap();
-
-        let remap = catalog.compact();
-        let remapped = before.remap(&remap).unwrap();
-        assert_eq!(remapped.alternative, before.alternative);
-        assert_eq!(remapped.relaxation, before.relaxation);
-        assert_eq!(remapped.distance, before.distance);
-        assert_eq!(
-            remapped.strategy_indices,
-            remap.remap_slots(&before.strategy_indices).unwrap()
-        );
-        // The remapped solution is exactly the post-compaction solve.
-        let after = AdparExact
-            .solve(&AdparProblem::with_catalog(&request, &catalog, 3))
-            .unwrap();
-        assert_eq!(remapped, after);
-
-        // A solution referencing a reclaimed slot cannot be remapped.
-        let stale = AdparSolution {
-            strategy_indices: vec![0, 1],
-            ..before
-        };
-        assert!(stale.remap(&remap).is_none());
-    }
-
-    #[test]
     fn problems_can_be_built_over_arbitrary_requests() {
-        let strategies = crate::examples_data::running_example_strategies();
+        let catalog = running_example_catalog();
         let request = DeploymentRequest::new(
             99,
             TaskType::PuzzleSolving,
             DeploymentParameters::clamped(1.0, 0.0, 0.0),
         );
-        let problem = AdparProblem::new(&request, &strategies, 2);
+        let problem = AdparProblem::with_catalog(&request, &catalog, 2);
         // Every strategy needs relaxation on every axis for this extreme request.
         assert!(problem
             .relaxations()

@@ -201,11 +201,12 @@ fn axis_order(relaxations: &[Point3], axis: Axis) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adpar::tests::running_example_catalog;
 
     fn d2_trace() -> AdparTrace {
-        let strategies = crate::examples_data::running_example_strategies();
+        let catalog = running_example_catalog();
         let requests = crate::examples_data::running_example_requests();
-        let problem = AdparProblem::new(&requests[1], &strategies, 3);
+        let problem = AdparProblem::with_catalog(&requests[1], &catalog, 3);
         AdparTrace::compute(&problem).unwrap()
     }
 

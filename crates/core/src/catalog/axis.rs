@@ -8,7 +8,7 @@
 //! [`StrategyCatalog::axis_order_into`] is exact at every churn point
 //! without sorting. Because the ADPaR relaxation `max(0, coord − threshold)`
 //! is monotone in the coordinate, these orders **are** the ascending
-//! per-axis relaxation orders of any request; catalog-backed
+//! per-axis relaxation orders of any request;
 //! [`crate::adpar::AdparProblem`]s walk them instead of sorting.
 
 use stratrec_geometry::{Axis, Point3};
@@ -34,9 +34,8 @@ impl StrategyCatalog {
     /// `SORTED_TAIL_LIMIT` — a tail copy is sorted per call instead.)
     /// Because the ADPaR relaxation `max(0, coord − threshold)` is monotone
     /// in the coordinate, this order **is** the ascending per-axis
-    /// relaxation order of any request — catalog-backed
-    /// [`crate::adpar::AdparProblem`]s derive their sweep orders from it
-    /// without sorting.
+    /// relaxation order of any request — [`crate::adpar::AdparProblem`]s
+    /// derive their sweep orders from it without sorting.
     pub fn axis_order_into(&self, axis: Axis, out: &mut Vec<usize>) {
         let overflow_tail = if self.axis_tail_sorted {
             None

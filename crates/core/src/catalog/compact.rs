@@ -140,7 +140,7 @@ impl StrategyCatalog {
     ///
     /// * `slot_count() == len()` — no tombstones occupy the numbering;
     /// * [`Self::index_is_packed_live`] holds (Baseline3 shares the tree);
-    /// * every query, axis order and catalog-backed ADPaR solve is
+    /// * every query, axis order and ADPaR solve is
     ///   identical to its pre-compaction answer modulo the remap.
     ///
     /// Compacting a catalog that never retired anything still re-packs the

@@ -5,7 +5,7 @@
 //! request (`O(m · |S|)` parameter comparisons per batch), and every ADPaR
 //! problem re-normalized the full strategy set from scratch — `Baseline3`
 //! even bulk-loaded a fresh R-tree per call. A [`StrategyCatalog`] performs
-//! that work **once**: strategies are normalized into the minimization space
+//! that work **once**, and is the paper's ADPaR point set (§4): strategies are normalized into the minimization space
 //! (`quality` inverted so smaller is better on every axis, exactly as ADPaR's
 //! §4.1 normalization does) and bulk-loaded into a
 //! [`stratrec_geometry::RTree`]. The catalog is then shared by reference
@@ -13,9 +13,10 @@
 //!
 //! * per-request eligibility becomes an R-tree box query
 //!   ([`StrategyCatalog::eligible_for`]) instead of a linear scan;
-//! * ADPaR problems built with [`crate::adpar::AdparProblem::with_catalog`]
-//!   reuse the pre-normalized points and the shared index (`Baseline3` skips
-//!   its per-solve bulk load entirely);
+//! * every ADPaR problem is posed over a catalog
+//!   ([`crate::adpar::AdparProblem::with_catalog`]): the sweeps walk its
+//!   pre-sorted axis orders and `Baseline3` reuses its index instead of
+//!   bulk-loading one per solve;
 //! * [`crate::stratrec::StratRec`] fans unsatisfied requests out to ADPaR in
 //!   parallel over the same shared catalog.
 //!
@@ -34,7 +35,7 @@
 //! 2. **Axis-order maintenance** ([`axis`]) — the three pre-sorted per-axis
 //!    slot permutations follow the same log-structured discipline (sorted
 //!    base + sorted tail, tombstones filtered at query time) so
-//!    catalog-backed ADPaR problems never sort.
+//!    ADPaR problems never sort.
 //! 3. **Compaction** ([`compact`]) — the price of stable slots is monotone
 //!    growth: tombstoned slots are never reclaimed, so [`StrategyCatalog::slot_count`]
 //!    — and every slot-shaped allocation downstream (workforce-matrix
@@ -44,7 +45,7 @@
 //!    the R-tree and the axis orders over the compacted range, bumps the
 //!    epoch and returns a [`SlotRemap`] every holder of old slot numbers
 //!    applies ([`crate::workforce::WorkforceMatrix::remap_columns`],
-//!    [`crate::adpar::AdparSolution::remap`]).
+//!    [`SlotRemap::remap_slots`]).
 //! 4. **Delta feed** ([`delta`]) — derived state that would otherwise be
 //!    recomputed per epoch (the workforce matrix and its aggregation)
 //!    subscribes to the catalog's churn: [`StrategyCatalog::subscribe_delta`] /
@@ -54,11 +55,12 @@
 //!    the window, so maintenance work is proportional to the churn rather
 //!    than to `|S|`.
 //!
-//! [`StrategyCatalog::epoch`] increments on every mutation — compaction included — and
-//! is captured by catalog-backed [`crate::adpar::AdparProblem`]s; a problem
-//! whose epoch no longer matches the catalog's fails `validate` with the
-//! typed [`crate::error::StratRecError::StaleCatalog`] instead of silently
-//! reusing stale slot references.
+//! [`StrategyCatalog::epoch`] increments on every mutation — compaction
+//! included. An ADPaR problem borrows its catalog, so the catalog cannot
+//! change under it. Derived state that outlives a borrow is keyed by the
+//! epoch instead: a delta applied to a matrix built at another epoch fails
+//! with the typed [`crate::error::StratRecError::StaleCatalog`] instead of
+//! silently reusing stale slot references.
 //!
 //! All catalog-backed paths return results **identical** to the linear-scan
 //! paths over the live strategies (the R-tree query is a conservative
@@ -527,8 +529,8 @@ impl StrategyCatalog {
     }
 
     /// Mutation counter: bumped by every [`Self::insert`] / [`Self::retire`]
-    /// / [`Self::compact`]. Derived data (cached ADPaR relaxations, memoized
-    /// solutions) keyed by an epoch must be discarded — or, after a
+    /// / [`Self::compact`]. Derived data keyed by an epoch (a workforce matrix
+    /// maintained through catalog deltas) must be discarded — or, after a
     /// compaction, remapped through the returned [`SlotRemap`] — when the
     /// catalog's epoch moves past it.
     #[must_use]

@@ -61,7 +61,7 @@ use crate::error::StratRecError;
 /// An immutable capture of a catalog's read state at one epoch, shared as
 /// `Arc<EpochSnapshot>`. Derefs to the captured [`StrategyCatalog`], so
 /// every `&StrategyCatalog` read path (eligibility queries, axis orders,
-/// catalog-backed ADPaR problems, workforce-matrix fills) serves from a
+/// ADPaR problems, workforce-matrix fills) serves from a
 /// snapshot unchanged — and lock-free, since nothing can mutate it.
 #[derive(Debug)]
 pub struct EpochSnapshot {

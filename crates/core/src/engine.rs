@@ -299,7 +299,7 @@ impl BatchEngine {
         Ok(())
     }
 
-    /// Solves one catalog-backed ADPaR problem per entry of
+    /// Solves one ADPaR problem over `catalog` per entry of
     /// `request_indices` (indices into `requests`), sharding the problems
     /// across scoped threads with one reusable solver scratch per worker.
     /// The result vector is parallel to `request_indices` — output order is
@@ -549,7 +549,7 @@ mod tests {
     }
 
     #[test]
-    fn adpar_batch_matches_standalone_solves_in_order() {
+    fn adpar_batch_matches_standalone_solves_in_order_for_every_thread_count() {
         let (requests, strategies, _) = setup();
         let catalog = StrategyCatalog::new(strategies.as_slice());
         let indices = [2, 0, 1, 0];
@@ -566,7 +566,7 @@ mod tests {
     }
 
     #[test]
-    fn degraded_adpar_batch_matches_standalone_baseline2_in_order() {
+    fn degraded_adpar_batch_matches_standalone_baseline2_in_order_for_every_thread_count() {
         let (requests, strategies, _) = setup();
         let catalog = StrategyCatalog::new(strategies.as_slice());
         let indices = [2, 0, 1, 0];

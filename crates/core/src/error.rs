@@ -22,8 +22,6 @@ pub enum StratRecError {
     InvalidFairnessPolicy(String),
     /// The cardinality constraint `k` was zero.
     ZeroCardinality,
-    /// The strategy set was empty where at least one strategy is required.
-    EmptyStrategySet,
     /// Fewer strategies exist than the requested cardinality `k`, so no
     /// relaxation of the deployment parameters can ever admit `k` strategies.
     NotEnoughStrategies {
@@ -130,7 +128,6 @@ impl std::fmt::Display for StratRecError {
             Self::InvalidDistribution(msg) => write!(f, "invalid availability distribution: {msg}"),
             Self::InvalidFairnessPolicy(msg) => write!(f, "invalid fairness policy: {msg}"),
             Self::ZeroCardinality => write!(f, "cardinality constraint k must be at least 1"),
-            Self::EmptyStrategySet => write!(f, "the strategy set is empty"),
             Self::NotEnoughStrategies {
                 available,
                 requested,
@@ -207,7 +204,6 @@ mod tests {
                 "fairness",
             ),
             (StratRecError::ZeroCardinality, "cardinality"),
-            (StratRecError::EmptyStrategySet, "empty"),
             (
                 StratRecError::NotEnoughStrategies {
                     available: 2,
@@ -290,7 +286,6 @@ mod tests {
             StratRecError::InvalidDistribution(_) => "InvalidDistribution",
             StratRecError::InvalidFairnessPolicy(_) => "InvalidFairnessPolicy",
             StratRecError::ZeroCardinality => "ZeroCardinality",
-            StratRecError::EmptyStrategySet => "EmptyStrategySet",
             StratRecError::NotEnoughStrategies { .. } => "NotEnoughStrategies",
             StratRecError::MissingModel { .. } => "MissingModel",
             StratRecError::StaleSubscription { .. } => "StaleSubscription",
@@ -312,7 +307,6 @@ mod tests {
             StratRecError::InvalidDistribution(String::new()),
             StratRecError::InvalidFairnessPolicy(String::new()),
             StratRecError::ZeroCardinality,
-            StratRecError::EmptyStrategySet,
             StratRecError::NotEnoughStrategies {
                 available: 2,
                 requested: 5,
@@ -343,7 +337,7 @@ mod tests {
         .iter()
         .map(variant_tag)
         .collect();
-        assert_eq!(audited.len(), 13, "one sample per variant, no duplicates");
+        assert_eq!(audited.len(), 12, "one sample per variant, no duplicates");
     }
 
     #[test]
@@ -379,6 +373,6 @@ mod tests {
         let a = StratRecError::ZeroCardinality;
         let b = a.clone();
         assert_eq!(a, b);
-        assert_ne!(a, StratRecError::EmptyStrategySet);
+        assert_ne!(a, StratRecError::StaleSubscription { id: 0 });
     }
 }

@@ -43,10 +43,11 @@
 //!
 //! // Only d3 can be fully served; d1 and d2 go to ADPaR.
 //! assert_eq!(outcome.satisfied.len(), 1);
+//! let catalog = StrategyCatalog::new(strategies.as_slice());
 //! let adpar = AdparExact::default();
 //! for &idx in &outcome.unsatisfied {
 //!     let solution = adpar
-//!         .solve(&AdparProblem::new(&requests[idx], &strategies, 3))
+//!         .solve(&AdparProblem::with_catalog(&requests[idx], &catalog, 3))
 //!         .expect("k strategies exist after relaxation");
 //!     assert!(solution.strategy_indices.len() >= 3);
 //! }

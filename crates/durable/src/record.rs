@@ -424,7 +424,8 @@ fn encode_error(writer: &mut ByteWriter, error: &StratRecError) {
             writer.str(message);
         }
         StratRecError::ZeroCardinality => writer.u8(2),
-        StratRecError::EmptyStrategySet => writer.u8(3),
+        // Tag 3 stays unassigned so every later tag keeps its value in
+        // existing logs.
         StratRecError::NotEnoughStrategies {
             available,
             requested,
@@ -487,7 +488,6 @@ fn decode_error(reader: &mut ByteReader<'_>) -> Result<StratRecError, DecodeErro
         },
         1 => StratRecError::InvalidDistribution(reader.str()?),
         2 => StratRecError::ZeroCardinality,
-        3 => StratRecError::EmptyStrategySet,
         4 => StratRecError::NotEnoughStrategies {
             available: reader.usize()?,
             requested: reader.usize()?,
@@ -769,6 +769,14 @@ mod tests {
             let mut reader = ByteReader::new(&bytes);
             assert_eq!(decode_error(&mut reader).unwrap(), error);
         }
+    }
+
+    #[test]
+    fn the_unassigned_error_tag_is_refused() {
+        let mut reader = ByteReader::new(&[3]);
+        let error = decode_error(&mut reader).unwrap_err();
+        assert_eq!(error.what, "invalid enum tag");
+        assert_eq!(error.at, 0);
     }
 
     #[test]

@@ -43,7 +43,7 @@ fn main() {
         ("ADPaR-Exact", AdparExact.solve(&problem)),
         ("ADPaRB (brute force)", AdparBruteForce.solve(&problem)),
         ("Baseline2", AdparBaseline2.solve(&problem)),
-        ("Baseline3", AdparBaseline3::default().solve(&problem)),
+        ("Baseline3", AdparBaseline3.solve(&problem)),
     ];
     for (name, result) in solvers {
         match result {

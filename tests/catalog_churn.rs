@@ -434,10 +434,10 @@ proptest! {
 
     /// Catalog-aware `ADPaR-Exact` (sweeping the catalog's pre-sorted axis
     /// orders through a reused [`SolveScratch`]) against the exhaustive
-    /// `ADPaRB` reference on catalog-backed problems, **after churn**, for
-    /// every rebuild policy: the sweep optimum must match brute force, and
-    /// the catalog problem must reproduce the compacted plain-slice problem
-    /// bit for bit (indices mapped through the live slot order).
+    /// `ADPaRB` reference on churned catalogs, for every rebuild policy:
+    /// the sweep optimum must match brute force, and the churned problem
+    /// must reproduce the problem over a pristine catalog of the compacted
+    /// live set bit for bit (indices mapped through the live slot order).
     #[test]
     fn catalog_exact_matches_brute_force_after_churn(
         initial in proptest::collection::vec(
@@ -499,9 +499,10 @@ proptest! {
                 .iter()
                 .all(|&slot| catalog.is_live(slot)));
 
-            // The catalog problem must agree bit for bit with a plain
-            // problem over the compacted live set.
-            let plain = AdparProblem::new(&request, &compact, k);
+            // The churned catalog's problem must agree bit for bit with a
+            // problem over a pristine catalog of the compacted live set.
+            let pristine = StrategyCatalog::new(compact);
+            let plain = AdparProblem::with_catalog(&request, &pristine, k);
             let plain_exact = AdparExact.solve(&plain).unwrap();
             prop_assert_eq!(plain_exact.relaxation, exact.relaxation, "policy {:?}", policy);
             prop_assert_eq!(

@@ -1,11 +1,16 @@
 //! Parity tests: the catalog-backed (R-tree-indexed, parallel) pipeline must
 //! produce results **identical** to the seed's linear-scan pipeline — same
-//! workforce matrices, same `BatchOutcome`s, same `AdparSolution`s — on the
-//! paper's running example and on randomized synthetic scenarios, for
-//! every engine thread count.
+//! workforce matrices, same `BatchOutcome`s — on the paper's running example
+//! and on randomized synthetic scenarios, for every engine thread count.
+//! ADPaR problems are always posed over a catalog; their reference is a
+//! catalog that reaches the same live set by another history (one insert at
+//! a time into the unindexed tail, or a pristine catalog of the live set
+//! after churn), with the same `AdparSolution`s required of all four
+//! solvers.
 
 use stratrec::core::adpar::{
-    AdparBaseline2, AdparBaseline3, AdparBruteForce, AdparExact, AdparProblem, AdparSolver,
+    relaxation_of, AdparBaseline2, AdparBaseline3, AdparBruteForce, AdparExact, AdparProblem,
+    AdparSolver,
 };
 use stratrec::core::availability::AvailabilityPdf;
 use stratrec::core::batch::{BatchObjective, BatchStrat};
@@ -166,31 +171,37 @@ fn adpar_solutions_match_for_all_four_solvers() {
             ..AdparScenario::default()
         }
         .materialize();
+        // The reference is the same strategies inserted one by one into a
+        // catalog that never merges: every slot sits in the unindexed tail,
+        // so the sweeps merge the tail's axis orders and Baseline3 loads its
+        // own tree instead of reusing the bulk-loaded one.
         let catalog = instance.catalog();
-        let scan_problem = AdparProblem::new(&instance.request, &instance.strategies, instance.k);
+        let mut tail_only = StrategyCatalog::with_policy(Vec::new(), RebuildPolicy::never());
+        for strategy in &instance.strategies {
+            tail_only.insert(strategy.clone());
+        }
+        assert!(!tail_only.index_is_packed_live());
+        let scan_problem = AdparProblem::with_catalog(&instance.request, &tail_only, instance.k);
         let indexed_problem = AdparProblem::with_catalog(&instance.request, &catalog, instance.k);
-        assert_eq!(scan_problem.relaxations(), indexed_problem.relaxations());
+        let expected: Vec<_> = instance
+            .strategies
+            .iter()
+            .map(|s| relaxation_of(&s.params, &instance.request.params))
+            .collect();
+        assert_eq!(scan_problem.relaxations(), &expected[..]);
+        assert_eq!(indexed_problem.relaxations(), &expected[..]);
 
         let solvers: [&dyn AdparSolver; 4] = [
             &AdparExact,
             &AdparBruteForce,
             &AdparBaseline2,
-            &AdparBaseline3::default(),
+            &AdparBaseline3,
         ];
         for solver in solvers {
             let scan = solver.solve(&scan_problem).unwrap();
             let indexed = solver.solve(&indexed_problem).unwrap();
             assert_eq!(scan, indexed, "seed {seed}, solver {}", solver.name());
         }
-        // A custom Baseline3 node capacity must not change results either
-        // (the solver falls back to loading its own tree from the catalog's
-        // pre-normalized points).
-        let custom = AdparBaseline3 { node_capacity: 3 };
-        assert_eq!(
-            custom.solve(&scan_problem).unwrap(),
-            custom.solve(&indexed_problem).unwrap(),
-            "seed {seed}, custom node capacity"
-        );
     }
 }
 
@@ -198,11 +209,10 @@ fn adpar_solutions_match_for_all_four_solvers() {
 fn adpar_parity_survives_catalog_churn() {
     // Post-churn parity: mutate the running-example catalog (insert two
     // strategies, retire one original slot), then re-run the four-solver
-    // parity check against a plain problem over the compacted live set. The
-    // catalog problem reports stable slot indices; mapping them through the
-    // live slot order must reproduce the compact solution exactly. This also
-    // pins epoch invalidation: relaxations are recomputed at the catalog's
-    // current epoch, so the retired slot is sentinel-masked out.
+    // parity check against a pristine catalog over the compacted live set.
+    // The churned problem reports stable slot indices; mapping the pristine
+    // solution through the live slot order must reproduce them exactly, and
+    // the retired slot is sentinel-masked out.
     use stratrec::core::model::DeploymentParameters;
 
     for policy in [
@@ -232,19 +242,18 @@ fn adpar_parity_survives_catalog_churn() {
             .map(|&slot| catalog.strategy(slot).clone())
             .collect();
         assert_eq!(compact.len(), 5);
+        let pristine = StrategyCatalog::new(compact);
 
         let solvers: [&dyn AdparSolver; 4] = [
             &AdparExact,
             &AdparBruteForce,
             &AdparBaseline2,
-            &AdparBaseline3::default(),
+            &AdparBaseline3,
         ];
         let check_parity = |catalog: &StrategyCatalog, stage: &str| {
             for request in &requests {
-                let scan_problem = AdparProblem::new(request, &compact, 3);
+                let scan_problem = AdparProblem::with_catalog(request, &pristine, 3);
                 let indexed_problem = AdparProblem::with_catalog(request, catalog, 3);
-                assert_eq!(indexed_problem.catalog_epoch(), catalog.epoch());
-                assert_eq!(indexed_problem.available_strategies(), compact.len());
                 for solver in solvers {
                     let scan = solver.solve(&scan_problem).unwrap();
                     let indexed = solver.solve(&indexed_problem).unwrap();
@@ -312,7 +321,7 @@ fn four_solver_parity_survives_compaction() {
             &AdparExact,
             &AdparBruteForce,
             &AdparBaseline2,
-            &AdparBaseline3::default(),
+            &AdparBaseline3,
         ];
 
         // Solve everything against the churned (pre-compaction) numbering.
@@ -341,9 +350,12 @@ fn four_solver_parity_survives_compaction() {
                     solver.name(),
                     request.id
                 );
-                let remapped = old.remap(&remap).unwrap_or_else(|| {
-                    panic!("pre-compaction solutions admit live slots only: {context}")
-                });
+                let remapped = AdparSolution {
+                    strategy_indices: remap.remap_slots(&old.strategy_indices).unwrap_or_else(
+                        || panic!("pre-compaction solutions admit live slots only: {context}"),
+                    ),
+                    ..old.clone()
+                };
                 let fresh = solver
                     .solve(&AdparProblem::with_catalog(request, &catalog, 3))
                     .unwrap();
@@ -468,7 +480,9 @@ fn middle_layer_reports_match_the_sequential_scan_pipeline() {
         aggregation: AggregationMode::Max,
     });
 
-    // Reference: the seed's sequential scan pipeline, reconstructed inline.
+    // Reference: the sequential scan pipeline (`BatchStrat` over the slice,
+    // then one standalone ADPaR-Exact solve per unsatisfied request),
+    // reconstructed inline.
     let sequential = |requests: &[DeploymentRequest],
                       strategies: &[Strategy],
                       models: &ModelLibrary,
@@ -478,13 +492,14 @@ fn middle_layer_reports_match_the_sequential_scan_pipeline() {
         let batch = engine
             .recommend_with_models(requests, strategies, models, layer.config.k, expected)
             .unwrap();
+        let catalog = StrategyCatalog::new(strategies);
         let alternatives: Vec<_> = batch
             .unsatisfied
             .iter()
             .map(|&idx| {
-                AdparExact.solve(&AdparProblem::new(
+                AdparExact.solve(&AdparProblem::with_catalog(
                     &requests[idx],
-                    strategies,
+                    &catalog,
                     layer.config.k,
                 ))
             })

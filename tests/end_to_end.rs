@@ -131,10 +131,11 @@ fn adpar_solvers_are_consistent_on_synthetic_scenarios() {
             ..AdparScenario::default()
         }
         .materialize();
-        let problem = AdparProblem::new(&instance.request, &instance.strategies, instance.k);
+        let catalog = instance.catalog();
+        let problem = AdparProblem::with_catalog(&instance.request, &catalog, instance.k);
         let exact = AdparExact.solve(&problem).unwrap();
         let b2 = AdparBaseline2.solve(&problem).unwrap();
-        let b3 = AdparBaseline3::default().solve(&problem).unwrap();
+        let b3 = AdparBaseline3.solve(&problem).unwrap();
         assert!(exact.distance <= b2.distance + 1e-9);
         assert!(exact.distance <= b3.distance + 1e-9);
         assert!(exact.strategy_indices.len() >= instance.k);

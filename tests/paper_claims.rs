@@ -94,13 +94,14 @@ fn theorem_4_adpar_exact_is_optimal() {
             ..AdparScenario::brute_force_defaults()
         }
         .materialize();
-        let problem = AdparProblem::new(&instance.request, &instance.strategies, instance.k);
+        let catalog = instance.catalog();
+        let problem = AdparProblem::with_catalog(&instance.request, &catalog, instance.k);
         let exact = AdparExact.solve(&problem).unwrap().distance;
         let brute = AdparBruteForce.solve(&problem).unwrap().distance;
         assert!((exact - brute).abs() < 1e-9, "seed {seed}");
         exact_total += exact;
         b2_total += AdparBaseline2.solve(&problem).unwrap().distance;
-        b3_total += AdparBaseline3::default().solve(&problem).unwrap().distance;
+        b3_total += AdparBaseline3.solve(&problem).unwrap().distance;
     }
     assert!(exact_total <= b2_total + 1e-9);
     assert!(exact_total <= b3_total + 1e-9);
@@ -122,7 +123,8 @@ fn running_example_numbers_match_the_paper() {
     assert_eq!(outcome.satisfied.len(), 1);
     assert_eq!(outcome.satisfied[0].request_index, 2);
 
-    let problem = AdparProblem::new(&requests[0], &strategies, 3);
+    let catalog = StrategyCatalog::new(strategies.as_slice());
+    let problem = AdparProblem::with_catalog(&requests[0], &catalog, 3);
     let solution = AdparExact.solve(&problem).unwrap();
     assert!((solution.alternative.quality - 0.4).abs() < 1e-9);
     assert!((solution.alternative.cost - 0.5).abs() < 1e-9);

@@ -17,12 +17,7 @@
 //!    full `StratRecReport`, `f64`s included) to the sequential pipeline's
 //!    report at the epoch the reader was pinned to,
 //! 3. each reader's pinned epochs are monotone, and every one of them was
-//!    actually published (no read from thin air),
-//! 4. the sequential `pinned_at_epoch` path agrees: an `AdparProblem` built
-//!    from the replayed state at epoch *e* and pinned at *e* validates and
-//!    solves, while pinning it at any other epoch fails with the typed
-//!    `StaleCatalog` — the same epoch discipline the snapshots enforce
-//!    structurally.
+//!    actually published (no read from thin air).
 //!
 //! The fixed-scenario test races 4 readers; the proptest variant fuzzes
 //! scenario shapes (size, churn rate, compaction cadence, seed) under the
@@ -34,12 +29,10 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use stratrec::core::adpar::{AdparExact, AdparProblem, AdparSolver};
 use stratrec::core::availability::AvailabilityPdf;
 use stratrec::core::batch::BatchObjective;
 use stratrec::core::catalog::{RebuildPolicy, StrategyCatalog};
 use stratrec::core::engine::BatchEngine;
-use stratrec::core::error::StratRecError;
 use stratrec::core::stratrec::{ServiceQuality, StratRec, StratRecConfig, StratRecReport};
 use stratrec::core::workforce::AggregationMode;
 use stratrec::workload::churn::{ChurnInstance, ChurnScenario, CompactPolicy};
@@ -147,29 +140,6 @@ fn check_history(
             records.last().unwrap().epoch,
             history.final_epoch,
             "reader {reader} never reached the final epoch"
-        );
-    }
-
-    // 4. The sequential `pinned_at_epoch` discipline ties in: a problem
-    // over the replayed state at epoch e, pinned at e, validates and
-    // solves; pinned anywhere else it fails typed.
-    let request = &instance.standing[0];
-    let k = instance.k.clamp(1, 2);
-    for (&epoch, state) in &states {
-        let pinned = AdparProblem::with_catalog(request, state, k).pinned_at_epoch(epoch);
-        let solved = AdparExact.solve(&pinned);
-        assert!(
-            solved.is_ok() || !matches!(solved, Err(StratRecError::StaleCatalog { .. })),
-            "a problem pinned at its own epoch may fail feasibility, never staleness"
-        );
-        let stale = AdparProblem::with_catalog(request, state, k).pinned_at_epoch(epoch + 1);
-        assert!(
-            matches!(
-                AdparExact.solve(&stale),
-                Err(StratRecError::StaleCatalog { expected, found })
-                    if expected == epoch + 1 && found == epoch
-            ),
-            "pinning at a foreign epoch must fail with StaleCatalog"
         );
     }
 }
