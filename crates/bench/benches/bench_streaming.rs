@@ -13,9 +13,9 @@
 //!    of the measured capacity (the generator shares the CPU with the
 //!    server, so this stays calm even on one hardware thread); p50/p99/p999
 //!    of the served responses' submit-to-response latency.
-//! 3. **Overload behavior** — the same stream at 2× capacity: the share of
-//!    requests served full vs degraded vs typed-shed, and whether the
-//!    controller recovered by shutdown.
+//! 3. **Overload behavior** — the same stream at 2× capacity: how many
+//!    requests were served (and at what rate and p50/p99 latency) while the
+//!    admission cap and the deadline shed turn the excess into typed sheds.
 //!
 //! Emits `BENCH_streaming.json` at the workspace root through the
 //! smoke-overwrite guard, plus a criterion smoke wrapper so the CI bench
@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use stratrec_core::availability::AvailabilityPdf;
 use stratrec_core::catalog::ConcurrentCatalog;
 use stratrec_core::model::DeploymentRequest;
-use stratrec_core::prelude::{ServiceQuality, StratRecConfig};
+use stratrec_core::prelude::StratRecConfig;
 use stratrec_serve::{ServeConfig, ServerHandle, ServerStats, StreamRequest, StreamServer};
 use stratrec_workload::{BatchScenario, OpenLoopScenario};
 
@@ -106,6 +106,8 @@ struct OpenLoopOutcome {
     responses: usize,
     /// Sorted submit-to-response latencies of served requests, in nanos.
     served_nanos: Vec<u128>,
+    /// From the first submission until shutdown returned.
+    elapsed: Duration,
 }
 
 /// Open-loop replay at `rate_hz` for `duration_ms` against a fresh server.
@@ -135,6 +137,7 @@ fn run_open_loop(rate_hz: f64, duration_ms: u64, deadline_ms: u64) -> OpenLoopOu
         responses.extend(handle.drain_responses());
     }
     let (stats, rest) = handle.shutdown();
+    let elapsed = start.elapsed();
     responses.extend(rest);
     let mut served_nanos: Vec<u128> = responses
         .iter()
@@ -147,6 +150,7 @@ fn run_open_loop(rate_hz: f64, duration_ms: u64, deadline_ms: u64) -> OpenLoopOu
         arrivals: arrivals.len(),
         responses: responses.len(),
         served_nanos,
+        elapsed,
     }
 }
 
@@ -209,16 +213,17 @@ fn bench_streaming(c: &mut Criterion) {
         "overload must not lose responses"
     );
     let o = &overload_run.stats;
+    let served = overload_run.served_nanos.len();
+    #[allow(clippy::cast_precision_loss)]
+    let served_per_s = served as f64 / overload_run.elapsed.as_secs_f64().max(1e-9);
+    let (o_p50, o_p99) = (
+        percentile_ms(&overload_run.served_nanos, 0.50),
+        percentile_ms(&overload_run.served_nanos, 0.99),
+    );
     eprintln!(
-        "streaming: 2.0x load — {} arrivals: {} full, {} degraded, {} shed-admission, \
-         {} shed-deadline, {} failed, recovered={}",
-        overload_run.arrivals,
-        o.served_full,
-        o.served_degraded,
-        o.shed_admission,
-        o.shed_deadline,
-        o.failed,
-        o.final_quality == ServiceQuality::Full,
+        "streaming: 2.0x load — {} arrivals: {served} served ({served_per_s:.0}/s, \
+         p50 {o_p50:.3} ms, p99 {o_p99:.3} ms), {} shed-admission, {} shed-deadline, {} failed",
+        overload_run.arrivals, o.shed_admission, o.shed_deadline, o.failed,
     );
 
     // Criterion-visible wrapper: one closed-loop flight per iteration
@@ -248,20 +253,17 @@ fn bench_streaming(c: &mut Criterion) {
          \"smoke\": {smoke},\n  \"available_parallelism\": {cores},\n  \
          \"max_sustainable_hz\": {sustainable_hz:.1},\n  \"latency_at_0_3x\": {{\"served\": {}, \
          \"p50_ms\": {p50:.3}, \"p99_ms\": {p99:.3}, \"p999_ms\": {p999:.3}}},\n  \
-         \"overload_at_2x\": {{\"arrivals\": {}, \"served_full\": {}, \"served_degraded\": {}, \
-         \"shed_admission\": {}, \"shed_deadline\": {}, \"failed\": {}, \"degraded_windows\": {}, \
-         \"peak_queue_depth\": {}, \"recovered\": {}}}\n}}\n",
+         \"overload_at_2x\": {{\"arrivals\": {}, \"served\": {served}, \
+         \"served_per_s\": {served_per_s:.1}, \"p50_ms\": {o_p50:.3}, \"p99_ms\": {o_p99:.3}, \
+         \"shed_admission\": {}, \"shed_deadline\": {}, \"failed\": {}, \
+         \"peak_queue_depth\": {}}}\n}}\n",
         config.admission.queue_capacity,
         latency_run.served_nanos.len(),
         overload_run.arrivals,
-        o.served_full,
-        o.served_degraded,
         o.shed_admission,
         o.shed_deadline,
         o.failed,
-        o.degraded_windows,
         o.peak_queue_depth,
-        o.final_quality == ServiceQuality::Full,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_streaming.json");
     stratrec_bench::artifact::write_json_artifact(path, &json, smoke);

@@ -25,18 +25,18 @@
 //! A long-lived catalog moves through three kinds of maintenance, each owned
 //! by one submodule of this directory:
 //!
-//! 1. **Churn** ([`overlay`]) — [`StrategyCatalog::insert`] appends to a small
+//! 1. **Churn** (`overlay.rs`) — [`StrategyCatalog::insert`] appends to a small
 //!    unindexed *tail*, [`StrategyCatalog::retire`] marks a slot with a *tombstone*;
 //!    queries answer `index ∪ tail − tombstones` with the exact predicate,
 //!    so results are exact at every point of the churn stream. The overlay
 //!    merges into the R-tree incrementally at the [`RebuildPolicy`]
 //!    threshold. Slot indices are **stable**: retiring never renumbers, so
 //!    `strategy_indices` in recommendations stay valid across churn.
-//! 2. **Axis-order maintenance** ([`axis`]) — the three pre-sorted per-axis
+//! 2. **Axis-order maintenance** (`axis.rs`) — the three pre-sorted per-axis
 //!    slot permutations follow the same log-structured discipline (sorted
 //!    base + sorted tail, tombstones filtered at query time) so
 //!    ADPaR problems never sort.
-//! 3. **Compaction** ([`compact`]) — the price of stable slots is monotone
+//! 3. **Compaction** (`compact.rs`) — the price of stable slots is monotone
 //!    growth: tombstoned slots are never reclaimed, so [`StrategyCatalog::slot_count`]
 //!    — and every slot-shaped allocation downstream (workforce-matrix
 //!    columns, per-slot relaxations, axis buffers) — grows without bound
@@ -46,7 +46,7 @@
 //!    epoch and returns a [`SlotRemap`] every holder of old slot numbers
 //!    applies ([`crate::workforce::WorkforceMatrix::remap_columns`],
 //!    [`SlotRemap::remap_slots`]).
-//! 4. **Delta feed** ([`delta`]) — derived state that would otherwise be
+//! 4. **Delta feed** (`delta.rs`) — derived state that would otherwise be
 //!    recomputed per epoch (the workforce matrix and its aggregation)
 //!    subscribes to the catalog's churn: [`StrategyCatalog::subscribe_delta`] /
 //!    [`StrategyCatalog::take_delta`] hand each consumer exactly the slots inserted
@@ -571,7 +571,7 @@ impl StrategyCatalog {
     /// A strategy satisfies a request when, in the normalized minimization
     /// space, its point is covered by the request's point. That makes
     /// eligibility an origin-anchored box query whose top-right corner is the
-    /// request point; the box is inflated by [`QUERY_MARGIN`], tombstoned
+    /// request point; the box is inflated by `QUERY_MARGIN`, tombstoned
     /// hits are dropped, the unindexed tail is scanned, and candidates are
     /// confirmed with the exact epsilon-tolerant predicate.
     pub fn for_each_eligible<F: FnMut(usize)>(&self, params: &DeploymentParameters, mut visit: F) {

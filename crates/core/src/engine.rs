@@ -23,7 +23,7 @@
 //!   [`WorkforceMatrix::compute_with_rule`] over the catalog's strategies.
 //! * [`BatchEngine::solve_adpar_batch`] fans a batch of unsatisfied
 //!   requests out to [`AdparExact`] with one reusable
-//!   [`SolveScratch`](crate::adpar::SolveScratch) **and** one reused
+//!   [`SolveScratch`] **and** one reused
 //!   relaxation buffer per worker thread
 //!   ([`AdparProblem::with_catalog_reusing`]), so the steady state
 //!   allocates nothing per problem beyond the returned solution. Results
@@ -323,9 +323,8 @@ impl BatchEngine {
     /// one-axis-at-a-time [`AdparBaseline2`] instead of the exact solver.
     /// Each solution is bit-identical to a standalone
     /// `AdparBaseline2.solve(&AdparProblem::with_catalog(..))` over the same
-    /// catalog state — this is what a streaming front-end serves while its
-    /// backpressure controller holds the pipeline in
-    /// [`ServiceQuality::Degraded`](crate::stratrec::ServiceQuality).
+    /// catalog state. Nothing serves it; kept only because the end-to-end
+    /// benchmark's replay times it as what degrading would cost.
     #[must_use]
     pub fn solve_adpar_batch_degraded(
         &self,

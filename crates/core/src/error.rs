@@ -91,8 +91,8 @@ pub enum StratRecError {
     },
     /// The streaming front-end refused to admit a request: the service queue
     /// already holds `queue_depth` pending requests against a capacity of
-    /// `capacity`, so enqueueing more would grow a backlog the backpressure
-    /// controller can only shed later anyway. The request was never queued;
+    /// `capacity`, so enqueueing more would grow a backlog the deadline shed
+    /// can only drop later anyway. The request was never queued;
     /// resubmit after backing off. Always delivered as a typed response —
     /// the front-end never drops a request silently.
     AdmissionRejected {

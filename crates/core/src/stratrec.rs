@@ -62,20 +62,20 @@ impl Default for StratRecConfig {
     }
 }
 
-/// The quality level a batch was served at. A streaming front-end under
-/// backpressure can **degrade** the expensive exact ADPaR stage to the cheap
-/// one-axis-at-a-time `Baseline2` solver; the Aggregator stage is identical
-/// at both levels, so a degraded report differs from the full one only in
-/// its [`AlternativeRecommendation`]s — and those are bit-identical to what
-/// [`crate::adpar::AdparBaseline2`] computes standalone over the same
-/// catalog state. Responses must carry this tag so callers can tell a
-/// degraded answer from a full one; degradation is never silent.
+/// The ADPaR solver a batch's unsatisfied requests are answered with. The
+/// Aggregator stage is identical at both levels, so a `Degraded` report
+/// differs from the `Full` one only in its [`AlternativeRecommendation`]s —
+/// and those are bit-identical to what [`crate::adpar::AdparBaseline2`]
+/// computes standalone over the same catalog state. The streaming server
+/// serves only `Full`: `Baseline2` costs more than exact ADPaR per problem,
+/// so degrading to it under overload saved no work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum ServiceQuality {
     /// The normal pipeline: exact ADPaR for every unsatisfied request.
     #[default]
     Full,
-    /// The overload pipeline: `Baseline2` alternatives, same Aggregator.
+    /// `Baseline2` alternatives, same Aggregator. Nothing serves it; kept
+    /// only because the end-to-end benchmark names it.
     Degraded,
 }
 
@@ -195,14 +195,15 @@ impl StratRec {
     /// the catalog's R-tree) into its top-k, with rows sharded across scoped
     /// threads, and the unsatisfied requests fan out to ADPaR in parallel
     /// with one reusable solver scratch per worker. `Full` answers them with
-    /// exact ADPaR; `Degraded` with the cheap `Baseline2` solver, whose
-    /// alternatives are bit-identical to standalone
-    /// [`crate::adpar::AdparBaseline2`] solves over the same catalog. The
-    /// Aggregator stage is identical at both levels. At `Full` the report
-    /// is identical to the sequential scan pipeline, and at both levels it
-    /// is deterministic regardless of thread count. This is the call a
-    /// streaming front-end serves each admission window with, and the
-    /// reference every served answer is pinned against.
+    /// exact ADPaR; `Degraded` with `Baseline2`, whose alternatives are
+    /// bit-identical to standalone [`crate::adpar::AdparBaseline2`] solves
+    /// over the same catalog. The `quality` parameter is kept only because
+    /// the end-to-end benchmark passes it; every other caller passes
+    /// `Full`. At `Full` the report is identical to the sequential scan
+    /// pipeline, and at both levels it is deterministic regardless of
+    /// thread count. This is the call a streaming front-end serves each
+    /// admission window with, and the reference every served answer is
+    /// pinned against.
     ///
     /// # Errors
     ///

@@ -2,7 +2,7 @@
 //!
 //! A WAL payload is `tag: u8` followed by the variant body. Mutation
 //! records (tags 1–3) mirror
-//! [`CatalogMutation`](stratrec_core::catalog::CatalogMutation) — what the
+//! [`CatalogMutation`] — what the
 //! journal of a logged [`ConcurrentCatalog::update_logged`](stratrec_core::catalog::ConcurrentCatalog::update_logged)
 //! epoch drains — each carrying the catalog epoch after the mutation so
 //! replay can detect out-of-sequence frames (a duplicated or dropped

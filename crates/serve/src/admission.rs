@@ -112,7 +112,7 @@ impl AdmissionWindow {
         }
     }
 
-    /// Number of pending requests — the controller's queue-depth signal.
+    /// Number of pending requests.
     #[must_use]
     pub fn depth(&self) -> usize {
         self.pending.len()

@@ -265,20 +265,17 @@ fn main() -> std::process::ExitCode {
 
     println!(
         "{{\n  \"sustainable_hz\": {sustainable_hz:.1},\n  \"offered_hz\": {offered_hz:.1},\n  \
-         \"arrivals\": {},\n  \"responses\": {},\n  \"served_full\": {},\n  \
-         \"served_degraded\": {},\n  \"shed_deadline\": {},\n  \"shed_admission\": {},\n  \
-         \"failed\": {},\n  \"windows\": {},\n  \"degraded_windows\": {},\n  \
-         \"peak_queue_depth\": {},\n  \"p50_ms\": {:.3},\n  \"p99_ms\": {:.3},\n  \
-         \"p999_ms\": {:.3}\n}}",
+         \"arrivals\": {},\n  \"responses\": {},\n  \"served\": {},\n  \
+         \"shed_deadline\": {},\n  \"shed_admission\": {},\n  \"failed\": {},\n  \
+         \"windows\": {},\n  \"peak_queue_depth\": {},\n  \"p50_ms\": {:.3},\n  \
+         \"p99_ms\": {:.3},\n  \"p999_ms\": {:.3}\n}}",
         arrivals.len(),
         responses.len(),
-        stats.served_full,
-        stats.served_degraded,
+        stats.served,
         stats.shed_deadline,
         stats.shed_admission,
         stats.failed,
         stats.windows,
-        stats.degraded_windows,
         stats.peak_queue_depth,
         percentile_ms(&served_nanos, 0.50),
         percentile_ms(&served_nanos, 0.99),

@@ -12,25 +12,22 @@
 //! churn writer keeps publishing epochs. Every served answer is thereby
 //! exactly the sequential answer on the epoch it is tagged with.
 //!
-//! Robustness is the headline, built on three rules:
+//! Robustness is the headline, built on two rules:
 //!
 //! 1. **Never a silent drop.** Every submitted request receives exactly one
-//!    typed [`StreamResponse`]: served (full or degraded), shed
+//!    typed [`StreamResponse`]: served, shed
 //!    ([`AdmissionRejected`](stratrec_core::error::StratRecError::AdmissionRejected)
 //!    when the queue is at capacity,
 //!    [`DeadlineExceeded`](stratrec_core::error::StratRecError::DeadlineExceeded)
 //!    when the latency budget cannot be met), or — should the pipeline
 //!    itself fail — a typed failure.
-//! 2. **Degrade before collapsing.** When the queue crosses the degrade
-//!    watermark, the [`BackpressureController`] switches the ADPaR stage to
-//!    the cheap `Baseline2` solver. Responses carry
-//!    [`ServiceQuality::Degraded`](stratrec_core::prelude::ServiceQuality)
-//!    and the answers are bit-identical to `Baseline2` on the same pinned
-//!    snapshot — reenactable after the fact from the window trace.
-//! 3. **Recover with hysteresis.** Full quality returns only after the
-//!    queue has stayed at or below the recover watermark for a configured
-//!    number of consecutive windows, so the controller cannot flap at the
-//!    boundary.
+//! 2. **One serving quality; overload cuts work, not answers.** Every
+//!    window is served by exact ADPaR. Two controls bound the work under
+//!    overload: the **admission cap** refuses arrivals beyond the queue
+//!    capacity, and the **deadline shed** drops queued requests whose
+//!    remaining budget is below the running service-time estimate. Both
+//!    answer with typed sheds, so the backlog and the served tail stay
+//!    bounded.
 //!
 //! The thin daemon binary `stratrec-served` wraps the server in a
 //! self-checking overload soak (open-loop arrivals at a multiple of the
@@ -39,11 +36,9 @@
 #![forbid(unsafe_code)]
 
 pub mod admission;
-pub mod controller;
 pub mod request;
 pub mod server;
 
 pub use admission::{AdmissionConfig, AdmissionWindow, QueuedRequest};
-pub use controller::{BackpressureController, ControllerConfig};
 pub use request::{ServedAnswer, StreamOutcome, StreamRequest, StreamResponse};
 pub use server::{ServeConfig, ServerHandle, ServerStats, StreamServer, WindowRecord};

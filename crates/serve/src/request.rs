@@ -34,16 +34,14 @@ pub struct StreamRequest {
 }
 
 /// What the pipeline answered for one served request: either `k` direct
-/// strategy recommendations from the Aggregator, or the ADPaR alternative
-/// for an unsatisfied request (at the response's [`ServiceQuality`]).
+/// strategy recommendations from the Aggregator, or the exact ADPaR
+/// alternative for an unsatisfied request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServedAnswer {
     /// The request was satisfied: `k` recommended strategies under the
     /// availability budget.
     Recommended(Recommendation),
-    /// The request was unsatisfied and went to ADPaR (exact at
-    /// [`ServiceQuality::Full`], `Baseline2` at
-    /// [`ServiceQuality::Degraded`]).
+    /// The request was unsatisfied and went to exact ADPaR.
     Alternative(AlternativeRecommendation),
 }
 
@@ -52,8 +50,8 @@ pub enum ServedAnswer {
 pub enum StreamOutcome {
     /// The request was served from the pinned snapshot of `epoch`.
     Served {
-        /// Quality level the window was served at. `Degraded` answers are
-        /// bit-identical to `Baseline2` over the same snapshot.
+        /// Always [`ServiceQuality::Full`]: the server has one quality.
+        /// Kept only because the end-to-end benchmark reads it.
         quality: ServiceQuality,
         /// Epoch of the catalog snapshot the answer was planned against.
         epoch: u64,
@@ -72,7 +70,7 @@ pub enum StreamOutcome {
 }
 
 impl StreamOutcome {
-    /// Whether the outcome is a served answer (at either quality).
+    /// Whether the outcome is a served answer.
     #[must_use]
     pub fn is_served(&self) -> bool {
         matches!(self, Self::Served { .. })

@@ -10,13 +10,11 @@
 //!    the queue capacity with a typed
 //!    [`AdmissionRejected`](stratrec_core::error::StratRecError::AdmissionRejected)
 //!    response. The loop never waits for a window to fill.
-//! 2. **Serve** — observe the queue depth through the
-//!    [`BackpressureController`], take the oldest `max_batch` pending
-//!    requests as the window (deadline-shedding requests whose budget is
-//!    below the running service-time estimate), pin the latest published
-//!    snapshot and serve the admitted batch cold through
-//!    `StratRec::process_batch_with_catalog_at` on it at the controller's
-//!    quality.
+//! 2. **Serve** — take the oldest `max_batch` pending requests as the
+//!    window (deadline-shedding requests whose budget is below the running
+//!    service-time estimate), pin the latest published snapshot and serve
+//!    the admitted batch cold through
+//!    `StratRec::process_batch_with_catalog_at` on it, with exact ADPaR.
 //!
 //! A lone request is therefore served as soon as the thread is free, and
 //! under load each window is the backlog that built up while the previous
@@ -49,7 +47,6 @@ use stratrec_core::modeling::ModelLibrary;
 use stratrec_core::prelude::{ServiceQuality, StratRec, StratRecConfig, StratRecReport};
 
 use crate::admission::{AdmissionConfig, AdmissionWindow, QueuedRequest};
-use crate::controller::{BackpressureController, ControllerConfig};
 use crate::request::{ServedAnswer, StreamOutcome, StreamRequest, StreamResponse};
 
 /// Everything the service loop is configured with.
@@ -57,8 +54,6 @@ use crate::request::{ServedAnswer, StreamOutcome, StreamRequest, StreamResponse}
 pub struct ServeConfig {
     /// Admission window sizing, capacity and deadline estimate seed.
     pub admission: AdmissionConfig,
-    /// Backpressure watermarks and recovery hysteresis.
-    pub controller: ControllerConfig,
     /// The pipeline configuration (`k`, objective, aggregation).
     pub stratrec: StratRecConfig,
     /// When true, the server records a [`WindowRecord`] per served window —
@@ -74,8 +69,6 @@ pub struct ServeConfig {
 pub struct WindowRecord {
     /// 1-based sequence number of the window.
     pub window: u64,
-    /// Quality the window was served at.
-    pub quality: ServiceQuality,
     /// Epoch of the pinned snapshot.
     pub epoch: u64,
     /// The snapshot itself — reenactment replays the sequential pipeline
@@ -95,22 +88,19 @@ pub struct WindowRecord {
 pub struct ServerStats {
     /// Windows taken (served or fully shed).
     pub windows: u64,
-    /// Requests served at [`ServiceQuality::Full`].
-    pub served_full: u64,
-    /// Requests served at [`ServiceQuality::Degraded`].
-    pub served_degraded: u64,
+    /// Requests served.
+    pub served: u64,
     /// Requests shed with `DeadlineExceeded`.
     pub shed_deadline: u64,
     /// Requests shed with `AdmissionRejected`.
     pub shed_admission: u64,
     /// Requests answered with a typed pipeline failure.
     pub failed: u64,
-    /// Windows the controller held at [`ServiceQuality::Degraded`].
+    /// Always 0: the server has one quality. Kept only because the
+    /// end-to-end benchmark reads it.
     pub degraded_windows: u64,
     /// Largest queue depth observed when a window was taken.
     pub peak_queue_depth: usize,
-    /// The controller's quality when the loop exited.
-    pub final_quality: ServiceQuality,
     /// Per-window trace, populated only when
     /// [`ServeConfig::record_windows`] is set.
     pub trace: Vec<WindowRecord>,
@@ -120,11 +110,7 @@ impl ServerStats {
     /// Total typed responses delivered.
     #[must_use]
     pub fn responses(&self) -> u64 {
-        self.served_full
-            + self.served_degraded
-            + self.shed_deadline
-            + self.shed_admission
-            + self.failed
+        self.served + self.shed_deadline + self.shed_admission + self.failed
     }
 }
 
@@ -158,8 +144,7 @@ impl StreamServer {
     /// # Panics
     ///
     /// Panics on the calling thread, before anything is spawned, when the
-    /// admission config ([`AdmissionWindow::new`]) or the controller config
-    /// ([`BackpressureController::new`]) is invalid.
+    /// admission config is invalid ([`AdmissionWindow::new`]).
     #[must_use]
     pub fn start(
         self,
@@ -171,12 +156,10 @@ impl StreamServer {
         let (respond, responses) = mpsc::channel::<StreamResponse>();
         let config = self.config;
         let window = AdmissionWindow::new(config.admission);
-        let controller = BackpressureController::new(config.controller);
         let thread = std::thread::spawn(move || {
             serve_loop(
                 &config,
                 window,
-                controller,
                 &catalog,
                 &models,
                 &availability,
@@ -229,13 +212,11 @@ impl ServerHandle {
     }
 }
 
-// The window and the controller are validated and built by `start` on the
-// calling thread, so they arrive here ready-made beside the config.
-#[allow(clippy::too_many_arguments)]
+// The window is validated and built by `start` on the calling thread, so it
+// arrives here ready-made beside the config.
 fn serve_loop(
     config: &ServeConfig,
     mut window: AdmissionWindow,
-    mut controller: BackpressureController,
     catalog: &ConcurrentCatalog,
     models: &ModelLibrary,
     availability: &AvailabilityPdf,
@@ -263,14 +244,9 @@ fn serve_loop(
             continue;
         }
 
-        // Phase 2: observe, take the window, shed, serve.
-        let depth = window.depth();
-        stats.peak_queue_depth = stats.peak_queue_depth.max(depth);
-        let quality = controller.observe(depth);
+        // Phase 2: take the window, shed, serve.
+        stats.peak_queue_depth = stats.peak_queue_depth.max(window.depth());
         stats.windows += 1;
-        if quality == ServiceQuality::Degraded {
-            stats.degraded_windows += 1;
-        }
         let seq = stats.windows;
         let (admitted, shed) = window.take_batch(Instant::now(), estimate);
         for (item, error) in shed {
@@ -290,7 +266,7 @@ fn serve_loop(
             snapshot.catalog(),
             models,
             availability,
-            quality,
+            ServiceQuality::Full,
         );
         estimate = (estimate * 3 + served_at.elapsed()) / 4;
 
@@ -311,12 +287,9 @@ fn serve_loop(
                 for (item, answer) in admitted.iter().zip(answers) {
                     let answer = answer
                         .expect("pipeline contract: every request is satisfied or alternative");
-                    match quality {
-                        ServiceQuality::Full => stats.served_full += 1,
-                        ServiceQuality::Degraded => stats.served_degraded += 1,
-                    }
+                    stats.served += 1;
                     let outcome = StreamOutcome::Served {
-                        quality,
+                        quality: ServiceQuality::Full,
                         epoch: snapshot.epoch(),
                         answer,
                     };
@@ -325,7 +298,6 @@ fn serve_loop(
                 if let Some(report) = kept {
                     stats.trace.push(WindowRecord {
                         window: seq,
-                        quality,
                         epoch: snapshot.epoch(),
                         snapshot,
                         requests,
@@ -345,7 +317,6 @@ fn serve_loop(
         }
     }
 
-    stats.final_quality = controller.quality();
     stats
 }
 
@@ -440,11 +411,7 @@ mod tests {
         for response in &responses {
             assert!(response.outcome.is_served(), "no overload, no shedding");
         }
-        assert_eq!(
-            stats.served_full, total,
-            "calm traffic stays at full quality"
-        );
-        assert_eq!(stats.final_quality, ServiceQuality::Full);
+        assert_eq!(stats.served, total);
     }
 
     #[test]
@@ -522,7 +489,6 @@ mod tests {
         let stats = serve_loop(
             &config,
             AdmissionWindow::new(config.admission),
-            BackpressureController::new(config.controller),
             &catalog,
             &models,
             &pdf,
@@ -567,7 +533,7 @@ mod tests {
         assert_eq!(responses.len(), total as usize, "no silent drops");
         assert_eq!(stats.responses(), total);
         assert_eq!(
-            stats.served_full + stats.served_degraded + stats.shed_admission + stats.shed_deadline,
+            stats.served + stats.shed_admission + stats.shed_deadline,
             total,
             "every outcome is served or typed-shed"
         );
@@ -603,22 +569,5 @@ mod tests {
         let handle = StreamServer::new(config).start(catalog, models, pdf);
         assert!(handle.submit(stream_request(0, Duration::from_secs(5))));
         let _ = handle.shutdown();
-    }
-
-    #[test]
-    #[should_panic(expected = "must sit strictly below")]
-    fn an_inverted_hysteresis_band_is_rejected_at_start() {
-        // Built on the service thread, the controller's panic would only
-        // surface at `shutdown`; built in `start`, it fails the caller.
-        let (catalog, models, pdf) = fixture();
-        let config = ServeConfig {
-            controller: ControllerConfig {
-                degrade_watermark: 4,
-                recover_watermark: 8,
-                recover_windows: 1,
-            },
-            ..ServeConfig::default()
-        };
-        let _ = StreamServer::new(config).start(catalog, models, pdf);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! A closed-loop driver waits for each response before submitting the next
 //! request, so it can never overload the service it measures. The streaming
-//! tier's overload behavior — admission control, deadline shedding, graceful
-//! degradation — only shows under **open-loop** traffic: arrivals follow an
+//! tier's overload behavior — the admission cap and deadline shedding —
+//! only shows under **open-loop** traffic: arrivals follow an
 //! external clock regardless of how the server keeps up. This module
 //! generates such schedules deterministically:
 //!
@@ -11,11 +11,11 @@
 //!   sampled by inverse CDF from the seeded [`StdRng`] (no external
 //!   distribution crates).
 //! * **Burst phases** — time windows multiplying the instantaneous rate,
-//!   modeling the load spikes the backpressure controller must shed through
-//!   and then recover from.
+//!   modeling the load spikes the front-end must shed through and then
+//!   drain.
 //! * **Zipf tenant mix** — every arrival is tagged with a tenant drawn from
 //!   the same `1 / (i + 1)^s` weights (plus optional flooding heavy tenant)
-//!   as [`TenantMixScenario`](crate::tenants::TenantMixScenario), so
+//!   as [`TenantMixScenario`], so
 //!   open-loop streams and batch mixes stress the same skew.
 //!
 //! Schedules are materialized **up front** in one single-threaded pass:

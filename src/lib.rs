@@ -17,8 +17,8 @@
 //! * [`workload`] — synthetic workload generators used by the experiments.
 //! * [`durable`] — write-ahead-logged catalog tier: crash recovery and
 //!   deployment-decision provenance.
-//! * [`serve`] — streaming front-end: admission windows, deadline shedding
-//!   and graceful degradation under overload.
+//! * [`serve`] — streaming front-end: admission windows, the admission cap
+//!   and deadline shedding under overload.
 //!
 //! # Quick example
 //!

@@ -9,15 +9,15 @@
 //!    exactly one served / shed / failed response. Never a silent drop,
 //!    never a duplicate.
 //! 2. **Every answer is the sequential pipeline's.** Every recorded
-//!    window — full or [`ServiceQuality::Degraded`] (≡ `Baseline2`) — must
-//!    be bit-identical to the sequential pipeline at its quality replayed
-//!    over the snapshot it pinned. Half the stream is satisfiable and half
-//!    infeasible, so equal-sized consecutive windows carry different
-//!    answers, and the server holds no delta subscription while it runs.
-//! 3. **Bounded recovery.** Once the flood stops and a calm tail drains the
-//!    queue, the controller must be back at full quality by shutdown.
+//!    window must be bit-identical to the sequential pipeline (exact ADPaR)
+//!    replayed over the snapshot it pinned. Half the stream is satisfiable
+//!    and half infeasible, so equal-sized consecutive windows carry
+//!    different answers, and the server holds no delta subscription while
+//!    it runs.
+//! 3. **The calm tail is served.** Once the flood stops and the queue
+//!    drains, every later arrival is served, not shed.
 //! 4. **Deadlines are honored.** Under calm load, every response is served
-//!    at full quality and p99 latency sits within the deadline budget.
+//!    and p99 latency sits within the deadline budget.
 //! 5. **Open-loop determinism.** The arrival schedule is a pure function of
 //!    its scenario — byte-identical across runs and across threads, which
 //!    is what the CI `RUST_TEST_THREADS` matrix leans on.
@@ -33,8 +33,7 @@ use stratrec::core::catalog::{ConcurrentCatalog, RebuildPolicy};
 use stratrec::core::model::{DeploymentParameters, DeploymentRequest};
 use stratrec::core::prelude::{ServiceQuality, StratRec, StratRecConfig};
 use stratrec::serve::{
-    AdmissionConfig, ControllerConfig, ServeConfig, ServerHandle, StreamOutcome, StreamRequest,
-    StreamServer,
+    AdmissionConfig, ServeConfig, ServerHandle, StreamOutcome, StreamRequest, StreamServer,
 };
 use stratrec::workload::{
     schedule_fingerprint, Arrival, BurstPhase, ChurnInstance, ChurnScenario, OpenLoopScenario,
@@ -61,11 +60,6 @@ fn overload_config() -> ServeConfig {
             queue_capacity: 24,
             initial_estimate_ms: 1,
         },
-        controller: ControllerConfig {
-            degrade_watermark: 16,
-            recover_watermark: 4,
-            recover_windows: 3,
-        },
         stratrec: StratRecConfig {
             k: 3,
             ..StratRecConfig::default()
@@ -76,8 +70,8 @@ fn overload_config() -> ServeConfig {
 
 /// A burst-then-calm schedule: the 80× burst (24 000 req/s) is far beyond
 /// what windows of at most 8 drain in a debug build, where CI runs this
-/// suite, so the 24-deep queue must overflow; the calm tail gives the
-/// controller room to recover before shutdown.
+/// suite, so the 24-deep queue must overflow; the calm tail after the burst
+/// ends (450 ms) shows that shedding alone drains the backlog.
 ///
 /// The generator's requests (the paper's `[0.625, 1]³` range) are all
 /// unsatisfiable on this catalog, so about half are redrawn from an easy
@@ -113,6 +107,10 @@ fn overload_schedule() -> Vec<Arrival> {
     }
     arrivals
 }
+
+/// Arrival time from which the overload schedule's calm tail must be
+/// served in full.
+const CALM_TAIL: Duration = Duration::from_millis(600);
 
 /// Replays `arrivals` against a fresh server over a churned catalog and
 /// returns everything observable. The churn writer publishes one epoch per
@@ -211,65 +209,55 @@ fn overload_resolves_every_request_to_exactly_one_typed_outcome() {
         }
     }
 
-    // The burst actually overloaded the server: the controller degraded and
-    // shedding engaged. (The burst rate is sized far above what windows of
-    // at most 8 drain in a debug build; see `overload_schedule`.)
+    // The burst actually overloaded the server: shedding engaged. (The burst
+    // rate is sized far above what windows of at most 8 drain in a debug
+    // build; see `overload_schedule`.)
     let summary = format!(
-        "windows={} full={} degraded={} shed_deadline={} shed_admission={} failed={} peak={}",
+        "windows={} served={} shed_deadline={} shed_admission={} failed={} peak={}",
         stats.windows,
-        stats.served_full,
-        stats.served_degraded,
+        stats.served,
         stats.shed_deadline,
         stats.shed_admission,
         stats.failed,
         stats.peak_queue_depth,
     );
     assert!(
-        stats.degraded_windows > 0,
-        "an 80× burst must push past the degrade watermark: {summary}"
-    );
-    assert!(
         stats.shed_deadline + stats.shed_admission > 0,
         "an 80× burst against a 24-deep queue must shed: {summary}"
     );
     assert!(
-        stats.served_full > 0,
-        "the calm phases must still be served at full quality: {summary}"
+        stats.served > 0,
+        "the calm phases must still be served: {summary}"
     );
 
-    // Bounded recovery: the calm tail (450 ms at 300 req/s against an
-    // empty queue) gives the controller its consecutive calm windows back.
-    assert_eq!(
-        stats.final_quality,
-        ServiceQuality::Full,
-        "the controller must recover once the flood stops: {summary}"
-    );
+    // The calm tail is served: shedding alone drains the burst's backlog,
+    // so every arrival from `CALM_TAIL` on (150 ms after the burst ends,
+    // almost four 40 ms deadlines) is served, not shed.
+    assert!(arrivals.iter().any(|arrival| arrival.at >= CALM_TAIL));
+    for response in &responses {
+        let arrival = &arrivals[usize::try_from(response.id).unwrap()];
+        assert!(
+            arrival.at < CALM_TAIL || response.outcome.is_served(),
+            "request {} arrived at {:?}, after the burst drained, and was not served: \
+             {:?} ({summary})",
+            response.id,
+            arrival.at,
+            response.outcome
+        );
+    }
     assert!(stats.failed == 0, "churned strategies all carry models");
 }
 
 #[test]
-fn degraded_windows_reenact_bit_identically_as_baseline2() {
+fn every_window_reenacts_bit_identically() {
     let instance = churned_instance();
     let arrivals = overload_schedule();
     let (stats, _) = run_soak(&instance, overload_config(), &arrivals);
     let pdf = AvailabilityPdf::certain(instance.availability.value());
 
-    let degraded: Vec<_> = stats
-        .trace
-        .iter()
-        .filter(|record| record.quality == ServiceQuality::Degraded)
-        .collect();
-    assert!(
-        !degraded.is_empty(),
-        "the burst must produce degraded windows to reenact: {} windows total",
-        stats.trace.len()
-    );
-
-    // Every window, degraded or full, must be bit-identical to the
-    // sequential pipeline at its quality replayed over the very snapshot it
-    // pinned — degraded answers are `Baseline2` answers, and no window
-    // serves another window's requirements. Checked after the fact with no
-    // help from the server.
+    // Every window must be bit-identical to the sequential pipeline replayed
+    // over the very snapshot it pinned — no window serves another window's
+    // requirements. Checked after the fact with no help from the server.
     let layer = StratRec::new(overload_config().stratrec);
     for record in &stats.trace {
         let replayed = layer
@@ -278,13 +266,13 @@ fn degraded_windows_reenact_bit_identically_as_baseline2() {
                 record.snapshot.catalog(),
                 &instance.models,
                 &pdf,
-                record.quality,
+                ServiceQuality::Full,
             )
             .expect("the recorded window served cleanly the first time");
         assert_eq!(
             replayed, record.report,
-            "window {} ({:?}, epoch {}) diverged from its reenactment",
-            record.window, record.quality, record.epoch
+            "window {} (epoch {}) diverged from its reenactment",
+            record.window, record.epoch
         );
     }
     let satisfied: usize = stats
@@ -293,6 +281,10 @@ fn degraded_windows_reenact_bit_identically_as_baseline2() {
         .map(|record| record.report.batch.satisfied.len())
         .sum();
     let served: usize = stats.trace.iter().map(|record| record.requests.len()).sum();
+    assert_eq!(
+        served as u64, stats.served,
+        "every served request was recorded"
+    );
     assert!(
         satisfied > 0 && satisfied < served,
         "the mix must satisfy some requests and not others: {satisfied} of {served}"
@@ -319,9 +311,8 @@ fn calm_load_is_served_at_full_quality_within_the_deadline_at_p99() {
     let (stats, responses) = run_soak(&instance, config, &arrivals);
 
     assert_eq!(responses.len(), arrivals.len());
-    assert_eq!(stats.served_full, arrivals.len() as u64, "{stats:?}");
+    assert_eq!(stats.served, arrivals.len() as u64, "{stats:?}");
     assert_eq!(stats.shed_deadline + stats.shed_admission, 0);
-    assert_eq!(stats.final_quality, ServiceQuality::Full);
 
     let mut latencies: Vec<Duration> = responses.iter().map(|r| r.latency).collect();
     latencies.sort_unstable();
