@@ -1,11 +1,12 @@
 //! Byte-for-byte pins on the figure binaries whose output is cheap enough
-//! for a debug-build test: the running example's Tables 1–5 trace and the
-//! Figure 17 ADPaR quality tables. A change that moves a single digit of
-//! either fails here; regenerate a golden file only when the paper-facing
-//! output is meant to change.
+//! for a debug-build test: the running example's Tables 1–5 trace, Figures
+//! 11, 12, 13, 15, 16 and 17, and Table 6. A change that moves a single
+//! digit of any of them fails here; regenerate a golden file only when the
+//! paper-facing output is meant to change.
 //!
-//! Figure 14 is pinned by hand (`diff` against the parent's stdout): it takes
-//! several seconds even in a release build.
+//! Two binaries stay out. Figure 14 is pinned by hand (`diff` against the
+//! parent's stdout): it takes several seconds even in a release build.
+//! Figure 18 prints wall-clock timings, which no two runs share.
 
 use std::process::Command;
 
@@ -49,5 +50,59 @@ fn fig17_adpar_quality_is_byte_identical() {
         env!("CARGO_BIN_EXE_fig17_adpar_quality"),
         &[],
         include_str!("golden/fig17_adpar_quality.txt"),
+    );
+}
+
+#[test]
+fn fig11_worker_availability_is_byte_identical() {
+    assert_stdout_matches(
+        env!("CARGO_BIN_EXE_fig11_worker_availability"),
+        &[],
+        include_str!("golden/fig11_worker_availability.txt"),
+    );
+}
+
+#[test]
+fn fig12_linear_relationship_is_byte_identical() {
+    assert_stdout_matches(
+        env!("CARGO_BIN_EXE_fig12_linear_relationship"),
+        &[],
+        include_str!("golden/fig12_linear_relationship.txt"),
+    );
+}
+
+#[test]
+fn fig13_stratrec_effectiveness_is_byte_identical() {
+    assert_stdout_matches(
+        env!("CARGO_BIN_EXE_fig13_stratrec_effectiveness"),
+        &[],
+        include_str!("golden/fig13_stratrec_effectiveness.txt"),
+    );
+}
+
+#[test]
+fn fig15_throughput_is_byte_identical() {
+    assert_stdout_matches(
+        env!("CARGO_BIN_EXE_fig15_throughput"),
+        &[],
+        include_str!("golden/fig15_throughput.txt"),
+    );
+}
+
+#[test]
+fn fig16_payoff_is_byte_identical() {
+    assert_stdout_matches(
+        env!("CARGO_BIN_EXE_fig16_payoff"),
+        &[],
+        include_str!("golden/fig16_payoff.txt"),
+    );
+}
+
+#[test]
+fn table6_alpha_beta_is_byte_identical() {
+    assert_stdout_matches(
+        env!("CARGO_BIN_EXE_table6_alpha_beta"),
+        &[],
+        include_str!("golden/table6_alpha_beta.txt"),
     );
 }

@@ -16,10 +16,6 @@ pub enum StratRecError {
     },
     /// A probability distribution over worker availability was invalid.
     InvalidDistribution(String),
-    /// A [`crate::fairness::FairnessPolicy`] was malformed: a floor or
-    /// weight was negative or non-finite, the floors summed past the whole
-    /// budget, or the policy named no tenants.
-    InvalidFairnessPolicy(String),
     /// The cardinality constraint `k` was zero.
     ZeroCardinality,
     /// Fewer strategies exist than the requested cardinality `k`, so no
@@ -126,7 +122,6 @@ impl std::fmt::Display for StratRecError {
                 )
             }
             Self::InvalidDistribution(msg) => write!(f, "invalid availability distribution: {msg}"),
-            Self::InvalidFairnessPolicy(msg) => write!(f, "invalid fairness policy: {msg}"),
             Self::ZeroCardinality => write!(f, "cardinality constraint k must be at least 1"),
             Self::NotEnoughStrategies {
                 available,
@@ -198,10 +193,6 @@ mod tests {
             (
                 StratRecError::InvalidDistribution("does not sum to 1".into()),
                 "distribution",
-            ),
-            (
-                StratRecError::InvalidFairnessPolicy("floors sum to 1.2".into()),
-                "fairness",
             ),
             (StratRecError::ZeroCardinality, "cardinality"),
             (
@@ -284,7 +275,6 @@ mod tests {
         match err {
             StratRecError::ParameterOutOfRange { .. } => "ParameterOutOfRange",
             StratRecError::InvalidDistribution(_) => "InvalidDistribution",
-            StratRecError::InvalidFairnessPolicy(_) => "InvalidFairnessPolicy",
             StratRecError::ZeroCardinality => "ZeroCardinality",
             StratRecError::NotEnoughStrategies { .. } => "NotEnoughStrategies",
             StratRecError::MissingModel { .. } => "MissingModel",
@@ -305,7 +295,6 @@ mod tests {
                 value: 1.5,
             },
             StratRecError::InvalidDistribution(String::new()),
-            StratRecError::InvalidFairnessPolicy(String::new()),
             StratRecError::ZeroCardinality,
             StratRecError::NotEnoughStrategies {
                 available: 2,
@@ -337,7 +326,7 @@ mod tests {
         .iter()
         .map(variant_tag)
         .collect();
-        assert_eq!(audited.len(), 12, "one sample per variant, no duplicates");
+        assert_eq!(audited.len(), 11, "one sample per variant, no duplicates");
     }
 
     #[test]

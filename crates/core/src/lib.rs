@@ -62,7 +62,6 @@ pub mod catalog;
 pub mod engine;
 pub mod error;
 pub mod examples_data;
-pub mod fairness;
 pub mod model;
 pub mod modeling;
 pub mod stratrec;
@@ -84,7 +83,6 @@ pub mod prelude {
     };
     pub use crate::engine::BatchEngine;
     pub use crate::error::StratRecError;
-    pub use crate::fairness::{FairnessPolicy, TenantShare};
     pub use crate::model::{
         DeploymentParameters, DeploymentRequest, Organization, RequestId, Strategy, StrategyId,
         Structure, Style, TaskType,
@@ -92,7 +90,6 @@ pub mod prelude {
     pub use crate::modeling::{LinearModel, ModelLibrary, ParameterKind, StrategyModel};
     pub use crate::stratrec::{
         AlternativeRecommendation, ServiceQuality, StratRec, StratRecConfig, StratRecReport,
-        TenantOutcome,
     };
     pub use crate::workforce::{
         AggregationCache, AggregationMode, EligibilityRule, RequestRequirement, WorkforceMatrix,

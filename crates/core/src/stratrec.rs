@@ -20,11 +20,10 @@
 //! problems of a batch fan out in parallel with one reusable solver scratch
 //! per worker.
 //!
-//! A batch enters through one of three calls:
+//! A batch enters through one of two calls:
 //! [`StratRec::process_batch`] over a strategy slice (it builds a temporary
-//! catalog), [`StratRec::process_batch_with_catalog_at`] over a shared
-//! catalog at a [`ServiceQuality`], and [`StratRec::process_tenant_batches`]
-//! for several tenants sharing one availability budget. At
+//! catalog) or [`StratRec::process_batch_with_catalog_at`] over a shared
+//! catalog at a [`ServiceQuality`]. At
 //! [`ServiceQuality::Full`] the reports are identical to the sequential scan
 //! pipeline (see `tests/catalog_parity.rs`).
 
@@ -36,7 +35,6 @@ use crate::batch::{BatchObjective, BatchOutcome, BatchStrat};
 use crate::catalog::StrategyCatalog;
 use crate::engine::BatchEngine;
 use crate::error::StratRecError;
-use crate::fairness::FairnessPolicy;
 use crate::model::{DeploymentRequest, Strategy};
 use crate::modeling::ModelLibrary;
 use crate::workforce::{AggregationMode, RequestRequirement};
@@ -262,88 +260,6 @@ impl StratRec {
             alternatives,
         }
     }
-
-    /// Serves one batch **per tenant** over a shared catalog and one shared
-    /// availability budget, divided by `policy` ([`FairnessPolicy::split`]):
-    /// every tenant's aggregate demand is computed first, the budget is split into per-tenant grants —
-    /// floors before weighted residual, so a tenant flooding the queue can
-    /// never starve another below its floor — and each tenant's Aggregator
-    /// then selects against **its own grant** instead of the whole pool.
-    ///
-    /// Outcomes come back in tenant order and are deterministic: the split
-    /// is a pure function of `(policy, budget, demands)` and each per-tenant
-    /// selection is the ordinary [`BatchStrat::select`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StratRecError::InvalidFairnessPolicy`] when `policy` does
-    /// not name exactly one share per tenant batch, and
-    /// [`StratRecError::MissingModel`] as the single-tenant paths do.
-    pub fn process_tenant_batches(
-        &self,
-        batches: &[&[DeploymentRequest]],
-        catalog: &StrategyCatalog,
-        models: &ModelLibrary,
-        availability: &AvailabilityPdf,
-        policy: &FairnessPolicy,
-    ) -> Result<Vec<TenantOutcome>, StratRecError> {
-        if policy.tenant_count() != batches.len() {
-            return Err(StratRecError::InvalidFairnessPolicy(format!(
-                "policy names {} tenants but {} batches were submitted",
-                policy.tenant_count(),
-                batches.len()
-            )));
-        }
-        let budget = availability.expectation().value();
-        let aggregator = self.aggregator();
-        let requirements = batches
-            .iter()
-            .map(|batch| self.requirements(batch, catalog, models))
-            .collect::<Result<Vec<_>, _>>()?;
-        let demands: Vec<f64> = requirements
-            .iter()
-            .map(|reqs| {
-                reqs.iter()
-                    .flatten()
-                    .map(|requirement| requirement.workforce)
-                    .filter(|workforce| workforce.is_finite())
-                    .sum()
-            })
-            .collect();
-        let grants = policy.split(budget, &demands);
-        batches
-            .iter()
-            .zip(requirements.iter().zip(demands.iter().zip(grants)))
-            .enumerate()
-            .map(|(tenant, (batch, (reqs, (&demand, grant))))| {
-                let granted = WorkerAvailability::new(grant)?;
-                let outcome = aggregator.select(batch, reqs, granted);
-                Ok(TenantOutcome {
-                    tenant,
-                    demand,
-                    granted,
-                    batch: outcome,
-                })
-            })
-            .collect()
-    }
-}
-
-/// One tenant's result from [`StratRec::process_tenant_batches`]: what it
-/// asked for, what the [`FairnessPolicy`] granted it, and the Aggregator's
-/// selection under that grant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TenantOutcome {
-    /// Index of the tenant in the submitted batch list (and in the
-    /// policy's share list).
-    pub tenant: usize,
-    /// The tenant's aggregate workforce demand: the sum of its feasible
-    /// requests' requirements.
-    pub demand: f64,
-    /// The availability budget the fairness split granted this tenant.
-    pub granted: WorkerAvailability,
-    /// The Aggregator's outcome for the tenant's batch under its grant.
-    pub batch: BatchOutcome,
 }
 
 #[cfg(test)]
@@ -518,69 +434,5 @@ mod tests {
             .unwrap();
         assert!(report.batch.satisfied.is_empty());
         assert_eq!(report.alternatives.len(), 3);
-    }
-
-    #[test]
-    fn tenant_batches_split_the_budget_and_honor_floors() {
-        use crate::fairness::{FairnessPolicy, TenantShare};
-        let (catalog, models, requests, availability) = fixture();
-        // Tenant 0 floods the queue with 10× the volume of tenants 1 and 2.
-        let heavy: Vec<DeploymentRequest> = (0..10).flat_map(|_| requests.clone()).collect();
-        let light_a = requests.clone();
-        let light_b = &requests[..3];
-        let policy = FairnessPolicy::new(vec![
-            TenantShare::new(0.2, 1.0),
-            TenantShare::new(0.2, 1.0),
-            TenantShare::new(0.2, 1.0),
-        ])
-        .unwrap();
-        let layer = StratRec::default();
-        let outcomes = layer
-            .process_tenant_batches(
-                &[&heavy, &light_a, light_b],
-                &catalog,
-                &models,
-                &availability,
-                &policy,
-            )
-            .unwrap();
-        assert_eq!(outcomes.len(), 3);
-        let budget = availability.expectation().value();
-        let total: f64 = outcomes.iter().map(|o| o.granted.value()).sum();
-        assert!(total <= budget + 1e-12);
-        for outcome in &outcomes[1..] {
-            // The heavy tenant must never push a light one below its
-            // floor (a tenant demanding less than the floor is simply
-            // satisfied in full).
-            let entitled = (0.2 * budget).min(outcome.demand);
-            assert!(
-                outcome.granted.value() >= entitled - 1e-12,
-                "tenant {} got {} under its entitlement {}",
-                outcome.tenant,
-                outcome.granted.value(),
-                entitled
-            );
-        }
-        // Each tenant's selection is exactly the Aggregator under its
-        // own grant.
-        let aggregator = BatchStrat::new(layer.config.objective, layer.config.aggregation);
-        let matrix = layer
-            .engine
-            .workforce_matrix(&light_a, &catalog, &models, aggregator.eligibility)
-            .unwrap();
-        let requirements = matrix.aggregate(layer.config.k, layer.config.aggregation);
-        let expected = aggregator.select(&light_a, &requirements, outcomes[1].granted);
-        assert_eq!(outcomes[1].batch, expected);
-        // Arity mismatches fail typed.
-        assert!(matches!(
-            StratRec::default().process_tenant_batches(
-                &[&heavy],
-                &catalog,
-                &models,
-                &availability,
-                &policy
-            ),
-            Err(StratRecError::InvalidFairnessPolicy(_))
-        ));
     }
 }

@@ -424,8 +424,8 @@ fn encode_error(writer: &mut ByteWriter, error: &StratRecError) {
             writer.str(message);
         }
         StratRecError::ZeroCardinality => writer.u8(2),
-        // Tag 3 stays unassigned so every later tag keeps its value in
-        // existing logs.
+        // Tags 3 and 10 stay unassigned so every other tag keeps its value
+        // in existing logs.
         StratRecError::NotEnoughStrategies {
             available,
             requested,
@@ -456,10 +456,6 @@ fn encode_error(writer: &mut ByteWriter, error: &StratRecError) {
             writer.u8(9);
             writer.u64(*epoch);
             writer.str(detail);
-        }
-        StratRecError::InvalidFairnessPolicy(message) => {
-            writer.u8(10);
-            writer.str(message);
         }
         StratRecError::AdmissionRejected {
             queue_depth,
@@ -510,7 +506,6 @@ fn decode_error(reader: &mut ByteReader<'_>) -> Result<StratRecError, DecodeErro
             epoch: reader.u64()?,
             detail: reader.str()?,
         },
-        10 => StratRecError::InvalidFairnessPolicy(reader.str()?),
         11 => StratRecError::AdmissionRejected {
             queue_depth: reader.usize()?,
             capacity: reader.usize()?,
@@ -773,10 +768,13 @@ mod tests {
 
     #[test]
     fn the_unassigned_error_tag_is_refused() {
-        let mut reader = ByteReader::new(&[3]);
-        let error = decode_error(&mut reader).unwrap_err();
-        assert_eq!(error.what, "invalid enum tag");
-        assert_eq!(error.at, 0);
+        for tag in [3, 10] {
+            let bytes = [tag];
+            let mut reader = ByteReader::new(&bytes);
+            let error = decode_error(&mut reader).unwrap_err();
+            assert_eq!(error.what, "invalid enum tag", "tag {tag}");
+            assert_eq!(error.at, 0, "tag {tag}");
+        }
     }
 
     #[test]

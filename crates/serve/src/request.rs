@@ -1,8 +1,8 @@
 //! Request and response envelopes of the streaming front-end.
 //!
 //! A [`StreamRequest`] is a deployment request plus the two pieces of
-//! context the service tier needs: the **tenant** issuing it (for the
-//! multi-tenant fairness machinery) and a **deadline** — the latency budget
+//! context the service tier needs: the **tenant** issuing it (an echoed
+//! tag for per-tenant accounting) and a **deadline** — the latency budget
 //! measured from submission. The matching [`StreamResponse`] carries exactly
 //! one typed [`StreamOutcome`]; the server's core invariant is that every
 //! submitted request produces exactly one response, whatever happens.

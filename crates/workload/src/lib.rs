@@ -21,12 +21,9 @@
 //!   through the concurrent snapshot catalog: one writer thread publishing
 //!   epochs while reader threads serve lock-free, with every read recorded
 //!   for after-the-fact snapshot-isolation checking ([`stress`]).
-//! * **Multi-tenant mixes** — Zipf-skewed per-tenant request batches with
-//!   an optional flooding heavy tenant, paired with the matching
-//!   [`FairnessPolicy`](stratrec_core::fairness::FairnessPolicy) floors
-//!   ([`tenants`]).
 //! * **Open-loop streams** — seeded Poisson arrival schedules with burst
-//!   phases and the same Zipf tenant mix, for driving the streaming
+//!   phases and every arrival tagged with a tenant drawn from a Zipf mix
+//!   with an optional flooding heavy tenant, for driving the streaming
 //!   front-end past saturation ([`openloop`]).
 
 #![forbid(unsafe_code)]
@@ -38,7 +35,6 @@ pub mod request_gen;
 pub mod scenario;
 pub mod strategy_gen;
 pub mod stress;
-pub mod tenants;
 
 pub use churn::{ChurnEpoch, ChurnInstance, ChurnScenario};
 pub use model_gen::generate_models;
@@ -47,4 +43,3 @@ pub use request_gen::generate_requests;
 pub use scenario::{AdparScenario, BatchScenario, ParameterDistribution};
 pub use strategy_gen::generate_strategies;
 pub use stress::{run_churn_stress, ReadRecord, StressHistory};
-pub use tenants::{TenantMix, TenantMixScenario};

@@ -14,9 +14,9 @@
 //!   modeling the load spikes the front-end must shed through and then
 //!   drain.
 //! * **Zipf tenant mix** — every arrival is tagged with a tenant drawn from
-//!   the same `1 / (i + 1)^s` weights (plus optional flooding heavy tenant)
-//!   as [`TenantMixScenario`], so
-//!   open-loop streams and batch mixes stress the same skew.
+//!   the `1 / (i + 1)^s` weights of [`OpenLoopScenario::tenant_weights`],
+//!   plus an optional flooding heavy tenant. The serving tier only echoes
+//!   the tag, for per-tenant accounting.
 //!
 //! Schedules are materialized **up front** in one single-threaded pass:
 //! the stream of a given scenario is byte-identical across runs, thread
@@ -30,7 +30,6 @@ use serde::{Deserialize, Serialize};
 use stratrec_core::model::DeploymentRequest;
 
 use crate::request_gen::generate_requests_in_range;
-use crate::tenants::TenantMixScenario;
 
 /// A time window during which the arrival rate is multiplied by `factor` —
 /// the load spike of an overload scenario.
@@ -46,7 +45,7 @@ pub struct BurstPhase {
 }
 
 /// A reproducible open-loop arrival schedule: seeded Poisson arrivals at a
-/// base rate, burst phases, and the Zipf tenant mix of [`crate::tenants`].
+/// base rate, burst phases, and a Zipf tenant mix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OpenLoopScenario {
     /// Baseline arrival rate outside bursts, in requests per second.
@@ -120,18 +119,23 @@ impl OpenLoopScenario {
         rate
     }
 
-    /// The normalized tenant draw weights (shared with the batch mix
-    /// generator, so streams and batches stress the same skew).
+    /// The normalized tenant draw weights: Zipf `1 / (i + 1)^s`, the heavy
+    /// tenant (if any) multiplied by [`Self::heavy_factor`] before the
+    /// weights are normalized.
     #[must_use]
     pub fn tenant_weights(&self) -> Vec<f64> {
-        TenantMixScenario {
-            tenants: self.tenants,
-            zipf_s: self.zipf_s,
-            heavy_tenant: self.heavy_tenant,
-            heavy_factor: self.heavy_factor,
-            ..TenantMixScenario::default()
+        #[allow(clippy::cast_precision_loss)]
+        let mut weights: Vec<f64> = (0..self.tenants)
+            .map(|i| 1.0 / ((i + 1) as f64).powf(self.zipf_s.max(0.0)))
+            .collect();
+        if let Some(weight) = self.heavy_tenant.and_then(|heavy| weights.get_mut(heavy)) {
+            *weight *= self.heavy_factor.max(1.0);
         }
-        .weights()
+        let total: f64 = weights.iter().sum();
+        for weight in &mut weights {
+            *weight /= total;
+        }
+        weights
     }
 
     /// Materializes the full arrival schedule in one deterministic pass:
@@ -279,6 +283,23 @@ mod tests {
             deadline_ms: 50,
             seed: 7,
         }
+    }
+
+    #[test]
+    fn weights_normalize_and_follow_the_zipf_skew() {
+        let scenario = OpenLoopScenario {
+            tenants: 5,
+            zipf_s: 1.0,
+            ..OpenLoopScenario::default()
+        };
+        let weights = scenario.tenant_weights();
+        assert_eq!(weights.len(), 5);
+        assert!((weights.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        for pair in weights.windows(2) {
+            assert!(pair[0] > pair[1], "Zipf weights decrease with rank");
+        }
+        // Classic Zipf: tenant 0 has twice the weight of tenant 1.
+        assert!((weights[0] / weights[1] - 2.0).abs() < 1e-12);
     }
 
     #[test]

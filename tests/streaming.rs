@@ -20,7 +20,9 @@
 //!    and p99 latency sits within the deadline budget.
 //! 5. **Open-loop determinism.** The arrival schedule is a pure function of
 //!    its scenario — byte-identical across runs and across threads, which
-//!    is what the CI `RUST_TEST_THREADS` matrix leans on.
+//!    is what the CI `RUST_TEST_THREADS` matrix leans on — and pinned to
+//!    recorded fingerprints, including the stream the serving benchmark
+//!    replays.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -381,4 +383,48 @@ fn open_loop_schedules_are_byte_identical_across_threads() {
     }
     .materialize();
     assert_ne!(schedule_fingerprint(&moved), reference_print);
+}
+
+#[test]
+fn open_loop_schedules_match_their_pinned_fingerprints() {
+    // The stream stratbench's `arrivals()` builds for both serving
+    // workloads (1000 req/s for 25 s, 50 ms deadlines, seed 1), and a
+    // skewed one whose heavy tenant and burst exercise every branch of the
+    // tenant weights. The benchmark's satisfied-ratio band and per-answer
+    // check are calibrated on these exact requests, so a change that moves
+    // a single arrival, tenant draw or parameter bit fails here.
+    let benchmark = OpenLoopScenario {
+        base_rate_hz: 1_000.0,
+        duration_ms: 25_000,
+        deadline_ms: 50,
+        seed: 1,
+        ..OpenLoopScenario::default()
+    };
+    let skewed = OpenLoopScenario {
+        base_rate_hz: 800.0,
+        duration_ms: 2_000,
+        bursts: vec![BurstPhase {
+            start_ms: 500,
+            end_ms: 900,
+            factor: 3.0,
+        }],
+        tenants: 5,
+        zipf_s: 1.3,
+        heavy_tenant: Some(3),
+        heavy_factor: 7.5,
+        deadline_ms: 40,
+        seed: 11,
+    };
+    for (name, scenario, pinned) in [
+        ("benchmark", benchmark, 2_849_511_739_216_484_240),
+        ("skewed", skewed, 8_002_399_916_558_791_483),
+    ] {
+        let schedule = scenario.materialize();
+        assert_eq!(
+            schedule_fingerprint(&schedule),
+            pinned,
+            "the {name} schedule ({} arrivals) moved",
+            schedule.len()
+        );
+    }
 }
