@@ -11,7 +11,7 @@
 //!
 //! | Solver | Paper name | Guarantee | Complexity |
 //! |---|---|---|---|
-//! | [`AdparExact`] | `ADPaR-Exact` | exact | `O(\|S\|² log k)` (paper reports `O(\|S\|³)`) |
+//! | [`AdparExact`] | `ADPaR-Exact` | exact | `O(box + \|S\|/64)` when the request already admits `k` strategies (one R-tree walk over the request box), else `O(\|S\|² log k)` (paper reports `O(\|S\|³)`) |
 //! | [`AdparBruteForce`] | `ADPaRB` | exact | exponential in `k` |
 //! | [`AdparBaseline2`] | `Baseline2` | none (one dimension at a time) | `O(\|S\| log \|S\|)` |
 //! | [`AdparBaseline3`] | `Baseline3` | none (R-tree MBB corners) | `O(\|S\| log \|S\|)` |
@@ -116,6 +116,22 @@ impl<'a> AdparProblem<'a> {
         self.relaxations
     }
 
+    /// Poses the problem over the caller's relaxation `buffer`
+    /// ([`Self::with_catalog_reusing`]), runs `solve` on it and puts the
+    /// buffer back, for batch drivers that solve problems back to back.
+    pub(crate) fn pose_reusing<R>(
+        request: &'a DeploymentRequest,
+        catalog: &'a StrategyCatalog,
+        k: usize,
+        buffer: &mut Vec<Point3>,
+        solve: impl FnOnce(&Self) -> R,
+    ) -> R {
+        let problem = Self::with_catalog_reusing(request, catalog, k, std::mem::take(buffer));
+        let result = solve(&problem);
+        *buffer = problem.into_relaxations();
+        result
+    }
+
     /// The catalog this problem is posed over.
     #[must_use]
     pub fn catalog(&self) -> &'a StrategyCatalog {
@@ -162,12 +178,7 @@ impl<'a> AdparProblem<'a> {
     /// deployment parameters.
     #[must_use]
     pub fn apply_relaxation(&self, relaxation: Point3) -> DeploymentParameters {
-        let d = &self.request.params;
-        DeploymentParameters::clamped(
-            d.quality - relaxation.x,
-            d.cost + relaxation.y,
-            d.latency + relaxation.z,
-        )
+        apply_relaxation(&self.request.params, relaxation)
     }
 
     /// Writes into `out` the live slots in ascending order of their
@@ -208,6 +219,16 @@ pub fn relaxation_of(s: &DeploymentParameters, d: &DeploymentParameters) -> Poin
     )
 }
 
+/// The request parameters `d` moved by `relaxation`: quality lowered, cost
+/// and latency raised, clamped into `[0, 1]`.
+fn apply_relaxation(d: &DeploymentParameters, relaxation: Point3) -> DeploymentParameters {
+    DeploymentParameters::clamped(
+        d.quality - relaxation.x,
+        d.cost + relaxation.y,
+        d.latency + relaxation.z,
+    )
+}
+
 /// An ADPaR solution: the alternative parameters, the strategies they admit
 /// and the distance to the original request.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -229,11 +250,20 @@ impl AdparSolution {
     /// distance from the problem instance so the fields stay consistent.
     #[must_use]
     pub fn from_relaxation(problem: &AdparProblem<'_>, relaxation: Point3) -> Self {
-        let alternative = problem.apply_relaxation(relaxation);
         let mut strategy_indices = problem.covered_by(relaxation);
         strategy_indices.sort_unstable();
+        Self::with_covered(&problem.request.params, relaxation, strategy_indices)
+    }
+
+    /// The solution relaxing request parameters `d` by `relaxation`, given
+    /// the covered slots already sorted ascending.
+    fn with_covered(
+        d: &DeploymentParameters,
+        relaxation: Point3,
+        strategy_indices: Vec<usize>,
+    ) -> Self {
         Self {
-            alternative,
+            alternative: apply_relaxation(d, relaxation),
             relaxation,
             strategy_indices,
             distance: relaxation.distance(&Point3::origin()),

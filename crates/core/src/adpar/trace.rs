@@ -79,8 +79,10 @@ pub struct AdparTrace {
     pub relaxations: Vec<Point3>,
     /// Step 2: the sorted `R` / `I` / `D` arrays.
     pub sorted_events: Vec<TraceEvent>,
-    /// Step 3: per-axis sweep orders — for each axis, the strategy indices in
-    /// ascending order of that axis' relaxation value.
+    /// Step 3: per-axis sweep orders — for each axis, the live strategy
+    /// indices in the order the solver walks them
+    /// ([`AdparProblem::axis_order_into`]): ascending relaxation, ties in the
+    /// catalog's coordinate order.
     pub sweep_orders: [Vec<usize>; 3],
     /// The coverage matrix `M` evaluated at the final alternative parameters.
     pub final_coverage: CoverageMatrix,
@@ -110,11 +112,11 @@ impl AdparTrace {
             })
             .collect();
 
-        let sweep_orders = [
-            axis_order(&relaxations, Axis::X),
-            axis_order(&relaxations, Axis::Y),
-            axis_order(&relaxations, Axis::Z),
-        ];
+        let sweep_orders = Axis::ALL.map(|axis| {
+            let mut order = Vec::new();
+            problem.axis_order_into(axis, &mut order);
+            order
+        });
 
         let final_coverage = CoverageMatrix {
             covered: relaxations
@@ -187,17 +189,6 @@ impl AdparTrace {
     }
 }
 
-fn axis_order(relaxations: &[Point3], axis: Axis) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..relaxations.len()).collect();
-    order.sort_by(|&a, &b| {
-        relaxations[a]
-            .coord(axis)
-            .total_cmp(&relaxations[b].coord(axis))
-            .then(a.cmp(&b))
-    });
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,10 +235,15 @@ mod tests {
     #[test]
     fn sweep_orders_sort_each_axis() {
         let trace = d2_trace();
-        // Quality axis ascending: s3, s4 (0), then s2 (0.05), then s1 (0.3).
-        assert_eq!(trace.sweep_orders[0], vec![2, 3, 1, 0]);
+        // Quality axis ascending: s4, s3 (0; s4's quality 0.88 beats s3's
+        // 0.8 in the catalog's coordinate order), then s2 (0.05), then s1
+        // (0.3).
+        assert_eq!(trace.sweep_orders[0], vec![3, 2, 1, 0]);
         // Cost axis ascending: s1, s2, s3, s4.
         assert_eq!(trace.sweep_orders[1], vec![0, 1, 2, 3]);
+        // Latency: every relaxation is 0, so the catalog's latency order
+        // decides: s3, s4 (0.14) before s1, s2 (0.28).
+        assert_eq!(trace.sweep_orders[2], vec![2, 3, 0, 1]);
     }
 
     #[test]

@@ -575,22 +575,39 @@ impl StrategyCatalog {
     /// hits are dropped, the unindexed tail is scanned, and candidates are
     /// confirmed with the exact epsilon-tolerant predicate.
     pub fn for_each_eligible<F: FnMut(usize)>(&self, params: &DeploymentParameters, mut visit: F) {
+        self.for_each_in_request_box(params, |slot| {
+            if self.strategies[slot].params.satisfies(params) {
+                visit(slot);
+            }
+        });
+    }
+
+    /// Calls `visit` once with every live slot the eligibility query for
+    /// `params` reaches, in no particular order: the indexed slots inside
+    /// the origin-anchored box whose top-right corner is the request's
+    /// normalized point inflated by `QUERY_MARGIN`, plus every unindexed
+    /// tail slot, unfiltered. The slots are a superset of every slot within
+    /// `QUERY_MARGIN` of the request's box; [`Self::for_each_eligible`]
+    /// narrows them with the exact predicate, and ADPaR-Exact's
+    /// zero-relaxation answer with its coverage test.
+    pub(crate) fn for_each_in_request_box<F: FnMut(usize)>(
+        &self,
+        params: &DeploymentParameters,
+        mut visit: F,
+    ) {
         let corner = params.to_normalized_point();
         let query = Aabb3::anchored_at_origin(Point3::new(
             corner.x + QUERY_MARGIN,
             corner.y + QUERY_MARGIN,
             corner.z + QUERY_MARGIN,
         ));
-        let satisfies = |slot: usize| self.strategies[slot].params.satisfies(params);
         self.index.for_each_in_box(&query, |slot| {
-            if self.live[slot] && satisfies(slot) {
+            if self.live[slot] {
                 visit(slot);
             }
         });
         for &slot in &self.tail {
-            if satisfies(slot) {
-                visit(slot);
-            }
+            visit(slot);
         }
     }
 }

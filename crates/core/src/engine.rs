@@ -26,8 +26,11 @@
 //!   [`SolveScratch`] **and** one reused
 //!   relaxation buffer per worker thread
 //!   ([`AdparProblem::with_catalog_reusing`]), so the steady state
-//!   allocates nothing per problem beyond the returned solution. Results
-//!   come back in input order.
+//!   allocates nothing per problem beyond the returned solution. A request
+//!   that already admits `k` strategies at its own thresholds is answered
+//!   from one walk of the catalog's R-tree over the request box, in
+//!   `O(box + |S|/64)`, before any problem is posed; only the others pay
+//!   the `O(|S|)` posing and the sweep. Results come back in input order.
 //!
 //! Determinism is a hard guarantee, not a best effort: every work item is
 //! pure (it reads the shared catalog and writes only its own output slot),
@@ -313,9 +316,13 @@ impl BatchEngine {
         request_indices: &[usize],
         k: usize,
     ) -> Vec<Result<AdparSolution, StratRecError>> {
-        self.fan_out_adpar(requests, catalog, request_indices, k, |problem, scratch| {
-            AdparExact.solve_with_scratch(problem, scratch)
-        })
+        self.fan_out_adpar(
+            requests,
+            request_indices,
+            |request, scratch, relaxations| {
+                AdparExact.solve_posing(request, catalog, k, scratch, relaxations)
+            },
+        )
     }
 
     /// The **degraded** counterpart of [`Self::solve_adpar_batch`]: the same
@@ -333,8 +340,10 @@ impl BatchEngine {
         request_indices: &[usize],
         k: usize,
     ) -> Vec<Result<AdparSolution, StratRecError>> {
-        self.fan_out_adpar(requests, catalog, request_indices, k, |problem, _| {
-            AdparBaseline2.solve(problem)
+        self.fan_out_adpar(requests, request_indices, |request, _, relaxations| {
+            AdparProblem::pose_reusing(request, catalog, k, relaxations, |problem| {
+                AdparBaseline2.solve(problem)
+            })
         })
     }
 
@@ -346,27 +355,23 @@ impl BatchEngine {
     fn fan_out_adpar<S>(
         &self,
         requests: &[DeploymentRequest],
-        catalog: &StrategyCatalog,
         request_indices: &[usize],
-        k: usize,
         solve: S,
     ) -> Vec<Result<AdparSolution, StratRecError>>
     where
-        S: Fn(&AdparProblem<'_>, &mut SolveScratch) -> Result<AdparSolution, StratRecError> + Sync,
+        S: Fn(
+                &DeploymentRequest,
+                &mut SolveScratch,
+                &mut Vec<stratrec_geometry::Point3>,
+            ) -> Result<AdparSolution, StratRecError>
+            + Sync,
     {
         let solve_chunk =
             |indices: &[usize], out: &mut [Option<Result<AdparSolution, StratRecError>>]| {
                 let mut scratch = SolveScratch::new();
-                let mut relaxations: Vec<stratrec_geometry::Point3> = Vec::new();
+                let mut relaxations = Vec::new();
                 for (slot, &idx) in out.iter_mut().zip(indices) {
-                    let problem = AdparProblem::with_catalog_reusing(
-                        &requests[idx],
-                        catalog,
-                        k,
-                        std::mem::take(&mut relaxations),
-                    );
-                    *slot = Some(solve(&problem, &mut scratch));
-                    relaxations = problem.into_relaxations();
+                    *slot = Some(solve(&requests[idx], &mut scratch, &mut relaxations));
                 }
             };
 
